@@ -24,26 +24,15 @@ from .harness import (
     run_axioms,
     run_claims,
 )
-from .kernel import (
-    Obj,
-    arrow_exists,
-    coproduct,
-    label_verdict,
-    label_w,
-    product,
-)
+from .kernel import Obj, arrow_exists, coproduct, product
 from .univalence import Fibration, is_p_small, is_small, is_univalent
 from .vobj import (
     UndecidedPairError,
-    VKind,
     VObj,
-    arrow_from_vobj,
     arrow_into_vobj,
     check_factorization,
+    decide,
     exp_explicit,
-    exp_slice,
-    star_from_vobj,
-    star_into_vobj,
 )
 
 
@@ -69,84 +58,20 @@ def _load_obj(text: str) -> Obj:
     return loaded
 
 
-def _reduce_exponentials(v: VObj) -> Obj | VObj:
-    if v.kind is VKind.EXP:
-        return exp_explicit(v.b, v.c)
-    if v.kind is VKind.EXP_SLICE:
-        return exp_slice(v.a, v.b, v.c)
-    return v
-
-
 # -- decide -------------------------------------------------------------------
 
 
-def _decide_label(src: Obj | VObj, dst: Obj | VObj, label: str) -> tuple[bool, dict]:
-    if isinstance(src, VObj):
-        src = _reduce_exponentials(src)
-    if isinstance(dst, VObj):
-        dst = _reduce_exponentials(dst)
-
-    if isinstance(src, Obj) and isinstance(dst, Obj):
-        verdict = label_verdict(src, dst)
-        return getattr(verdict, label), {"verdict": verdict.to_json_dict()}
-
-    if isinstance(src, Obj):  # explicit -> virtual
-        assert isinstance(dst, VObj)
-        if label in ("arrow", "c"):
-            return arrow_into_vobj(src, dst), {}
-        if label == "w":
-            return (
-                arrow_into_vobj(src, dst) and star_from_vobj(dst, src),
-                {},
-            )
-        raise UndecidedPairError(
-            f"label {label!r} has no rule for explicit -> {dst.describe()}"
-        )
-
-    if isinstance(dst, Obj):  # virtual -> explicit
-        assert isinstance(src, VObj)
-        if label in ("arrow", "c"):
-            return arrow_from_vobj(src, dst), {}
-        if label == "w":
-            return (
-                arrow_from_vobj(src, dst) and star_into_vobj(dst, src),
-                {},
-            )
-        if label == "f":
-            # supported where the verified factorization facts apply: the
-            # target is the bound family of a WC-shaped source
-            from .vobj import _wc_parts  # documented pair only
-
-            xs, ys = _wc_parts(src)
-            if ys == dst:
-                ok = arrow_from_vobj(src, dst) and check_factorization(xs, ys).ok
-                return ok, {}
-        raise UndecidedPairError(
-            f"label {label!r} has no rule for {src.describe()} -> explicit"
-        )
-
-    raise UndecidedPairError(
-        f"no rule for {src.describe()} -> {dst.describe()}"
-    )
-
-
 def cmd_decide(args: argparse.Namespace) -> int:
-    src = load_input(args.src)
-    dst = load_input(args.dst)
-    holds, extra = _decide_label(src, dst, args.label)
-    payload = {
-        "label": args.label,
-        "holds": holds,
-        **extra,
-    }
+    holds, verdict = decide(load_input(args.src), load_input(args.dst), args.label)
+    payload: dict[str, object] = {"label": args.label, "holds": holds}
+    if verdict is not None:
+        payload["verdict"] = verdict.to_json_dict()
     if args.format == "machine":
         print(_machine(payload))
     else:
-        if "verdict" in extra:
-            fields = " ".join(
-                f"{k}={str(v).lower()}" for k, v in extra["verdict"].items()
-            )
-            print(fields)
+        if verdict is not None:
+            facts = verdict.to_json_dict().items()
+            print(" ".join(f"{k}={str(v).lower()}" for k, v in facts))
         print(f"{args.label}: {str(holds).lower()}")
     return 0 if holds else 1
 

@@ -18,7 +18,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
@@ -284,7 +284,7 @@ def iso_presentations(x: Obj) -> list[tuple[NSet, ...]]:
 
 
 def _iso_invariance_detail(
-    pair: tuple[Obj, ...], template: StarTemplate
+    pair: tuple[Obj, ...], template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET
 ) -> str | None:
     x, y = pair
     base = label_verdict(x, y, template)
@@ -370,10 +370,8 @@ def _pred_cobase_change(t: tuple[Obj, ...]) -> str | None:
     return None
 
 
-def _pred_retract(t: tuple[Obj, ...]) -> str | None:
-    # Retracts collapse to isomorphisms in a posetal category, so closure
-    # under retracts is closure under isomorphic presentations.
-    return _iso_invariance_detail(t, StarTemplate.SOURCE_MINUS_TARGET)
+def _pred_iso_literal_star(t: tuple[Obj, ...]) -> str | None:
+    return _iso_invariance_detail(t, StarTemplate.TARGET_MINUS_SOURCE)
 
 
 # -- claim predicates -----------------------------------------------------------
@@ -453,15 +451,18 @@ def _pred_limits_universal(t: tuple[Obj, ...]) -> str | None:
     return None
 
 
-_AXIOMS: dict[str, tuple[int, Predicate | None]] = {
+# Retracts collapse to isomorphisms in a posetal category, so closure under
+# retracts is closure under isomorphic presentations: RETRACT_CLOSURE and
+# ISO_INVARIANCE share one predicate, and run_axioms decides it once.
+_AXIOMS: dict[str, tuple[int, Predicate]] = {
     "M1_LIFTING": (4, _pred_m1),
     "M2_FACTOR_WC_F": (2, _pred_m2_wc_f),
     "M2_FACTOR_C_WF": (2, _pred_m2_c_wf),
     "M5_TWO_OF_THREE": (3, _pred_m5),
     "BASE_CHANGE_F": (3, _pred_base_change),
     "COBASE_CHANGE_WC": (3, _pred_cobase_change),
-    "RETRACT_CLOSURE": (2, _pred_retract),
-    "ISO_INVARIANCE": (2, None),  # template-dependent, built in check_axiom
+    "RETRACT_CLOSURE": (2, _iso_invariance_detail),
+    "ISO_INVARIANCE": (2, _iso_invariance_detail),
 }
 
 _CLAIMS: dict[str, tuple[int, Predicate]] = {
@@ -477,8 +478,8 @@ AXIOM_NAMES: tuple[str, ...] = tuple(_AXIOMS)
 CLAIM_NAMES: tuple[str, ...] = tuple(_CLAIMS)
 
 
-def check_axiom(name: str, u: Universe, *, literal_star: bool = False) -> CheckResult:
-    """Run one named axiom check over the universe.
+def _axiom(name: str, literal_star: bool) -> tuple[int, Predicate]:
+    """Arity and predicate of a named axiom check.
 
     ``literal_star`` switches the ISO_INVARIANCE check to the
     target-minus-source star template, the opt-in diagnostic that is
@@ -486,15 +487,14 @@ def check_axiom(name: str, u: Universe, *, literal_star: bool = False) -> CheckR
     """
     if name not in _AXIOMS:
         raise ValueError(f"unknown axiom check {name!r}; choose from {AXIOM_NAMES}")
-    arity, pred = _AXIOMS[name]
-    if name == "ISO_INVARIANCE":
-        template = (
-            StarTemplate.TARGET_MINUS_SOURCE
-            if literal_star
-            else StarTemplate.SOURCE_MINUS_TARGET
-        )
-        pred = lambda t: _iso_invariance_detail(t, template)  # noqa: E731
-    assert pred is not None
+    if literal_star and name == "ISO_INVARIANCE":
+        return 2, _pred_iso_literal_star
+    return _AXIOMS[name]
+
+
+def check_axiom(name: str, u: Universe, *, literal_star: bool = False) -> CheckResult:
+    """Run one named axiom check over the universe."""
+    arity, pred = _axiom(name, literal_star)
     return _run_check(name, u, arity, pred)
 
 
@@ -512,11 +512,22 @@ def run_axioms(
     *,
     literal_star: bool = False,
 ) -> Report:
+    """Run the named axiom checks (all by default) in order.
+
+    Each distinct predicate runs once; a check that shares it reports the
+    same result under its own name, with no time charged to it.
+    """
     picked = tuple(names) if names is not None else AXIOM_NAMES
-    return Report(
-        universe=u,
-        checks=tuple(check_axiom(n, u, literal_star=literal_star) for n in picked),
-    )
+    done: dict[Predicate, CheckResult] = {}
+    checks = []
+    for name in picked:
+        arity, pred = _axiom(name, literal_star)
+        if pred in done:
+            checks.append(replace(done[pred], name=name, elapsed=0.0))
+        else:
+            done[pred] = _run_check(name, u, arity, pred)
+            checks.append(done[pred])
+    return Report(universe=u, checks=tuple(checks))
 
 
 def run_claims(u: Universe, names: Sequence[str] | None = None) -> Report:

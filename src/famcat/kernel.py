@@ -13,7 +13,8 @@ Three labels are decided here:
   is a near-subset of some member of the source (finitely many points may
   stick out).
 * ``f`` (fibration): the arrow exists and the family satisfies the finite
-  extension property decided by :func:`fibration_condition`.
+  extension property decided by :func:`fibration_condition`; that property
+  is the reverse arrow, so an ``f`` arrow is an isomorphism.
 
 The decision functions accept any iterable of NSets, not only canonical
 :class:`Obj` values; the harness exploits that to evaluate labels on
@@ -28,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .nset import EMPTY, FULL, Kind, NSet
+from .nset import EMPTY, FULL, NSet
 
 Family = Iterable[NSet]
 
@@ -138,11 +139,18 @@ def star_arrow(
     target: Family,
     template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET,
 ) -> bool:
-    """Near-inclusion: every source member almost fits in some target member."""
-    tgt = tuple(target)
+    """Near-inclusion: every source member almost fits in some target member.
+
+    Only kinds matter: ``s - t`` is finite iff s is finite or t is cofinite,
+    so no difference is built.  An empty target admits only an empty source.
+    """
+    src, tgt = tuple(source), tuple(target)
+    if not tgt:
+        return not src
     if template is StarTemplate.SOURCE_MINUS_TARGET:
-        return all(any((s - t).is_finite for t in tgt) for s in source)
-    return all(any((t - s).is_finite for t in tgt) for s in source)
+        return any(not t.is_finite for t in tgt) or all(s.is_finite for s in src)
+    # t - s is finite iff t is finite or s is cofinite
+    return any(t.is_finite for t in tgt) or not any(s.is_finite for s in src)
 
 
 def label_w(
@@ -155,25 +163,19 @@ def label_w(
     return arrow_exists(src, tgt) and star_arrow(tgt, src, template)
 
 
-def label_c(source: Family, target: Family) -> bool:
-    """Cofibration: every arrow is one."""
-    return arrow_exists(source, target)
-
-
 # -- the fibration condition and its three deciders -----------------------
 
 
 def fibration_condition(source: Family, target: Family) -> bool:
     """Reduced decider: every target member is contained in some source member.
 
-    For a finite source family this is equivalent to the definitional
-    condition (for every x in the source plus the empty set, every target
-    member y, and every finite b inside y, some source member contains
-    ``(x & y) | b``): see :func:`fibration_gap` for the witness argument
-    that eliminates the quantifier over b.
+    That is the arrow from target to source.  For a finite source family it
+    is equivalent to the definitional condition (for every x in the source
+    plus the empty set, every target member y, and every finite b inside y,
+    some source member contains ``(x & y) | b``): see :func:`fibration_gap`
+    for the witness argument that eliminates the quantifier over b.
     """
-    src = tuple(source)
-    return all(any(y.is_subset(x) for x in src) for y in target)
+    return arrow_exists(target, source)
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,13 @@ def fibration_condition_enumerated(
 
 
 def label_f(source: Family, target: Family) -> bool:
-    """Fibration label: the arrow exists and the extension condition holds."""
-    src, tgt = tuple(source), tuple(target)
-    return arrow_exists(src, tgt) and fibration_condition(src, tgt)
+    """Fibration label: the arrow exists and the extension condition holds.
+
+    The condition is the reverse arrow (:func:`fibration_condition`), so the
+    label is exactly mutual arrows: in this posetal category the fibrations
+    are the isomorphisms.
+    """
+    return is_iso(source, target)
 
 
 @dataclass(frozen=True)
@@ -287,7 +293,7 @@ def label_verdict(
         arrow=arrow,
         star=star_arrow(src, tgt, template),
         w=arrow and star_arrow(tgt, src, template),
-        f=arrow and fibration_condition(src, tgt),
+        f=arrow and arrow_exists(tgt, src),
         c=arrow,
     )
 

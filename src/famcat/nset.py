@@ -45,11 +45,12 @@ INFINITE = Cardinality(None)
 
 
 def _clean_support(elems: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(elems)))
-    for e in out:
-        if not isinstance(e, int) or e < 0:
+    raw = tuple(elems)
+    for e in raw:
+        # bool is an int subclass, but True is not the natural 1 on the wire
+        if type(e) is not int or e < 0:
             raise ValueError(f"support elements must be naturals, got {e!r}")
-    return out
+    return tuple(sorted(set(raw)))
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,6 @@ class NSet:
         while k in self.support:
             k += 1
         return k
-
-    def first_elements(self, count: int) -> tuple[int, ...]:
-        """The ``count`` least elements (fewer if the set runs out)."""
-        if self.is_finite:
-            return self.support[:count]
-        out: list[int] = []
-        k = 0
-        while len(out) < count:
-            if k not in self.support:
-                out.append(k)
-            k += 1
-        return tuple(out)
 
     def drop_least(self) -> "NSet":
         """The same set minus its least element (a proper subset)."""
@@ -191,20 +180,3 @@ class NSet:
 EMPTY = NSet.fin()
 FULL = NSet.cofin()
 
-
-def intersect(a: NSet, b: NSet) -> NSet:
-    return a.intersect(b)
-
-
-def union(a: NSet, b: NSet) -> NSet:
-    return a.union(b)
-
-
-def diff_card(a: NSet, b: NSet) -> Cardinality:
-    """Cardinality of ``a`` minus ``b``; infinite exactly when a is cofinite and b finite."""
-    return a.difference(b).cardinality()
-
-
-def is_subset(a: NSet, b: NSet) -> bool:
-    """Containment; equivalent to ``diff_card(a, b)`` being zero."""
-    return a.is_subset(b)

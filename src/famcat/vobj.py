@@ -17,8 +17,9 @@ forms proved once and tested against the explicit kernel:
 * ``WEXP(A, B, C)`` - the weak-equivalence classifier of the slice over A;
   queried through :func:`wexp_member`.
 
-Arrow queries that no documented rule covers raise
-:class:`UndecidedPairError` rather than guessing.
+:func:`decide` is the one dispatch for a label on an ordered pair with
+explicit or virtual endpoints.  Arrow queries that no documented rule covers
+raise :class:`UndecidedPairError` rather than guessing.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .kernel import (
+    LabelVerdict,
     Obj,
     StarTemplate,
     arrow_exists,
     initial,
+    label_verdict,
     label_w,
     normalize,
     product,
@@ -158,13 +161,12 @@ def wc_covers(v: VObj, s: NSet) -> bool:
     """Does some member of the WC-shaped family contain ``s``?
 
     A member is ``x | b`` with b finite and inside some bound member, so s
-    is covered exactly when ``s - x`` is finite and fits inside a bound
-    member for some x.
+    is covered exactly when ``s - x`` is finite (s is finite or x cofinite)
+    and fits inside a bound member for some x.
     """
     xs, ys = _wc_parts(v)
     for x in xs:
-        d = s - x
-        if d.is_finite and any(d.is_subset(y) for y in ys):
+        if (s.is_finite or not x.is_finite) and any((s - x).is_subset(y) for y in ys):
             return True
     return False
 
@@ -213,16 +215,6 @@ def arrow_from_vobj(v: VObj, t: Obj) -> bool:
     if v.kind is VKind.EXP_SLICE:
         return arrow_exists(exp_slice(v.a, v.b, v.c), t)
     raise UndecidedPairError(f"no arrow rule out of {v.describe()}")
-
-
-def arrow_from_utilde(t: Obj) -> bool:
-    """Arrow from the universe object: holds iff N itself is a member of t.
-
-    Every finite set lies inside a member of t iff some member is N;
-    otherwise picking one missing natural per member builds a finite set
-    that none of them covers.
-    """
-    return t.has_full
 
 
 def star_from_vobj(
@@ -350,22 +342,16 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     arrow_into = all(wc_covers(v, m) for m in x)
 
     generators = [
-        (xm, b0)
+        (xm, b0, xm | b0)
         for xm in x
         for ym in y
         for b0 in _finite_subsets(ym, margin)
     ]
-    star_back = True
-    for xm, b0 in generators:
-        u = xm | b0
-        if not any((u - m).is_finite for m in x):
-            star_back = False
-            break
+    star_back = star_arrow([u for _, _, u in generators], x)
 
     fib_ok = True
     instances = 0
-    for xm, b0 in generators:
-        u = xm | b0
+    for xm, b0, u in generators:
         for ym in y:
             for b in _finite_subsets(ym, margin):
                 instances += 1
@@ -402,3 +388,54 @@ def uprod_dominates(base: Obj, total: Obj) -> bool:
         assert not any(blocker.is_subset(t) for t in total)
         return False
     return True
+
+
+# -- the label dispatch --------------------------------------------------------
+
+
+def _reduce_exponentials(v: Obj | VObj) -> Obj | VObj:
+    if isinstance(v, VObj) and v.kind is VKind.EXP:
+        return exp_explicit(v.b, v.c)  # type: ignore[arg-type]
+    if isinstance(v, VObj) and v.kind is VKind.EXP_SLICE:
+        return exp_slice(v.a, v.b, v.c)  # type: ignore[arg-type]
+    return v
+
+
+def decide(
+    src: Obj | VObj, dst: Obj | VObj, label: str
+) -> tuple[bool, LabelVerdict | None]:
+    """Decide ``label`` (arrow, w, f or c) on an ordered pair of endpoints.
+
+    Exponentials are first reduced to explicit objects.  An explicit pair is
+    decided by the kernel, and its whole :class:`LabelVerdict` comes back
+    with the answer.  A pair with one virtual end goes through the closed
+    forms: arrow and c both ways, w both ways, and f only from a WC-shaped
+    family to its own bound family, where the verified factorization facts
+    apply.  Every other query raises :class:`UndecidedPairError`.
+    """
+    src, dst = _reduce_exponentials(src), _reduce_exponentials(dst)
+    if isinstance(src, Obj) and isinstance(dst, Obj):
+        verdict = label_verdict(src, dst)
+        return getattr(verdict, label), verdict
+    if isinstance(src, Obj):  # explicit -> virtual
+        assert isinstance(dst, VObj)
+        if label in ("arrow", "c"):
+            return arrow_into_vobj(src, dst), None
+        if label == "w":
+            return label_w_into_vobj(src, dst), None
+        raise UndecidedPairError(
+            f"label {label!r} has no rule for explicit -> {dst.describe()}"
+        )
+    if isinstance(dst, Obj):  # virtual -> explicit
+        if label in ("arrow", "c"):
+            return arrow_from_vobj(src, dst), None
+        if label == "w":
+            return arrow_from_vobj(src, dst) and star_into_vobj(dst, src), None
+        if label == "f":
+            xs, ys = _wc_parts(src)
+            if ys == dst:
+                return arrow_from_vobj(src, dst) and check_factorization(xs, ys).ok, None
+        raise UndecidedPairError(
+            f"label {label!r} has no rule for {src.describe()} -> explicit"
+        )
+    raise UndecidedPairError(f"no rule for {src.describe()} -> {dst.describe()}")

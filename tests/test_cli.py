@@ -113,6 +113,18 @@ def test_decide_parse_errors_exit_2(capsys):
     assert run("decide", "--from", "{not json", "--to", A_LIT) == 2
 
 
+def test_bool_elements_exit_2(capsys):
+    # true used to load as the natural 1 and print back as true or 1
+    # depending on which argument came first
+    bool_lit = '{"members":[{"fin":[true]}]}'
+    one_lit = '{"members":[{"fin":[1]}]}'
+    assert run("product", "--x", bool_lit, "--y", one_lit) == 2
+    assert run("product", "--x", one_lit, "--y", bool_lit) == 2
+    assert run("decide", "--from", bool_lit, "--to", A_LIT) == 2
+    assert run("decide", "--from", A_LIT, "--to", '{"members":[{"cofin":[false]}]}') == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- constructions ------------------------------------------------------------------
 
 

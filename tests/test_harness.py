@@ -289,6 +289,33 @@ def test_selected_names_run_in_order():
     assert [c.name for c in report.checks] == names
 
 
+def _check_json(report, name):
+    (found,) = [c.to_json_dict() for c in report.checks if c.name == name]
+    return {k: v for k, v in found.items() if k != "name"}
+
+
+def test_retract_and_iso_checks_share_one_result():
+    for universe in (W2, SAMPLED):
+        report = run_axioms(universe)
+        shared = _check_json(report, "RETRACT_CLOSURE")
+        assert shared == _check_json(report, "ISO_INVARIANCE")
+        assert shared["instances"] > 0
+        # the shared result is the one a lone run of either check gives
+        alone = check_axiom("ISO_INVARIANCE", universe).to_json_dict()
+        assert shared == {k: v for k, v in alone.items() if k != "name"}
+
+
+def test_literal_star_changes_only_the_iso_check():
+    universe = Universe(window=3, include_cofinite=True, samples=120, seed=42)
+    literal = run_axioms(
+        universe, names=["RETRACT_CLOSURE", "ISO_INVARIANCE"], literal_star=True
+    )
+    retract = _check_json(literal, "RETRACT_CLOSURE")
+    iso = _check_json(literal, "ISO_INVARIANCE")
+    assert retract["passed"] and not iso["passed"]
+    assert retract == _check_json(run_axioms(universe), "RETRACT_CLOSURE")
+
+
 # -- cross-check: factorization middles against explicit pairs -----------------------
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from famcat.harness import Universe, enumerate_objects
+from famcat.harness import Universe, enumerate_objects, iso_presentations
 from famcat.kernel import (
     INITIAL,
     TERMINAL,
@@ -25,7 +25,6 @@ from famcat.kernel import (
     fibration_gap,
     initial,
     is_iso,
-    label_c,
     label_f,
     label_verdict,
     label_w,
@@ -144,6 +143,42 @@ def test_star_literal_template_measures_the_other_difference():
     assert star_arrow(A, B, t)
 
 
+def _star_by_difference(source, target, template=StarTemplate.SOURCE_MINUS_TARGET):
+    """Reference oracle: build each difference and read its kind."""
+    tgt = tuple(target)
+    if template is StarTemplate.SOURCE_MINUS_TARGET:
+        return all(any((s - t).is_finite for t in tgt) for s in source)
+    return all(any((t - s).is_finite for t in tgt) for s in source)
+
+
+def _small_families():
+    """The empty family, every singleton and pair family over window-3
+    members of at most two points, their canonical forms, and the iso
+    presentations of those."""
+    pool = [
+        k(sup)
+        for k in (fin, cofin)
+        for r in range(3)
+        for sup in itertools.combinations(range(3), r)
+    ]
+    raw = [()] + [(m,) for m in pool] + list(itertools.combinations(pool, 2))
+    canon = {normalize(f) for f in raw}
+    fams = set(raw) | {x.members for x in canon}
+    for x in canon:
+        fams.update(iso_presentations(x))
+    return sorted(fams, key=lambda f: [(m.kind.value, m.support) for m in f])
+
+
+def test_star_closed_form_matches_the_difference_oracle():
+    fams = _small_families()
+    assert len(fams) > 200
+    for template in StarTemplate:
+        for s, t in itertools.product(fams, repeat=2):
+            assert star_arrow(s, t, template) == _star_by_difference(s, t, template), (
+                s, t, template,
+            )
+
+
 def test_w_examples():
     assert label_w(INITIAL, A)  # every member of A is nearly empty
     assert label_w(A, B)
@@ -253,7 +288,7 @@ def test_verdict_invariants(ms, ns):
     assert not v.f or v.arrow
     assert v.w == label_w(x, y)
     assert v.f == label_f(x, y)
-    assert v.c == label_c(x, y)
+    assert v.c == arrow_exists(x, y)
 
 
 @given(members_strategy)

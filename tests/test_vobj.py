@@ -16,6 +16,7 @@ from famcat.kernel import (
     arrow_exists,
     initial,
     is_iso,
+    label_verdict,
     label_w,
     normalize,
     product,
@@ -26,10 +27,10 @@ from famcat.vobj import (
     UndecidedPairError,
     VKind,
     VObj,
-    arrow_from_utilde,
     arrow_from_vobj,
     arrow_into_vobj,
     check_factorization,
+    decide,
     exp_explicit,
     exp_slice,
     is_iso_virtual,
@@ -142,10 +143,12 @@ def test_arrow_into_universe_iff_all_members_finite():
 
 
 def test_arrow_from_universe_iff_target_has_the_full_set():
-    assert arrow_from_utilde(terminal())
-    assert not arrow_from_utilde(B)
+    # one missing natural per member of t builds a finite set none covers
+    ut = VObj.universe()
+    assert arrow_from_vobj(ut, terminal())
+    assert not arrow_from_vobj(ut, B)
     for t in W2 + [terminal(), NEAR_FULL, Obj.of(cofin([2]), fin([2]))]:
-        assert arrow_from_vobj(VObj.universe(), t) == arrow_from_utilde(t)
+        assert arrow_from_vobj(ut, t) == t.has_full
 
 
 def test_arrow_from_wc_counterexample_is_pinned():
@@ -195,6 +198,60 @@ def test_is_iso_virtual_examples():
     assert not is_iso_virtual(VObj.universe(), initial())
     assert not is_iso_virtual(VObj.universe(), terminal())
     assert is_iso_virtual(VObj.wc(terminal(), A), terminal())
+
+
+# -- the label dispatch ---------------------------------------------------------------
+
+
+def test_decide_explicit_pairs_return_the_whole_verdict():
+    for x, y in itertools.product([initial(), A, B, C, NEAR_FULL, terminal()], repeat=2):
+        for label in ("arrow", "w", "f", "c"):
+            holds, verdict = decide(x, y, label)
+            assert verdict == label_verdict(x, y)
+            assert holds == getattr(verdict, label)
+
+
+def test_decide_reduces_exponentials_to_explicit_objects():
+    e = exp_explicit(A, B)
+    assert decide(VObj.exp(A, B), C, "w") == decide(e, C, "w")
+    assert decide(C, VObj.exp(A, B), "arrow") == decide(C, e, "arrow")
+    holds, verdict = decide(VObj.exp_slice(B, A, B), B, "f")
+    assert verdict == label_verdict(exp_slice(B, A, B), B)
+
+
+def test_decide_explicit_into_virtual():
+    for v in (VObj.universe(), VObj.uprod(B), VObj.wc(A, C), VObj.wexp(B, A, B)):
+        for z in W2 + [NEAR_FULL, terminal()]:
+            assert decide(z, v, "arrow") == (arrow_into_vobj(z, v), None)
+            assert decide(z, v, "c") == (arrow_into_vobj(z, v), None)
+    for v in (VObj.universe(), VObj.wc(NEAR_FULL, A)):
+        for z in W2 + [NEAR_FULL, terminal()]:
+            assert decide(z, v, "w") == (label_w_into_vobj(z, v), None)
+    with pytest.raises(UndecidedPairError):
+        decide(A, VObj.universe(), "f")
+
+
+def test_decide_virtual_into_explicit():
+    for v in (VObj.universe(), VObj.uprod(B), VObj.wc(A, C), VObj.wc(NEAR_FULL, A)):
+        for t in W2 + [NEAR_FULL, terminal()]:
+            arrow = arrow_from_vobj(v, t)
+            assert decide(v, t, "arrow") == decide(v, t, "c") == (arrow, None)
+            assert decide(v, t, "w") == (arrow and star_into_vobj(t, v), None)
+    # f only into the bound family, through the factorization facts
+    assert decide(VObj.wc(initial(), terminal()), terminal(), "f") == (True, None)
+    assert decide(VObj.wc(A, C), C, "f") == (False, None)  # no arrow onto C
+    assert decide(VObj.wc(A, B), B, "f") == (True, None)
+
+
+def test_decide_refuses_pairs_without_a_rule():
+    with pytest.raises(UndecidedPairError):
+        decide(VObj.universe(), B, "f")  # B is not the bound family
+    with pytest.raises(UndecidedPairError):
+        decide(VObj.wexp(B, A, B), B, "f")  # not WC-shaped
+    with pytest.raises(UndecidedPairError):
+        decide(VObj.wexp(B, A, B), B, "arrow")
+    with pytest.raises(UndecidedPairError):
+        decide(VObj.universe(), VObj.uprod(A), "arrow")
 
 
 # -- exponentials -------------------------------------------------------------------
