@@ -5,13 +5,15 @@ arguments accept either a file path or an inline JSON literal; a literal
 with a ``vkind`` key denotes a virtual object.  Exit status: 0 when all
 requested facts hold or checks pass, 1 when a verdict is false or a check
 fails, 2 on parse errors, 3 on an undecided virtual-object pair, 4 when a
-size guard rejects the request.
+size guard rejects the request, and 141 (128 + SIGPIPE), with no message,
+when the reader of stdout goes away before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -305,7 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except UndecidedPairError as exc:
         print(f"error: undecided virtual pair: {exc}", file=sys.stderr)
         return 3

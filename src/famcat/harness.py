@@ -36,14 +36,14 @@ from .kernel import (
     normalize,
     product,
 )
-from .nset import EMPTY, NSet
+from .nset import EMPTY, MAX_ELEMENT, NSet
 from .vobj import VObj, arrow_into_vobj, check_factorization, exp_explicit, wexp_member
 
 MAX_RECORDED_VIOLATIONS = 25
 
 
 class SizeGuardError(ValueError):
-    """Exhaustive enumeration was asked for a universe that is too large."""
+    """A universe was asked for that is too large to enumerate or draw."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class Universe:
     def __post_init__(self) -> None:
         if self.window < 0 or self.samples < 0:
             raise ValueError("window and samples are non-negative")
+        if self.window > MAX_ELEMENT + 1:
+            raise SizeGuardError(
+                f"window {self.window} would draw elements above MAX_ELEMENT = {MAX_ELEMENT}"
+            )
 
     @property
     def is_exhaustive(self) -> bool:

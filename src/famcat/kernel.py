@@ -34,8 +34,9 @@ from .nset import EMPTY, FULL, NSet
 Family = Iterable[NSet]
 
 
-def _member_sort_key(m: NSet) -> tuple[int, int, tuple[int, ...]]:
-    return (0 if m.is_finite else 1, len(m.support), m.support)
+def _member_sort_key(m: NSet) -> tuple[bool, int, tuple[int, ...]]:
+    support = m.support
+    return (m.cofinite, len(support), support)
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def star_arrow(
     if not tgt:
         return not src
     if template is StarTemplate.SOURCE_MINUS_TARGET:
-        return any(not t.is_finite for t in tgt) or all(s.is_finite for s in src)
+        return any(t.cofinite for t in tgt) or not any(s.cofinite for s in src)
     # t - s is finite iff t is finite or s is cofinite
-    return any(t.is_finite for t in tgt) or not any(s.is_finite for s in src)
+    return not all(t.cofinite for t in tgt) or all(s.cofinite for s in src)
 
 
 def label_w(

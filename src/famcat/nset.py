@@ -5,6 +5,11 @@ A value is either ``FIN(S)``, the finite set with members ``S``, or
 closed under intersection, union, difference and complement, so every
 construction in the package stays inside it.  Values are immutable and
 hashable, operations are pure, and nothing here touches global state.
+
+A value is stored as ``(cofinite, mask)``: bit *i* of the int ``mask`` is
+set exactly when *i* is in ``S``.  Every boolean operation is one or two
+int operations on the masks.  Elements named by a constructor are bounded
+by :data:`MAX_ELEMENT`, so a literal cannot ask for a huge mask.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+MAX_ELEMENT = (1 << 16) - 1
+"""The largest element a constructor accepts; a mask spans at most 8 KiB."""
 
 
 class Kind(enum.Enum):
@@ -44,122 +52,166 @@ class Cardinality:
 INFINITE = Cardinality(None)
 
 
-def _clean_support(elems: Iterable[int]) -> tuple[int, ...]:
-    raw = tuple(elems)
-    for e in raw:
+def _mask_of(elems: Iterable[int]) -> int:
+    mask = 0
+    for e in elems:
         # bool is an int subclass, but True is not the natural 1 on the wire
         if type(e) is not int or e < 0:
             raise ValueError(f"support elements must be naturals, got {e!r}")
-    return tuple(sorted(set(raw)))
+        if e > MAX_ELEMENT:
+            raise ValueError(f"support element {e} exceeds MAX_ELEMENT = {MAX_ELEMENT}")
+        mask |= 1 << e
+    return mask
 
 
-@dataclass(frozen=True)
+_CHUNK_BITS = 1024
+_CHUNK = (1 << _CHUNK_BITS) - 1
+
+
+def _elements(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending.
+
+    Bits are peeled off one chunk at a time, so clearing each bit costs a
+    small-int operation and a wide mask takes time linear in its length.
+    """
+    out = []
+    base = 0
+    while mask:
+        chunk = mask & _CHUNK
+        mask >>= _CHUNK_BITS
+        while chunk:
+            low = chunk & -chunk
+            out.append(base + low.bit_length() - 1)
+            chunk ^= low
+        base += _CHUNK_BITS
+    return out
+
+
 class NSet:
     """A finite or cofinite subset of the naturals.
 
-    ``support`` is the finite list of members (FIN) or excluded members
-    (COFIN), kept sorted and duplicate-free so equality and hashing are
-    structural.
+    ``mask`` holds the members (finite) or the excluded members (cofinite),
+    so equality and hashing are structural.  ``kind`` and ``support`` (the
+    sorted tuple of mask bits) are derived from it.
     """
 
-    kind: Kind
-    support: tuple[int, ...] = ()
+    __slots__ = ("cofinite", "mask")
+    cofinite: bool
+    mask: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", _clean_support(self.support))
+    def __init__(self, kind: Kind, support: Iterable[int] = ()) -> None:
+        _set_cofinite(self, Kind(kind) is Kind.COFIN)
+        _set_mask(self, _mask_of(support))
 
     @classmethod
     def fin(cls, elems: Iterable[int] = ()) -> "NSet":
         """The finite set with exactly these elements."""
-        return cls(Kind.FIN, tuple(elems))
+        return _make(False, _mask_of(elems))
 
     @classmethod
     def cofin(cls, excluded: Iterable[int] = ()) -> "NSet":
         """The set of all naturals except these."""
-        return cls(Kind.COFIN, tuple(excluded))
+        return _make(True, _mask_of(excluded))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"NSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"NSet is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[object, tuple[bool, int]]:
+        return _make, (self.cofinite, self.mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NSet:
+            return NotImplemented
+        return self.mask == other.mask and self.cofinite is other.cofinite
+
+    def __hash__(self) -> int:
+        return hash((self.cofinite, self.mask))
+
+    def __repr__(self) -> str:
+        return f"NSet.{self.kind.value}({list(self.support)})"
+
+    @property
+    def kind(self) -> Kind:
+        return Kind.COFIN if self.cofinite else Kind.FIN
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The members (finite) or the holes (cofinite), sorted."""
+        return tuple(_elements(self.mask))
 
     # -- membership and size --------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is Kind.FIN
+        return not self.cofinite
 
     def __contains__(self, n: int) -> bool:
-        return (n in self.support) == (self.kind is Kind.FIN)
+        return (n >= 0 and bool(self.mask >> n & 1)) is not self.cofinite
 
     def cardinality(self) -> Cardinality:
-        return Cardinality.finite(len(self.support)) if self.is_finite else INFINITE
+        return INFINITE if self.cofinite else Cardinality.finite(self.mask.bit_count())
 
     def smallest(self) -> int | None:
         """Least element, or ``None`` for the empty set."""
-        if self.is_finite:
-            return self.support[0] if self.support else None
-        k = 0
-        while k in self.support:
-            k += 1
-        return k
+        m = self.mask
+        low = ~m & (m + 1) if self.cofinite else m & -m  # lowest member bit
+        return low.bit_length() - 1 if low else None
 
     def drop_least(self) -> "NSet":
         """The same set minus its least element (a proper subset)."""
-        least = self.smallest()
-        if least is None:
+        m = self.mask
+        if self.cofinite:
+            return _make(True, m | (m + 1))  # the least member becomes a hole
+        if not m:
             raise ValueError("the empty set has no element to drop")
-        if self.is_finite:
-            return NSet.fin(self.support[1:])
-        return NSet.cofin(self.support + (least,))
+        return _make(False, m & (m - 1))
 
     # -- boolean algebra --------------------------------------------------
 
     def complement(self) -> "NSet":
-        return NSet(Kind.COFIN if self.is_finite else Kind.FIN, self.support)
+        return _make(not self.cofinite, self.mask)
 
     __invert__ = complement
 
     def intersect(self, other: "NSet") -> "NSet":
-        a, b = set(self.support), set(other.support)
-        if self.is_finite and other.is_finite:
-            return NSet.fin(a & b)
-        if self.is_finite:
-            return NSet.fin(a - b)
-        if other.is_finite:
-            return NSet.fin(b - a)
-        return NSet.cofin(a | b)
+        a, b = self.mask, other.mask
+        if self.cofinite:
+            return _make(True, a | b) if other.cofinite else _make(False, b & ~a)
+        return _make(False, a & ~b if other.cofinite else a & b)
 
     __and__ = intersect
 
     def union(self, other: "NSet") -> "NSet":
-        a, b = set(self.support), set(other.support)
-        if self.is_finite and other.is_finite:
-            return NSet.fin(a | b)
-        if self.is_finite:
-            return NSet.cofin(b - a)
-        if other.is_finite:
-            return NSet.cofin(a - b)
-        return NSet.cofin(a & b)
+        a, b = self.mask, other.mask
+        if self.cofinite:
+            return _make(True, a & b if other.cofinite else a & ~b)
+        return _make(True, b & ~a) if other.cofinite else _make(False, a | b)
 
     __or__ = union
 
     def difference(self, other: "NSet") -> "NSet":
-        return self.intersect(other.complement())
+        a, b = self.mask, other.mask
+        if self.cofinite:
+            return _make(False, b & ~a) if other.cofinite else _make(True, a | b)
+        return _make(False, a & b if other.cofinite else a & ~b)
 
     __sub__ = difference
 
     def is_subset(self, other: "NSet") -> bool:
-        a, b = set(self.support), set(other.support)
-        if self.is_finite and other.is_finite:
-            return a <= b
-        if self.is_finite:
-            return not (a & b)
-        if other.is_finite:
-            return False
-        return b <= a
+        a, b = self.mask, other.mask
+        if self.cofinite:
+            return other.cofinite and not b & ~a
+        return not (a & b if other.cofinite else a & ~b)
 
     __le__ = is_subset
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict[str, list[int]]:
-        return {self.kind.value: list(self.support)}
+        return {self.kind.value: _elements(self.mask)}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "NSet":
@@ -168,15 +220,27 @@ class NSet:
         key, value = next(iter(data.items()))
         if key not in ("fin", "cofin") or not isinstance(value, (list, tuple)):
             raise ValueError(f"bad set literal: {data!r}")
-        return cls(Kind(key), tuple(value))
+        return _make(key == "cofin", _mask_of(value))
 
     def __str__(self) -> str:
-        body = "{" + ",".join(str(e) for e in self.support) + "}"
-        if self.is_finite:
+        body = "{" + ",".join(str(e) for e in _elements(self.mask)) + "}"
+        if not self.cofinite:
             return body
-        return "N" if not self.support else f"N-{body}"
+        return "N" if not self.mask else f"N-{body}"
+
+
+_new = object.__new__
+_set_cofinite = NSet.cofinite.__set__  # type: ignore[attr-defined]
+_set_mask = NSet.mask.__set__  # type: ignore[attr-defined]
+
+
+def _make(cofinite: bool, mask: int) -> NSet:
+    """Build a value from a mask already known to be valid, unchecked."""
+    s = _new(NSet)
+    _set_cofinite(s, cofinite)
+    _set_mask(s, mask)
+    return s
 
 
 EMPTY = NSet.fin()
 FULL = NSet.cofin()
-

@@ -120,22 +120,25 @@ class VObj:
             kind = VKind(data["vkind"])
         except ValueError:
             raise ValueError(f"unknown vkind {data['vkind']!r}") from None
-        fields = {}
-        for f in ("x", "y", "a", "b", "c"):
-            if f in data:
-                fields[f] = Obj.from_json_dict(data[f])  # type: ignore[arg-type]
-        builders = {
-            VKind.WC: lambda: cls.wc(fields["x"], fields["y"]),
-            VKind.UNIVERSE: cls.universe,
-            VKind.UPROD: lambda: cls.uprod(fields["x"]),
-            VKind.EXP: lambda: cls.exp(fields["b"], fields["c"]),
-            VKind.EXP_SLICE: lambda: cls.exp_slice(fields["a"], fields["b"], fields["c"]),
-            VKind.WEXP: lambda: cls.wexp(fields["a"], fields["b"], fields["c"]),
-        }
-        try:
-            return builders[kind]()
-        except KeyError as missing:
-            raise ValueError(f"vkind {kind.value!r} is missing field {missing}") from None
+        names = _FIELDS[kind]
+        if set(data) != {"vkind", *names}:
+            raise ValueError(
+                f"vkind {kind.value!r} takes exactly the fields {list(names)}: {data!r}"
+            )
+        fields = {f: Obj.from_json_dict(data[f]) for f in names}  # type: ignore[arg-type]
+        if kind in (VKind.EXP_SLICE, VKind.WEXP):
+            _require_slice(**fields)
+        return cls(kind, **fields)
+
+
+_FIELDS = {
+    VKind.WC: ("x", "y"),
+    VKind.UNIVERSE: (),
+    VKind.UPROD: ("x",),
+    VKind.EXP: ("b", "c"),
+    VKind.EXP_SLICE: ("a", "b", "c"),
+    VKind.WEXP: ("a", "b", "c"),
+}
 
 
 def _require_slice(a: Obj, b: Obj, c: Obj) -> None:
@@ -166,7 +169,7 @@ def wc_covers(v: VObj, s: NSet) -> bool:
     """
     xs, ys = _wc_parts(v)
     for x in xs:
-        if (s.is_finite or not x.is_finite) and any((s - x).is_subset(y) for y in ys):
+        if (s.is_finite or x.cofinite) and any((s - x).is_subset(y) for y in ys):
             return True
     return False
 

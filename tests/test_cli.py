@@ -2,17 +2,23 @@
 
 Exit codes are part of the contract: 0 = facts hold / checks pass,
 1 = a verdict is false or a check failed, 2 = parse error, 3 = undecided
-virtual pair, 4 = size guard.  Everything is driven through ``main`` so the
-tests see exactly what the console script would do.
+virtual pair, 4 = size guard, 141 = stdout closed by its reader.
+Everything is driven through ``main`` so the tests see exactly what the
+console script would do; only the closed-pipe case needs a real process.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import famcat
 from famcat.cli import load_input, main
 from famcat.kernel import Obj
-from famcat.nset import NSet
+from famcat.nset import MAX_ELEMENT, NSet
 from famcat.vobj import VObj
 
 fin = NSet.fin
@@ -125,6 +131,40 @@ def test_bool_elements_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_elements_above_the_bound_exit_2(capsys):
+    big_lit = json.dumps({"members": [{"fin": [MAX_ELEMENT + 1]}]})
+    assert run("decide", "--from", big_lit, "--to", A_LIT) == 2
+    assert run("product", "--x", A_LIT, "--y", '{"members":[{"cofin":[1000000000]}]}') == 2
+    assert "MAX_ELEMENT" in capsys.readouterr().err
+    edge_lit = json.dumps({"members": [{"fin": [MAX_ELEMENT]}]})
+    assert run("decide", "--from", edge_lit, "--to", TERMINAL_LIT) == 0
+
+
+def test_virtual_literals_with_unused_keys_exit_2(capsys):
+    utilde_extra = '{"vkind":"utilde","x":{"members":[{"cofin":[]}]},"zzz":1}'
+    assert run("decide", "--from", utilde_extra, "--to", TERMINAL_LIT) == 2
+    uprod_extra = json.dumps(
+        {"vkind": "uprod", "x": json.loads(A_LIT), "y": json.loads(A_LIT)}
+    )
+    assert run("decide", "--from", A_LIT, "--to", uprod_extra) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_closed_stdout_exits_141_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(famcat.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "famcat", "decide", "--from", A_LIT, "--to", B_LIT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 # -- constructions ------------------------------------------------------------------
 
 
@@ -219,6 +259,11 @@ def test_axioms_literal_star_diagnostic_fails(capsys):
 def test_axioms_size_guard_exits_4(capsys):
     assert run("axioms", "--window", "9") == 4
     assert run("axioms", "--cofinite") == 4  # exhaustive + cofinite
+    # a sampled window past the element bound is refused before any draw
+    window = str(MAX_ELEMENT + 2)
+    assert run("axioms", "--window", window, "--samples", "1") == 4
+    assert run("univalence", "--window", window, "--samples", "1") == 4
+    assert run("axioms", "--window", "100000", "--samples", "1") == 4
 
 
 def test_claims_pass(capsys):

@@ -7,21 +7,32 @@ laws are checked against that model, both exhaustively on a small window
 and with randomized inputs.
 """
 
+import copy
 import itertools
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from famcat.nset import EMPTY, FULL, Cardinality, Kind, NSet
+from famcat.nset import EMPTY, FULL, MAX_ELEMENT, Cardinality, Kind, NSet
 
 W = 8
 
 
 def model(s: NSet) -> tuple[frozenset[int], bool]:
-    """Window membership bits plus the tail bit; exact for supports < W."""
+    """Window membership bits plus the tail bit; exact for supports < W.
+
+    Also checks that the derived support and printed form agree with the
+    membership bits, so every operation that builds ``s`` is covered.
+    """
     assert all(e < W for e in s.support)
     bits = frozenset(n for n in range(W) if n in s)
+    listed = sorted(bits) if s.is_finite else sorted(set(range(W)) - bits)
+    assert s.support == tuple(listed)
+    body = "{" + ",".join(map(str, listed)) + "}"
+    assert str(s) == (body if s.is_finite else ("N" if not listed else f"N-{body}"))
     return bits, not s.is_finite
 
 
@@ -70,6 +81,28 @@ def test_bools_are_not_naturals():
         NSet.from_json_dict({"fin": [True]})
 
 
+def test_elements_are_bounded_by_max_element():
+    assert NSet.fin([MAX_ELEMENT]).support == (MAX_ELEMENT,)
+    assert MAX_ELEMENT not in NSet.cofin([MAX_ELEMENT])
+    for build in (NSet.fin, NSet.cofin, lambda e: NSet(Kind.FIN, e)):
+        with pytest.raises(ValueError):
+            build([MAX_ELEMENT + 1])
+    with pytest.raises(ValueError):
+        NSet.from_json_dict({"fin": [10**9]})
+
+
+def test_values_are_immutable():
+    s = NSet.fin([1])
+    for name in ("mask", "cofinite", "support", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s == NSet.fin([1])
+    # copies are rebuilt from the mask, not by setting attributes
+    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(FULL)) == FULL
+
+
 def test_named_constants():
     assert EMPTY == NSet.fin()
     assert FULL == NSet.cofin()
@@ -86,6 +119,17 @@ def test_membership_examples():
     assert 2 in NSet.cofin([1, 4])
     assert 4 not in NSet.cofin([1, 4])
     assert 10**9 in FULL and 10**9 not in EMPTY
+
+
+def test_membership_of_huge_naturals_allocates_nothing():
+    tracemalloc.start()
+    try:
+        assert 10**9 in FULL and 10**9 not in EMPTY
+        assert 10**9 in NSet.cofin([3]) and 10**9 not in NSet.fin([3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a mask reaching 10**9 would take 125 MB
 
 
 def test_cardinality_examples():
@@ -223,6 +267,22 @@ def test_model_agreement_subset(a, b):
     bits_a, tail_a = model(a)
     bits_b, tail_b = model(b)
     assert a.is_subset(b) == (bits_a <= bits_b and tail_a <= tail_b)
+
+
+@given(nsets)
+def test_model_agreement_complement(a):
+    bits, tail = model(a)
+    assert model(~a) == (frozenset(range(W)) - bits, not tail)
+
+
+@given(nsets)
+def test_model_agreement_drop_least(a):
+    if a == EMPTY:
+        return
+    bits, tail = model(a)
+    if tail and not bits:  # the least member lies beyond the window
+        return
+    assert model(a.drop_least()) == (bits - {a.smallest()}, tail)
 
 
 @given(nsets, nsets)

@@ -70,6 +70,11 @@ def test_slice_constructors_validate_the_slice():
         VObj.exp_slice(A, B, A)  # no arrow B -> A
     with pytest.raises(ValueError):
         VObj.wexp(A, terminal(), A)
+    for vkind in ("exp_slice", "wexp"):  # literals are validated the same way
+        with pytest.raises(ValueError):
+            VObj.from_json_dict(
+                {"vkind": vkind, "a": A.to_json_dict(), "b": B.to_json_dict(), "c": A.to_json_dict()}
+            )
 
 
 def test_json_round_trip_for_every_kind():
@@ -94,6 +99,21 @@ def test_json_wire_names_and_rejects():
         VObj.from_json_dict({"vkind": "wc", "x": A.to_json_dict()})  # y missing
     with pytest.raises(ValueError):
         VObj.from_json_dict({"members": []})
+
+
+def test_json_rejects_keys_the_kind_does_not_use():
+    full = {"x": A.to_json_dict(), "y": B.to_json_dict()}
+    bad = [
+        {"vkind": "utilde", "x": A.to_json_dict()},
+        {"vkind": "utilde", "zzz": 1},
+        {"vkind": "uprod", **full},
+        {"vkind": "wc", **full, "c": A.to_json_dict()},
+        {"vkind": "exp", "a": B.to_json_dict(), "b": A.to_json_dict(), "c": B.to_json_dict()},
+    ]
+    for data in bad:
+        with pytest.raises(ValueError):
+            VObj.from_json_dict(data)
+    assert VObj.from_json_dict({"vkind": "wc", **full}) == VObj.wc(A, B)
 
 
 # -- membership of WC-shaped families ----------------------------------------------
