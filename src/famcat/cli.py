@@ -27,15 +27,8 @@ from .harness import (
     run_claims,
 )
 from .kernel import Obj, arrow_exists, coproduct, product
-from .univalence import Fibration, is_p_small, is_small, is_univalent
-from .vobj import (
-    UndecidedPairError,
-    VObj,
-    arrow_into_vobj,
-    check_factorization,
-    decide,
-    exp_explicit,
-)
+from .univalence import Fibration, is_p_small, is_small, is_univalent, sample_fibrations
+from .vobj import UndecidedPairError, VObj, check_factorization, decide, exp_explicit
 
 
 def _machine(data: object) -> str:
@@ -51,6 +44,16 @@ def load_input(text: str) -> Obj | VObj:
     if isinstance(data, dict) and "vkind" in data:
         return VObj.from_json_dict(data)
     return Obj.from_json_dict(data)
+
+
+def _universe(args: argparse.Namespace) -> Universe:
+    """The universe named by the ``--window/--cofinite/--samples/--seed`` options."""
+    return Universe(
+        window=args.window,
+        include_cofinite=args.cofinite,
+        samples=args.samples,
+        seed=args.seed,
+    )
 
 
 def _load_obj(text: str) -> Obj:
@@ -101,7 +104,7 @@ def cmd_wexp(args: argparse.Namespace) -> int:
     if args.z is None:
         print(_machine(v.to_json_dict()))
         return 0
-    holds = arrow_into_vobj(_load_obj(args.z), v)
+    holds, _ = decide(_load_obj(args.z), v, "arrow")
     print(_machine({"holds": holds, "classifier": v.to_json_dict()}))
     return 0 if holds else 1
 
@@ -137,15 +140,7 @@ def cmd_univalence(args: argparse.Namespace) -> int:
         q = Fibration.verified(_load_obj(args.total), _load_obj(args.base))
         certs = [is_univalent(q)]
     else:
-        from .univalence import sample_fibrations
-
-        u = Universe(
-            window=args.window,
-            include_cofinite=args.cofinite,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        certs = [is_univalent(q) for q in sample_fibrations(u)]
+        certs = [is_univalent(q) for q in sample_fibrations(_universe(args))]
     ok = all(c.valid for c in certs)
     payload = {"certificates": [c.to_json_dict() for c in certs], "valid": ok}
     if args.format == "machine":
@@ -194,24 +189,14 @@ def _parse_checks(raw: str | None, known: tuple[str, ...]) -> list[str] | None:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
-    u = Universe(
-        window=args.window,
-        include_cofinite=args.cofinite,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    u = _universe(args)
     names = _parse_checks(args.checks, AXIOM_NAMES)
     report = run_axioms(u, names, literal_star=args.diagnostic_literal_star)
     return _emit_report(report, args)
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
-    u = Universe(
-        window=args.window,
-        include_cofinite=args.cofinite,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    u = _universe(args)
     names = _parse_checks(args.checks, CLAIM_NAMES)
     return _emit_report(run_claims(u, names), args)
 

@@ -154,14 +154,10 @@ def star_arrow(
     return not all(t.cofinite for t in tgt) or all(s.cofinite for s in src)
 
 
-def label_w(
-    source: Family,
-    target: Family,
-    template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET,
-) -> bool:
+def label_w(source: Family, target: Family) -> bool:
     """Weak equivalence: the arrow plus a near-inclusion back."""
     src, tgt = tuple(source), tuple(target)
-    return arrow_exists(src, tgt) and star_arrow(tgt, src, template)
+    return arrow_exists(src, tgt) and star_arrow(tgt, src)
 
 
 # -- the fibration condition and its three deciders -----------------------

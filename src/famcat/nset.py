@@ -161,10 +161,18 @@ class NSet:
         return low.bit_length() - 1 if low else None
 
     def drop_least(self) -> "NSet":
-        """The same set minus its least element (a proper subset)."""
+        """The same set minus its least element (a proper subset).
+
+        Raises ``ValueError`` when that element is above :data:`MAX_ELEMENT`,
+        since the result could not be written back as a literal.
+        """
         m = self.mask
         if self.cofinite:
-            return _make(True, m | (m + 1))  # the least member becomes a hole
+            low = ~m & (m + 1)  # the least member becomes a hole
+            if low >> MAX_ELEMENT > 1:
+                least = low.bit_length() - 1
+                raise ValueError(f"least element {least} exceeds MAX_ELEMENT = {MAX_ELEMENT}")
+            return _make(True, m | low)
         if not m:
             raise ValueError("the empty set has no element to drop")
         return _make(False, m & (m - 1))

@@ -30,21 +30,7 @@ from .kernel import (
     terminal,
 )
 from .nset import FULL
-from .vobj import (
-    VObj,
-    arrow_from_vobj,
-    arrow_into_vobj,
-    check_factorization,
-    exp_explicit,
-    is_iso_virtual,
-    label_w_into_vobj,
-    uprod_dominates,
-    wexp_member,
-)
-
-
-class UnsupportedFibrationError(ValueError):
-    """p-smallness is only defined against the universal fibration."""
+from .vobj import VObj, decide, exp_explicit, is_iso_virtual, wexp_member
 
 
 @dataclass(frozen=True)
@@ -66,18 +52,6 @@ class Fibration:
 
     def to_json_dict(self) -> dict[str, object]:
         return {"total": self.total.to_json_dict(), "base": self.base.to_json_dict()}
-
-
-@dataclass(frozen=True)
-class VirtualFibration:
-    """The universal fibration: universe object over the terminal object."""
-
-    total: VObj
-    base: Obj
-
-
-def universal_fibration() -> VirtualFibration:
-    return VirtualFibration(total=VObj.universe(), base=terminal())
 
 
 @dataclass(frozen=True)
@@ -151,7 +125,7 @@ def is_univalent(q: Fibration) -> UnivalenceCertificate:
     )
     classifier = VObj.wexp(bb, eb, eb)
     top_member = wexp_member(eb, eb, FULL)
-    slice_terminal_maps_in = arrow_into_vobj(bb, classifier)
+    slice_terminal_maps_in, _ = decide(bb, classifier, "arrow")
     s5 = CertificateStep(
         "weq_classifier_is_slice_terminal",
         slice_terminal_maps_in and top_member,
@@ -161,7 +135,7 @@ def is_univalent(q: Fibration) -> UnivalenceCertificate:
             "full_set_is_member": top_member,
         },
     )
-    comparison = arrow_into_vobj(b, classifier)
+    comparison, _ = decide(b, classifier, "arrow")
     prior = all(s.passed for s in (s1, s2, s3, s4, s5))
     s6 = CertificateStep(
         "comparison_map_is_iso",
@@ -185,19 +159,14 @@ def is_small(q: Fibration) -> bool:
     return label_w(initial(), q.total)
 
 
-def is_p_small(q: Fibration, p: VirtualFibration | None = None) -> bool:
+def is_p_small(q: Fibration) -> bool:
     """Does ``q`` arise from the universal fibration by base change?
 
-    Compares the total object with the universe-product of the base through
-    the WC-shaped oracle in both directions.
+    The total object must be isomorphic to the product of the universe
+    object with the base, compared through the WC-shaped oracles in both
+    directions.
     """
-    if p is None:
-        p = universal_fibration()
-    if p != universal_fibration():
-        raise UnsupportedFibrationError("only the universal fibration is supported")
-    forward = arrow_into_vobj(q.total, VObj.uprod(q.base))
-    backward = uprod_dominates(q.base, q.total)
-    return forward and backward
+    return is_iso_virtual(VObj.uprod(q.base), q.total)
 
 
 def sample_fibrations(u: Universe) -> list[Fibration]:
@@ -241,9 +210,9 @@ def universe_object_facts() -> dict[str, bool]:
     """
     ut = VObj.universe()
     facts = {
-        "initial_wc_to_universe": label_w_into_vobj(initial(), ut),
-        "universe_arrow_to_terminal": arrow_from_vobj(ut, terminal()),
-        "universe_fibration_facts": check_factorization(initial(), terminal()).ok,
+        "initial_wc_to_universe": decide(initial(), ut, "w")[0],
+        "universe_arrow_to_terminal": decide(ut, terminal(), "arrow")[0],
+        "universe_fibration_facts": decide(ut, terminal(), "f")[0],
         "universe_not_initial": not is_iso_virtual(ut, initial()),
         "universe_not_terminal": not is_iso_virtual(ut, terminal()),
     }

@@ -31,7 +31,6 @@ from typing import Mapping
 from .kernel import (
     LabelVerdict,
     Obj,
-    StarTemplate,
     arrow_exists,
     initial,
     label_verdict,
@@ -146,6 +145,9 @@ def _require_slice(a: Obj, b: Obj, c: Obj) -> None:
         raise ValueError("slice construction needs arrows from both b and c into a")
 
 
+_WC_SHAPED = (VKind.WC, VKind.UNIVERSE, VKind.UPROD)
+
+
 def _wc_parts(v: VObj) -> tuple[Obj, Obj]:
     """Source and bound families of a WC-shaped virtual object."""
     if v.kind is VKind.WC:
@@ -189,7 +191,7 @@ def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
 
 def arrow_into_vobj(z: Obj, v: VObj) -> bool:
     """Arrow from an explicit object into a virtual one."""
-    if v.kind in (VKind.WC, VKind.UNIVERSE, VKind.UPROD):
+    if v.kind in _WC_SHAPED:
         return all(wc_covers(v, m) for m in z)
     if v.kind is VKind.EXP:
         return arrow_exists(product(z, v.b), v.c)
@@ -201,53 +203,17 @@ def arrow_into_vobj(z: Obj, v: VObj) -> bool:
 
 
 def arrow_from_vobj(v: VObj, t: Obj) -> bool:
-    """Arrow from a virtual object to an explicit one, where a rule exists.
+    """Arrow from a WC-shaped virtual object to an explicit one.
 
-    For WC-shaped families the finite witness argument collapses the member
-    quantifier: every ``x | b`` is covered exactly when each full ``x | y``
-    is, because one missing point per candidate target member assembles a
-    finite b that defeats them all.
+    The finite witness argument collapses the member quantifier: every
+    ``x | b`` is covered exactly when each full ``x | y`` is, because one
+    missing point per candidate target member assembles a finite b that
+    defeats them all.
     """
-    if v.kind in (VKind.WC, VKind.UNIVERSE, VKind.UPROD):
-        xs, ys = _wc_parts(v)
-        return all(
-            any((x | y).is_subset(m) for m in t) for x in xs for y in ys
-        )
-    if v.kind is VKind.EXP:
-        return arrow_exists(exp_explicit(v.b, v.c), t)
-    if v.kind is VKind.EXP_SLICE:
-        return arrow_exists(exp_slice(v.a, v.b, v.c), t)
-    raise UndecidedPairError(f"no arrow rule out of {v.describe()}")
-
-
-def star_from_vobj(
-    v: VObj, t: Obj, template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET
-) -> bool:
-    """Near-inclusion out of a WC-shaped family.
-
-    The finite enlargement never matters: ``(x | b) - t`` is finite iff
-    ``x - t`` is, so the query reduces to the explicit source part.
-    """
-    xs, _ = _wc_parts(v)
-    return star_arrow(xs, t, template)
-
-
-def star_into_vobj(
-    t: Obj, v: VObj, template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET
-) -> bool:
-    """Near-inclusion into a WC-shaped family, reduced to its source part."""
-    xs, _ = _wc_parts(v)
-    return star_arrow(t, xs, template)
-
-
-def label_w_into_vobj(z: Obj, v: VObj) -> bool:
-    """Weak equivalence from an explicit object into a WC-shaped one."""
-    return arrow_into_vobj(z, v) and star_from_vobj(v, z)
-
-
-def is_iso_virtual(v: VObj, t: Obj) -> bool:
-    """Mutual arrows between a virtual object and an explicit one."""
-    return arrow_from_vobj(v, t) and arrow_into_vobj(t, v)
+    if v.kind not in _WC_SHAPED:
+        raise UndecidedPairError(f"no arrow rule out of {v.describe()}")
+    xs, ys = _wc_parts(v)
+    return all(any((x | y).is_subset(m) for m in t) for x in xs for y in ys)
 
 
 # -- exponentials ------------------------------------------------------------
@@ -344,19 +310,17 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     )
     arrow_into = all(wc_covers(v, m) for m in x)
 
+    bounds = [(ym, _finite_subsets(ym, margin)) for ym in y]
     generators = [
-        (xm, b0, xm | b0)
-        for xm in x
-        for ym in y
-        for b0 in _finite_subsets(ym, margin)
+        (xm, b0, xm | b0) for xm in x for _, subs in bounds for b0 in subs
     ]
     star_back = star_arrow([u for _, _, u in generators], x)
 
     fib_ok = True
     instances = 0
     for xm, b0, u in generators:
-        for ym in y:
-            for b in _finite_subsets(ym, margin):
+        for ym, subs in bounds:
+            for b in subs:
                 instances += 1
                 need = (u & ym) | b
                 witness = xm | ((b0 & ym) | b)
@@ -372,25 +336,6 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
         fibration_instances_ok=fib_ok,
         instances=instances,
     )
-
-
-def uprod_dominates(base: Obj, total: Obj) -> bool:
-    """Arrow from the universe-product of ``base`` into ``total``, by witness search.
-
-    Every finite subset of a base member must fit in some member of total.
-    If no member of total contains the base member outright, one missing
-    element per member assembles a finite subset none of them covers, so the
-    search is complete.
-    """
-    for x in base:
-        if any(x.is_subset(t) for t in total):
-            continue
-        picks = [(x - t).smallest() for t in total]
-        blocker = NSet.fin(p for p in picks if p is not None)
-        assert wc_covers(VObj.uprod(base), blocker)  # it really is a member
-        assert not any(blocker.is_subset(t) for t in total)
-        return False
-    return True
 
 
 # -- the label dispatch --------------------------------------------------------
@@ -414,7 +359,11 @@ def decide(
     with the answer.  A pair with one virtual end goes through the closed
     forms: arrow and c both ways, w both ways, and f only from a WC-shaped
     family to its own bound family, where the verified factorization facts
-    apply.  Every other query raises :class:`UndecidedPairError`.
+    apply.  The near-inclusion half of w only reads the explicit source
+    part of a WC-shaped family, because ``(x | b) - t`` is finite iff
+    ``x - t`` is; it is asked after the arrow, so a pair with no arrow is
+    false even when the virtual end is not WC-shaped.  Every other query
+    raises :class:`UndecidedPairError`.
     """
     src, dst = _reduce_exponentials(src), _reduce_exponentials(dst)
     if isinstance(src, Obj) and isinstance(dst, Obj):
@@ -425,7 +374,7 @@ def decide(
         if label in ("arrow", "c"):
             return arrow_into_vobj(src, dst), None
         if label == "w":
-            return label_w_into_vobj(src, dst), None
+            return arrow_into_vobj(src, dst) and star_arrow(_wc_parts(dst)[0], src), None
         raise UndecidedPairError(
             f"label {label!r} has no rule for explicit -> {dst.describe()}"
         )
@@ -433,7 +382,7 @@ def decide(
         if label in ("arrow", "c"):
             return arrow_from_vobj(src, dst), None
         if label == "w":
-            return arrow_from_vobj(src, dst) and star_into_vobj(dst, src), None
+            return arrow_from_vobj(src, dst) and star_arrow(dst, _wc_parts(src)[0]), None
         if label == "f":
             xs, ys = _wc_parts(src)
             if ys == dst:
@@ -442,3 +391,8 @@ def decide(
             f"label {label!r} has no rule for {src.describe()} -> explicit"
         )
     raise UndecidedPairError(f"no rule for {src.describe()} -> {dst.describe()}")
+
+
+def is_iso_virtual(v: VObj, t: Obj) -> bool:
+    """Mutual arrows between a virtual object and an explicit one."""
+    return decide(v, t, "arrow")[0] and decide(t, v, "arrow")[0]

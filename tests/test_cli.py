@@ -110,6 +110,16 @@ def test_decide_undecided_pairs_exit_3(capsys):
     assert "undecided" in capsys.readouterr().err
     assert run("decide", "--from", UTILDE_LIT, "--to", A_LIT, "--label", "f") == 3
     assert run("decide", "--from", A_LIT, "--to", UTILDE_LIT, "--label", "f") == 3
+    # w into a classifier over a = B: false without the arrow (the terminal
+    # object misses B), undecided once the arrow holds
+    wexp_lit = json.dumps(
+        {"vkind": "wexp", "a": json.loads(B_LIT), "b": json.loads(A_LIT), "c": json.loads(B_LIT)}
+    )
+    capsys.readouterr()
+    assert run("decide", "--from", TERMINAL_LIT, "--to", wexp_lit, "--label", "w") == 1
+    assert capsys.readouterr().out == "w: false\n"
+    assert run("decide", "--from", B_LIT, "--to", wexp_lit, "--label", "w") == 3
+    assert "is not WC-shaped" in capsys.readouterr().err
 
 
 def test_decide_parse_errors_exit_2(capsys):

@@ -156,6 +156,16 @@ def test_drop_least_is_a_proper_subset():
         EMPTY.drop_least()
 
 
+def test_drop_least_stays_within_max_element():
+    top = NSet.cofin(range(MAX_ELEMENT))  # least member is MAX_ELEMENT itself
+    for s in (NSet.fin([0, MAX_ELEMENT]), NSet.fin([MAX_ELEMENT]), NSet.cofin([0]), top):
+        smaller = s.drop_least()
+        assert NSet.from_json_dict(smaller.to_json_dict()) == smaller
+    assert top.drop_least() == NSet.cofin(range(MAX_ELEMENT + 1))
+    with pytest.raises(ValueError, match="MAX_ELEMENT"):
+        NSet.cofin(range(MAX_ELEMENT + 1)).drop_least()
+
+
 # -- algebra: exhaustive window-3 oracle ----------------------------------------
 
 

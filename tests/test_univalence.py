@@ -12,17 +12,14 @@ from famcat.kernel import Obj, initial, is_iso, label_w, product, terminal
 from famcat.nset import NSet
 from famcat.univalence import (
     Fibration,
-    UnsupportedFibrationError,
-    VirtualFibration,
     is_p_small,
     is_small,
     is_univalent,
     sample_fibrations,
-    universal_fibration,
     universe_object_facts,
     verify_universal,
 )
-from famcat.vobj import VObj, exp_explicit
+from famcat.vobj import exp_explicit
 
 fin = NSet.fin
 cofin = NSet.cofin
@@ -63,13 +60,6 @@ def test_fibration_json():
         "total": C.to_json_dict(),
         "base": C.to_json_dict(),
     }
-
-
-def test_universal_fibration_shape():
-    p = universal_fibration()
-    assert isinstance(p, VirtualFibration)
-    assert p.total == VObj.universe()
-    assert p.base == terminal()
 
 
 # -- univalence certificates ----------------------------------------------------
@@ -143,13 +133,6 @@ def test_is_p_small_detects_mismatched_pairs():
     assert not is_p_small(Fibration(initial(), B))  # {0,1} escapes the total
     # and one whose total overshoots it
     assert not is_p_small(Fibration(B, initial()))  # {0,1} is not nearly empty
-
-
-def test_is_p_small_requires_the_universal_fibration():
-    q = Fibration(A, A)
-    assert is_p_small(q, universal_fibration())
-    with pytest.raises(UnsupportedFibrationError):
-        is_p_small(q, VirtualFibration(total=VObj.uprod(A), base=A))
 
 
 def test_smallness_is_closed_under_products_and_coproducts():

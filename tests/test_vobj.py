@@ -20,6 +20,7 @@ from famcat.kernel import (
     label_w,
     normalize,
     product,
+    star_arrow,
     terminal,
 )
 from famcat.nset import EMPTY, FULL, NSet
@@ -34,10 +35,6 @@ from famcat.vobj import (
     exp_explicit,
     exp_slice,
     is_iso_virtual,
-    label_w_into_vobj,
-    star_from_vobj,
-    star_into_vobj,
-    uprod_dominates,
     wc_covers,
     wexp_member,
 )
@@ -187,20 +184,22 @@ def test_arrow_from_wc_positive_example():
 
 
 def test_star_reduction_for_wc_families():
+    # w reads only the explicit source part of a WC-shaped end
     v = VObj.wc(NEAR_FULL, A)
-    assert star_from_vobj(v, NEAR_FULL)
-    assert not star_from_vobj(v, initial())  # N-{0} minus {} is infinite
-    assert star_into_vobj(terminal(), v)  # N minus (N-{0}) = {0}
-    assert not star_into_vobj(terminal(), VObj.wc(A, A))
+    assert decide(NEAR_FULL, v, "w") == (True, None)
+    assert decide(initial(), v, "w") == (False, None)  # N-{0} minus {} is infinite
+    assert decide(v, terminal(), "w") == (True, None)  # N minus (N-{0}) = {0}
+    assert decide(VObj.wc(A, A), terminal(), "w") == (False, None)  # no cofinite member
 
 
 def test_label_w_into_universe():
     ut = VObj.universe()
-    assert label_w_into_vobj(initial(), ut)
-    assert label_w_into_vobj(C, ut)
-    assert not label_w_into_vobj(terminal(), ut)  # no arrow in
+    assert decide(initial(), ut, "w") == (True, None)
+    assert decide(C, ut, "w") == (True, None)
+    assert decide(terminal(), ut, "w") == (False, None)  # no arrow in
     # arrow in holds, but N-{0} is not nearly inside the empty set
-    assert not label_w_into_vobj(initial(), VObj.wc(NEAR_FULL, A))
+    assert arrow_into_vobj(initial(), VObj.wc(NEAR_FULL, A))
+    assert decide(initial(), VObj.wc(NEAR_FULL, A), "w") == (False, None)
 
 
 def test_undecided_queries_refuse():
@@ -208,9 +207,24 @@ def test_undecided_queries_refuse():
     with pytest.raises(UndecidedPairError):
         arrow_from_vobj(wexp, B)
     with pytest.raises(UndecidedPairError):
-        star_from_vobj(wexp, B)
+        decide(wexp, B, "w")
+
+
+def test_decide_w_into_wexp_asks_the_arrow_first():
+    # no arrow: false, although the classifier is not WC-shaped; with the
+    # arrow, the near-inclusion half has no rule and the pair is undecided
+    wexp = VObj.wexp(B, A, B)
+    assert not arrow_into_vobj(terminal(), wexp)
+    assert decide(terminal(), wexp, "w") == (False, None)
+    assert arrow_into_vobj(B, wexp)
     with pytest.raises(UndecidedPairError):
-        star_into_vobj(B, wexp)
+        decide(B, wexp, "w")
+    for z in W2 + [NEAR_FULL, terminal()]:
+        if arrow_into_vobj(z, wexp):
+            with pytest.raises(UndecidedPairError):
+                decide(z, wexp, "w")
+        else:
+            assert decide(z, wexp, "w") == (False, None)
 
 
 def test_is_iso_virtual_examples():
@@ -244,19 +258,26 @@ def test_decide_explicit_into_virtual():
         for z in W2 + [NEAR_FULL, terminal()]:
             assert decide(z, v, "arrow") == (arrow_into_vobj(z, v), None)
             assert decide(z, v, "c") == (arrow_into_vobj(z, v), None)
-    for v in (VObj.universe(), VObj.wc(NEAR_FULL, A)):
+    for v, source_part in ((VObj.universe(), initial()), (VObj.wc(NEAR_FULL, A), NEAR_FULL)):
         for z in W2 + [NEAR_FULL, terminal()]:
-            assert decide(z, v, "w") == (label_w_into_vobj(z, v), None)
+            w = arrow_into_vobj(z, v) and star_arrow(source_part, z)
+            assert decide(z, v, "w") == (w, None)
     with pytest.raises(UndecidedPairError):
         decide(A, VObj.universe(), "f")
 
 
 def test_decide_virtual_into_explicit():
-    for v in (VObj.universe(), VObj.uprod(B), VObj.wc(A, C), VObj.wc(NEAR_FULL, A)):
+    wc_shaped = (
+        (VObj.universe(), initial()),
+        (VObj.uprod(B), initial()),
+        (VObj.wc(A, C), A),
+        (VObj.wc(NEAR_FULL, A), NEAR_FULL),
+    )
+    for v, source_part in wc_shaped:
         for t in W2 + [NEAR_FULL, terminal()]:
             arrow = arrow_from_vobj(v, t)
             assert decide(v, t, "arrow") == decide(v, t, "c") == (arrow, None)
-            assert decide(v, t, "w") == (arrow and star_into_vobj(t, v), None)
+            assert decide(v, t, "w") == (arrow and star_arrow(t, source_part), None)
     # f only into the bound family, through the factorization facts
     assert decide(VObj.wc(initial(), terminal()), terminal(), "f") == (True, None)
     assert decide(VObj.wc(A, C), C, "f") == (False, None)  # no arrow onto C
@@ -332,7 +353,9 @@ def test_exp_vobj_arrow_out_reduces_to_the_explicit_object():
     v = VObj.exp(A, B)
     e = exp_explicit(A, B)
     for t in W2 + [terminal()]:
-        assert arrow_from_vobj(v, t) == arrow_exists(e, t)
+        assert decide(v, t, "arrow") == (arrow_exists(e, t), label_verdict(e, t))
+    with pytest.raises(UndecidedPairError):
+        arrow_from_vobj(v, B)  # the closed form is for WC-shaped families only
 
 
 def test_exp_slice_is_the_product_with_the_base():
@@ -343,7 +366,7 @@ def test_exp_slice_is_the_product_with_the_base():
     for z in W2:
         expected = arrow_exists(z, B) and arrow_exists(product(z, A), B)
         assert arrow_into_vobj(z, v) == expected
-        assert arrow_from_vobj(v, z) == arrow_exists(exp_slice(B, A, B), z)
+        assert decide(v, z, "arrow")[0] == arrow_exists(exp_slice(B, A, B), z)
 
 
 # -- the weak-equivalence classifier -------------------------------------------------
@@ -420,14 +443,19 @@ def test_factorization_check_serializes_with_the_middle():
 # -- domination by the universe product ----------------------------------------------
 
 
+def _dominates(base: Obj, total: Obj) -> bool:
+    """Arrow from the universe product of ``base`` into ``total``."""
+    return arrow_from_vobj(VObj.uprod(base), total)
+
+
 def test_uprod_dominates_examples():
-    assert uprod_dominates(A, A)
-    assert uprod_dominates(A, B)  # subsets of {0} all sit inside {0,1}
-    assert not uprod_dominates(B, C)  # {0,1} itself escapes C
-    assert not uprod_dominates(B, Obj.of(fin([0])))  # {0,1} escapes
-    assert uprod_dominates(terminal(), terminal())
-    assert not uprod_dominates(terminal(), B)  # finite sets of any size escape
-    assert uprod_dominates(NEAR_FULL, terminal())
+    assert _dominates(A, A)
+    assert _dominates(A, B)  # subsets of {0} all sit inside {0,1}
+    assert not _dominates(B, C)  # {0,1} itself escapes C
+    assert not _dominates(B, Obj.of(fin([0])))  # {0,1} escapes
+    assert _dominates(terminal(), terminal())
+    assert not _dominates(terminal(), B)  # finite sets of any size escape
+    assert _dominates(NEAR_FULL, terminal())
 
 
 def test_uprod_dominates_agrees_with_membership_on_the_small_universe():
@@ -440,7 +468,7 @@ def test_uprod_dominates_agrees_with_membership_on_the_small_universe():
                 for m in base
                 for s in _all_finite_subsets(m)
             )
-            assert uprod_dominates(base, total) == expected
+            assert _dominates(base, total) == expected
 
 
 def _all_finite_subsets(m: NSet) -> list[NSet]:
