@@ -5,8 +5,10 @@ arguments accept either a file path or an inline JSON literal; a literal
 with a ``vkind`` key denotes a virtual object.  Exit status: 0 when all
 requested facts hold or checks pass, 1 when a verdict is false or a check
 fails, 2 on parse errors, 3 on an undecided virtual-object pair, 4 when a
-size guard rejects the request, and 141 (128 + SIGPIPE), with no message,
-when the reader of stdout goes away before the output is written.
+size guard rejects the request (an exhaustive ``--window`` past its limit, a
+``--window`` that would draw elements above ``MAX_ELEMENT``, or
+``--samples`` above ``MAX_SAMPLES``), and 141 (128 + SIGPIPE), with no
+message, when the reader of stdout goes away before the output is written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 from .harness import (
     AXIOM_NAMES,
     CLAIM_NAMES,
+    MAX_SAMPLES,
     Report,
     SizeGuardError,
     Universe,
@@ -210,7 +213,9 @@ def _add_format(sp: argparse.ArgumentParser) -> None:
 
 def _add_universe(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--window", type=int, default=2)
-    sp.add_argument("--samples", type=int, default=0, help="0 means exhaustive")
+    sp.add_argument(
+        "--samples", type=int, default=0, help=f"0 means exhaustive; at most {MAX_SAMPLES}"
+    )
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--cofinite", action="store_true")
 

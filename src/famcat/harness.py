@@ -1,11 +1,13 @@
 """Machine-checking harness for the model-structure axioms and claims.
 
 A :class:`Universe` fixes the object supply: exhaustive enumeration of every
-canonical finite-membered object over a small window, or seeded sampling
-with optional cofinite members.  Each named check runs a predicate over all
-(or sampled) tuples from that supply and returns a :class:`CheckResult`
-with minimized, replayable counterexamples; a :class:`Report` bundles a
-suite.  Identical universe and seed always produce the identical report,
+canonical object over a small window, or seeded sampling, either with
+optional cofinite members.  Each named check runs a predicate over all (or
+sampled) tuples from that supply and returns a :class:`CheckResult` with
+minimized, replayable counterexamples; a :class:`Report` bundles a suite.
+On an enumerated universe an axiom check decides the arrow, w and f facts
+of each pair once and runs its predicate only on the tuples its premise
+admits.  Identical universe and seed always produce the identical report,
 and the machine serialization is byte-stable.
 
 Checks are pure and independent, so they are safe to run concurrently;
@@ -14,6 +16,7 @@ the built-in runner is sequential to keep reports trivially reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -40,6 +43,9 @@ from .nset import EMPTY, MAX_ELEMENT, NSet
 from .vobj import VObj, arrow_into_vobj, check_factorization, exp_explicit, wexp_member
 
 MAX_RECORDED_VIOLATIONS = 25
+# A sampled universe draws this many tuples per check at most; the largest
+# pinned scale (the acceptance gate's) draws 10,000.
+MAX_SAMPLES = 1_000_000
 
 
 class SizeGuardError(ValueError):
@@ -62,6 +68,8 @@ class Universe:
             raise SizeGuardError(
                 f"window {self.window} would draw elements above MAX_ELEMENT = {MAX_ELEMENT}"
             )
+        if self.samples > MAX_SAMPLES:
+            raise SizeGuardError(f"samples {self.samples} exceed MAX_SAMPLES = {MAX_SAMPLES}")
 
     @property
     def is_exhaustive(self) -> bool:
@@ -78,22 +86,32 @@ class Universe:
 
 
 def _guard(u: Universe) -> None:
-    if not u.is_exhaustive:
-        return
-    if u.include_cofinite:
-        raise SizeGuardError("exhaustive enumeration supports finite members only")
-    if u.window > 3:
-        raise SizeGuardError(f"exhaustive enumeration is limited to window 3, got {u.window}")
+    # Both limits give 19 objects; the next window up gives 167 (finite W4,
+    # cofinite W3).
+    limit = 2 if u.include_cofinite else 3
+    if u.is_exhaustive and u.window > limit:
+        members = "cofinite" if u.include_cofinite else "finite"
+        raise SizeGuardError(
+            f"exhaustive enumeration with {members} members is limited to window {limit},"
+            f" got {u.window}"
+        )
 
 
 def enumerate_objects(u: Universe) -> list[Obj]:
-    """Every canonical object with finite members supported inside the window."""
+    """Every canonical object whose members are supported inside the window.
+
+    Members are the nonempty finite subsets of ``range(window)``, plus, with
+    ``include_cofinite``, every cofinite set whose holes lie in the window.
+    """
     _guard(u)
-    ground = [
-        NSet.fin(combo)
-        for size in range(1, u.window + 1)
+    subsets = [
+        combo
+        for size in range(u.window + 1)
         for combo in itertools.combinations(range(u.window), size)
     ]
+    ground = [NSet.fin(combo) for combo in subsets[1:]]
+    if u.include_cofinite:
+        ground += [NSet.cofin(holes) for holes in subsets]
     out: list[Obj] = []
 
     def extend(prefix: list[NSet], start: int) -> None:
@@ -253,11 +271,110 @@ def shrink_tuple(objs: tuple[Obj, ...], violates: Predicate) -> tuple[Obj, ...]:
     return tuple(cur)
 
 
-def _run_check(name: str, u: Universe, arity: int, pred: Predicate) -> CheckResult:
+# -- relation tables and premises ----------------------------------------------
+
+
+def _relations(u: Universe) -> tuple[tuple[Obj, ...], tuple[list[int], ...]]:
+    """The objects of the exhaustive universe ``u`` and its pair facts.
+
+    The facts are three lists of int bitset rows, ``(A, W, F)``: bit ``j``
+    of ``A[i]`` is set when ``arrow_exists(objs[i], objs[j])``, and ``W``
+    and ``F`` hold ``label_w`` and ``label_f`` the same way.  Each fact is
+    decided once.
+    """
+    objs = tuple(enumerate_objects(u))
+    rows = tuple(
+        [sum(1 << j for j, y in enumerate(objs) if fact(x, y)) for x in objs]
+        for fact in (arrow_exists, label_w, label_f)
+    )
+    return objs, rows
+
+
+# A premise takes the rows (A, W, F) of an enumerated universe and yields
+# the index tuples on which its predicate can fire, perhaps with some on
+# which it cannot, in the order of ``itertools.product``.  Each reads only
+# facts the predicate requires.
+Premise = Callable[[list[int], list[int], list[int]], Iterator[tuple[int, ...]]]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _premise_m1(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int, ...]]:
+    # Both squares need arrow(x, w), arrow(y, z), f(w, z) and no arrow(y, w);
+    # the first needs w(x, y), the second arrow(x, y).
+    for x in range(len(A)):
+        for y in _bits(A[x] | W[x]):
+            for w in _bits(A[x] & ~A[y]):
+                for z in _bits(A[y] & F[w]):
+                    yield x, y, w, z
+
+
+def _premise_arrow(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int, ...]]:
+    # Both factorization checks start from arrow(x, y).
+    for x in range(len(A)):
+        for y in _bits(A[x]):
+            yield x, y
+
+
+def _premise_m5(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int, ...]]:
+    # Two-of-three is asked of composable pairs: arrow(x, y) and arrow(y, z).
+    for x in range(len(A)):
+        for y in _bits(A[x]):
+            for z in _bits(A[y]):
+                yield x, y, z
+
+
+def _premise_base_change(
+    A: list[int], W: list[int], F: list[int]
+) -> Iterator[tuple[int, ...]]:
+    # The square is f(y, z) and arrow(x, z).
+    for x in range(len(A)):
+        for y in range(len(A)):
+            for z in _bits(F[y] & A[x]):
+                yield x, y, z
+
+
+def _premise_cobase_change(
+    A: list[int], W: list[int], F: list[int]
+) -> Iterator[tuple[int, ...]]:
+    # On (x, z, y), the span is w(x, z) and arrow(x, y).
+    for x in range(len(A)):
+        for z in _bits(W[x]):
+            for y in _bits(A[x]):
+                yield x, z, y
+
+
+def _run_check(
+    name: str,
+    u: Universe,
+    arity: int,
+    pred: Predicate,
+    premise: Premise | None = None,
+    relations: Callable[[], tuple[tuple[Obj, ...], tuple[list[int], ...]]] | None = None,
+) -> CheckResult:
+    """Run ``pred`` over the universe's tuples and record its violations.
+
+    On an exhaustive universe a check with a ``premise`` runs ``pred`` only
+    on the premise's tuples, over the objects and rows ``relations()``
+    returns; the other tuples cannot violate it, so ``instances`` still
+    counts every tuple of the universe.
+    """
     start = time.perf_counter()
+    if premise is not None and relations is not None and u.is_exhaustive:
+        objs, rows = relations()
+        total: int | None = len(objs) ** arity
+        tuples = (tuple(objs[i] for i in t) for t in premise(*rows))
+    else:
+        total, tuples = None, instance_tuples(u, arity)
     instances = 0
     violations: list[Violation] = []
-    for tup in instance_tuples(u, arity):
+    for tup in tuples:
         instances += 1
         detail = pred(tup)
         if detail is None:
@@ -267,7 +384,7 @@ def _run_check(name: str, u: Universe, arity: int, pred: Predicate) -> CheckResu
             violations.append(Violation(objects=small, detail=pred(small) or detail))
     return CheckResult(
         name=name,
-        instances=instances,
+        instances=instances if total is None else total,
         violations=tuple(violations),
         elapsed=time.perf_counter() - start,
     )
@@ -458,15 +575,15 @@ def _pred_limits_universal(t: tuple[Obj, ...]) -> str | None:
 # Retracts collapse to isomorphisms in a posetal category, so closure under
 # retracts is closure under isomorphic presentations: RETRACT_CLOSURE and
 # ISO_INVARIANCE share one predicate, and run_axioms decides it once.
-_AXIOMS: dict[str, tuple[int, Predicate]] = {
-    "M1_LIFTING": (4, _pred_m1),
-    "M2_FACTOR_WC_F": (2, _pred_m2_wc_f),
-    "M2_FACTOR_C_WF": (2, _pred_m2_c_wf),
-    "M5_TWO_OF_THREE": (3, _pred_m5),
-    "BASE_CHANGE_F": (3, _pred_base_change),
-    "COBASE_CHANGE_WC": (3, _pred_cobase_change),
-    "RETRACT_CLOSURE": (2, _iso_invariance_detail),
-    "ISO_INVARIANCE": (2, _iso_invariance_detail),
+_AXIOMS: dict[str, tuple[int, Predicate, Premise | None]] = {
+    "M1_LIFTING": (4, _pred_m1, _premise_m1),
+    "M2_FACTOR_WC_F": (2, _pred_m2_wc_f, _premise_arrow),
+    "M2_FACTOR_C_WF": (2, _pred_m2_c_wf, _premise_arrow),
+    "M5_TWO_OF_THREE": (3, _pred_m5, _premise_m5),
+    "BASE_CHANGE_F": (3, _pred_base_change, _premise_base_change),
+    "COBASE_CHANGE_WC": (3, _pred_cobase_change, _premise_cobase_change),
+    "RETRACT_CLOSURE": (2, _iso_invariance_detail, None),
+    "ISO_INVARIANCE": (2, _iso_invariance_detail, None),
 }
 
 _CLAIMS: dict[str, tuple[int, Predicate]] = {
@@ -482,8 +599,8 @@ AXIOM_NAMES: tuple[str, ...] = tuple(_AXIOMS)
 CLAIM_NAMES: tuple[str, ...] = tuple(_CLAIMS)
 
 
-def _axiom(name: str, literal_star: bool) -> tuple[int, Predicate]:
-    """Arity and predicate of a named axiom check.
+def _axiom(name: str, literal_star: bool) -> tuple[int, Predicate, Premise | None]:
+    """Arity, predicate and premise of a named axiom check.
 
     ``literal_star`` switches the ISO_INVARIANCE check to the
     target-minus-source star template, the opt-in diagnostic that is
@@ -492,14 +609,14 @@ def _axiom(name: str, literal_star: bool) -> tuple[int, Predicate]:
     if name not in _AXIOMS:
         raise ValueError(f"unknown axiom check {name!r}; choose from {AXIOM_NAMES}")
     if literal_star and name == "ISO_INVARIANCE":
-        return 2, _pred_iso_literal_star
+        return 2, _pred_iso_literal_star, None
     return _AXIOMS[name]
 
 
 def check_axiom(name: str, u: Universe, *, literal_star: bool = False) -> CheckResult:
     """Run one named axiom check over the universe."""
-    arity, pred = _axiom(name, literal_star)
-    return _run_check(name, u, arity, pred)
+    arity, pred, premise = _axiom(name, literal_star)
+    return _run_check(name, u, arity, pred, premise, functools.partial(_relations, u))
 
 
 def check_claim(name: str, u: Universe) -> CheckResult:
@@ -519,17 +636,20 @@ def run_axioms(
     """Run the named axiom checks (all by default) in order.
 
     Each distinct predicate runs once; a check that shares it reports the
-    same result under its own name, with no time charged to it.
+    same result under its own name, with no time charged to it.  On an
+    exhaustive universe the relation tables are built by the first check
+    with a premise, which is charged their time, and kept for this call.
     """
     picked = tuple(names) if names is not None else AXIOM_NAMES
+    relations = functools.cache(functools.partial(_relations, u))
     done: dict[Predicate, CheckResult] = {}
     checks = []
     for name in picked:
-        arity, pred = _axiom(name, literal_star)
+        arity, pred, premise = _axiom(name, literal_star)
         if pred in done:
             checks.append(replace(done[pred], name=name, elapsed=0.0))
         else:
-            done[pred] = _run_check(name, u, arity, pred)
+            done[pred] = _run_check(name, u, arity, pred, premise, relations)
             checks.append(done[pred])
     return Report(universe=u, checks=tuple(checks))
 

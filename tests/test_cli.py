@@ -17,6 +17,7 @@ import pytest
 
 import famcat
 from famcat.cli import load_input, main
+from famcat.harness import MAX_SAMPLES
 from famcat.kernel import Obj
 from famcat.nset import MAX_ELEMENT, NSet
 from famcat.vobj import VObj
@@ -268,7 +269,9 @@ def test_axioms_literal_star_diagnostic_fails(capsys):
 
 def test_axioms_size_guard_exits_4(capsys):
     assert run("axioms", "--window", "9") == 4
-    assert run("axioms", "--cofinite") == 4  # exhaustive + cofinite
+    assert run("axioms", "--window", "3", "--cofinite") == 4  # exhaustive, 167 objects
+    assert run("axioms", "--samples", str(MAX_SAMPLES + 1)) == 4
+    assert run("axioms", "--samples", "100000000") == 4
     # a sampled window past the element bound is refused before any draw
     window = str(MAX_ELEMENT + 2)
     assert run("axioms", "--window", window, "--samples", "1") == 4

@@ -2,19 +2,25 @@
 
 Enumeration counts are pinned and cross-checked against an independent
 antichain enumerator; sampling is checked for determinism; every axiom and
-claim check must pass on the exhaustive and a seeded cofinite universe; and
-the opt-in literal star template must produce real, replayable
-counterexamples to isomorphism invariance.
+claim check must pass on the exhaustive and a seeded cofinite universe;
+premise-first axiom checks must report exactly what a scan of every tuple
+reports, also under deliberately weakened deciders; and the opt-in literal
+star template must produce real, replayable counterexamples to isomorphism
+invariance.
 """
 
+import dataclasses
 import itertools
 import json
 
 import pytest
 
+from famcat import harness
 from famcat.harness import (
     AXIOM_NAMES,
     CLAIM_NAMES,
+    MAX_RECORDED_VIOLATIONS,
+    MAX_SAMPLES,
     SizeGuardError,
     Universe,
     check_axiom,
@@ -37,11 +43,13 @@ from famcat.kernel import (
     normalize,
 )
 from famcat.nset import EMPTY, FULL, NSet
+from famcat.vobj import check_factorization
 
 fin = NSet.fin
 
 W2 = Universe(window=2)
 W3 = Universe(window=3)
+C2 = Universe(window=2, include_cofinite=True)
 SAMPLED = Universe(window=3, include_cofinite=True, samples=200, seed=42)
 
 
@@ -68,13 +76,15 @@ def test_window_two_objects_are_pinned():
     assert got == expected
 
 
-def brute_force_canonical_objects(window: int) -> set[tuple]:
-    """All antichains of nonempty subsets of the window, plus the empty set."""
-    ground = [
-        fin(c)
-        for size in range(1, window + 1)
-        for c in itertools.combinations(range(window), size)
+def brute_force_canonical_objects(window: int, cofinite: bool = False) -> set[tuple]:
+    """All antichains of nonempty subsets of the window (and, with
+    ``cofinite``, of cofinite sets with holes in it), plus the empty set."""
+    subsets = [
+        c for size in range(window + 1) for c in itertools.combinations(range(window), size)
     ]
+    ground = [fin(c) for c in subsets if c]
+    if cofinite:
+        ground += [NSet.cofin(c) for c in subsets]
     out = set()
     for picks in itertools.product([False, True], repeat=len(ground)):
         chosen = [g for g, p in zip(ground, picks) if p]
@@ -93,11 +103,25 @@ def test_window_three_count_matches_independent_enumerator():
     assert got == brute_force_canonical_objects(3)
 
 
+def test_exhaustive_cofinite_universes():
+    # cofinite window w has as many objects as finite window w + 1
+    counts = []
+    for window in range(3):
+        got = {o.members for o in enumerate_objects(Universe(window, include_cofinite=True))}
+        assert got == brute_force_canonical_objects(window, cofinite=True)
+        counts.append(len(got))
+    assert counts == [2, 5, 19]
+    report = run_axioms(C2)
+    assert report.passed
+    assert [c.instances for c in report.checks[:2]] == [19**4, 19**2]
+
+
 def test_enumerated_objects_are_distinct_and_canonical():
-    objs = enumerate_objects(W3)
-    assert len(objs) == len(set(objs))
-    for o in objs:
-        assert o == normalize(o.members)
+    for universe in (W3, C2):
+        objs = enumerate_objects(universe)
+        assert len(objs) == len(set(objs))
+        for o in objs:
+            assert o == normalize(o.members)
 
 
 # -- size guards -----------------------------------------------------------------
@@ -107,9 +131,12 @@ def test_exhaustive_guards():
     with pytest.raises(SizeGuardError):
         enumerate_objects(Universe(window=4))
     with pytest.raises(SizeGuardError):
-        enumerate_objects(Universe(window=2, include_cofinite=True))
+        enumerate_objects(Universe(window=3, include_cofinite=True))  # 167 objects
     with pytest.raises(ValueError):
         Universe(window=-1)
+    with pytest.raises(SizeGuardError):
+        Universe(window=3, samples=MAX_SAMPLES + 1)
+    assert Universe(window=3, samples=MAX_SAMPLES).samples == MAX_SAMPLES
     # sampled universes take any window and cofinite members
     assert len(sample_objects(Universe(window=5, include_cofinite=True, samples=7))) == 7
 
@@ -163,6 +190,110 @@ def test_axiom_passes_exhaustively_and_sampled(name):
 def test_claim_passes_exhaustively_and_sampled(name):
     assert check_claim(name, W2).passed
     assert check_claim(name, SAMPLED).passed
+
+
+# -- premise-first enumeration against a brute-force oracle -------------------------
+
+
+def brute_force_axioms(u, names, literal_star=False):
+    """Every ``itertools.product`` tuple through each predicate; the first
+    violations recorded, each shrunk, as ``run_axioms`` promises."""
+    objs = enumerate_objects(u)
+    out = []
+    for name in names:
+        arity, pred, _ = harness._axiom(name, literal_star)
+        found = []
+        for tup in itertools.product(objs, repeat=arity):
+            detail = pred(tup)
+            if detail is not None:
+                small = shrink_tuple(tup, pred)
+                found.append((small, pred(small) or detail))
+                if len(found) == MAX_RECORDED_VIOLATIONS:
+                    break
+        out.append((name, len(objs) ** arity, found))
+    return out
+
+
+def harness_axioms(u, names, literal_star=False):
+    report = run_axioms(u, names, literal_star=literal_star)
+    return [
+        (c.name, c.instances, [(v.objects, v.detail) for v in c.violations])
+        for c in report.checks
+    ]
+
+
+@pytest.mark.parametrize(
+    "universe, literal_star, names",
+    [
+        (W2, False, AXIOM_NAMES),
+        (W3, False, AXIOM_NAMES),
+        (C2, False, AXIOM_NAMES),
+        (C2, True, ("RETRACT_CLOSURE", "ISO_INVARIANCE")),
+    ],
+    ids=["W2", "W3", "C2", "C2-literal-star"],
+)
+def test_premise_first_checks_match_brute_force(universe, literal_star, names):
+    got = harness_axioms(universe, names, literal_star)
+    assert got == brute_force_axioms(universe, names, literal_star)
+    violations = {name: len(found) for name, _, found in got}
+    assert violations["ISO_INVARIANCE"] == (MAX_RECORDED_VIOLATIONS if literal_star else 0)
+
+
+def _small_source(fact):
+    return lambda a, b: fact(a, b) and len(a.members) <= 2
+
+
+def _small_target(fact):
+    return lambda a, b: fact(a, b) and len(b.members) <= 2
+
+
+def _factorization_failing_into_large_targets(x, y):
+    fc = check_factorization(x, y)
+    return dataclasses.replace(fc, star_back_to_source=len(y.members) <= 2)
+
+
+# Each weakened decider breaks the axioms it names, so the comparison below
+# covers the pruning of tuples where violations exist.
+WEAKENED = {
+    "f-is-arrow": ({"label_f": arrow_exists}, {"M1_LIFTING"}),
+    "w-small-source-f-small-target": (
+        {"label_w": _small_source(arrow_exists), "label_f": _small_target(arrow_exists)},
+        {
+            "M1_LIFTING",
+            "M2_FACTOR_C_WF",
+            "M5_TWO_OF_THREE",
+            "BASE_CHANGE_F",
+            "COBASE_CHANGE_WC",
+        },
+    ),
+    "w-small-target": (
+        {"label_w": _small_target(arrow_exists)},
+        {"M2_FACTOR_C_WF", "M5_TWO_OF_THREE", "COBASE_CHANGE_WC"},
+    ),
+    "f-small-target": (
+        {"label_f": _small_target(arrow_exists)},
+        {"M1_LIFTING", "M2_FACTOR_C_WF", "BASE_CHANGE_F"},
+    ),
+    "factorization": (
+        {"check_factorization": _factorization_failing_into_large_targets},
+        {"M2_FACTOR_WC_F"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "universe", [W2, Universe(window=1, include_cofinite=True)], ids=["W2", "C1"]
+)
+@pytest.mark.parametrize("patch", WEAKENED)
+def test_premise_first_checks_match_brute_force_on_weakened_deciders(
+    monkeypatch, universe, patch
+):
+    deciders, broken = WEAKENED[patch]
+    for attr, fake in deciders.items():
+        monkeypatch.setattr(harness, attr, fake)
+    got = harness_axioms(universe, AXIOM_NAMES)
+    assert got == brute_force_axioms(universe, AXIOM_NAMES)
+    assert {name for name, _, found in got if found} == broken
 
 
 def test_unknown_check_names_are_rejected():
