@@ -38,12 +38,22 @@ def _machine(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """JSON object hook: a key given twice is an error, not last-one-wins."""
+    data: dict[str, object] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        data[key] = value
+    return data
+
+
 def load_input(text: str) -> Obj | VObj:
     """Parse an object or virtual object from an inline literal or a file."""
     raw = text.strip()
     if not raw.startswith("{"):
         raw = Path(text).read_text()
-    data = json.loads(raw)
+    data = json.loads(raw, object_pairs_hook=_unique_keys)
     if isinstance(data, dict) and "vkind" in data:
         return VObj.from_json_dict(data)
     return Obj.from_json_dict(data)

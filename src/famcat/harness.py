@@ -246,7 +246,7 @@ def _shrink_candidates(ob: Obj) -> Iterator[Obj]:
         yield normalize(mm for mm in ob.members if mm != m)
     for m in nonempty:  # shrink a support
         for e in m.support:
-            slim = NSet(m.kind, tuple(s for s in m.support if s != e))
+            slim = (NSet.cofin if m.cofinite else NSet.fin)(s for s in m.support if s != e)
             yield normalize(slim if mm == m else mm for mm in ob.members)
 
 
@@ -506,7 +506,7 @@ def _pred_wcf_reverse(t: tuple[Obj, ...]) -> str | None:
 
 
 def _fin_only(fams: Iterable[Family]) -> bool:
-    return all(m.is_finite for fam in fams for m in fam)
+    return not any(m.cofinite for fam in fams for m in fam)
 
 
 def _pred_f_reduction(t: tuple[Obj, ...]) -> str | None:

@@ -32,11 +32,11 @@ from typing import Iterable, Iterator, Mapping
 from .nset import EMPTY, FULL, NSet
 
 Family = Iterable[NSet]
+_MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subsets b per member
 
 
 def _member_sort_key(m: NSet) -> tuple[bool, int, tuple[int, ...]]:
-    support = m.support
-    return (m.cofinite, len(support), support)
+    return (m.cofinite, m.mask.bit_count(), m.support)
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ class Obj:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, m: NSet) -> bool:
-        return m in self.members
-
-    @property
-    def has_full(self) -> bool:
-        return FULL in self.members
 
     def to_json_dict(self) -> dict[str, list[dict[str, list[int]]]]:
         return {"members": [m.to_json_dict() for m in self.members]}
@@ -101,18 +94,8 @@ def normalize(members: Family) -> Obj:
     return Obj(tuple(sorted(keep, key=_member_sort_key)))
 
 
-INITIAL = Obj((EMPTY,))
-TERMINAL = Obj((EMPTY, FULL))
-
-
-def initial() -> Obj:
-    """The least object ``{{}}``: it maps into everything."""
-    return INITIAL
-
-
-def terminal() -> Obj:
-    """The greatest object ``{{}, N}``: everything maps into it."""
-    return TERMINAL
+INITIAL = Obj((EMPTY,))  # the least object {{}}: it maps into everything
+TERMINAL = Obj((EMPTY, FULL))  # the greatest object {{}, N}: everything maps into it
 
 
 class StarTemplate(enum.Enum):
@@ -192,13 +175,6 @@ class GapWitness:
         need = (self.x & self.y) | self.blocker
         return not any(need.is_subset(m) for m in source)
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "x": self.x.to_json_dict(),
-            "y": self.y.to_json_dict(),
-            "blocker": self.blocker.to_json_dict(),
-        }
-
 
 def fibration_gap(source: Family, target: Family) -> GapWitness | None:
     """Definitional decider via witness search; ``None`` means the condition holds.
@@ -210,10 +186,7 @@ def fibration_gap(source: Family, target: Family) -> GapWitness | None:
     returned; its absence for every pair decides the condition positively.
     """
     src = tuple(source)
-    xs = list(src)
-    if EMPTY not in xs:
-        xs.append(EMPTY)
-    for x in xs:
+    for x in src if EMPTY in src else src + (EMPTY,):
         for y in target:
             meet = x & y
             candidates = [m for m in src if meet.is_subset(m)]
@@ -228,20 +201,15 @@ def fibration_gap(source: Family, target: Family) -> GapWitness | None:
     return None
 
 
-def fibration_condition_enumerated(
-    source: Family, target: Family, max_support: int = 12
-) -> bool:
+def fibration_condition_enumerated(source: Family, target: Family) -> bool:
     """Brute-force decider enumerating every finite b; finite members only."""
     src, tgt = tuple(source), tuple(target)
     for m in src + tgt:
-        if not m.is_finite:
+        if m.cofinite:
             raise ValueError("the enumerating decider needs finite members")
-        if len(m.support) > max_support:
+        if m.mask.bit_count() > _MAX_ENUMERATED_SUPPORT:
             raise ValueError("support too large to enumerate")
-    xs = list(src)
-    if EMPTY not in xs:
-        xs.append(EMPTY)
-    for x in xs:
+    for x in src if EMPTY in src else src + (EMPTY,):
         for y in tgt:
             for size in range(len(y.support) + 1):
                 for b in itertools.combinations(y.support, size):

@@ -14,42 +14,10 @@ by :data:`MAX_ELEMENT`, so a literal cannot ask for a huge mask.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 MAX_ELEMENT = (1 << 16) - 1
 """The largest element a constructor accepts; a mask spans at most 8 KiB."""
-
-
-class Kind(enum.Enum):
-    """Whether the support lists the members (FIN) or the holes (COFIN)."""
-
-    FIN = "fin"
-    COFIN = "cofin"
-
-
-@dataclass(frozen=True)
-class Cardinality:
-    """A natural number, or ``None`` standing for the one infinite size."""
-
-    value: int | None
-
-    @classmethod
-    def finite(cls, n: int) -> "Cardinality":
-        if n < 0:
-            raise ValueError("cardinalities are non-negative")
-        return cls(n)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-
-INFINITE = Cardinality(None)
 
 
 def _mask_of(elems: Iterable[int]) -> int:
@@ -91,17 +59,17 @@ class NSet:
     """A finite or cofinite subset of the naturals.
 
     ``mask`` holds the members (finite) or the excluded members (cofinite),
-    so equality and hashing are structural.  ``kind`` and ``support`` (the
-    sorted tuple of mask bits) are derived from it.
+    so equality and hashing are structural, and ``support`` (the sorted
+    tuple of mask bits) is derived from it.  Values come only from
+    :meth:`fin`, :meth:`cofin` and :meth:`from_json_dict`.
     """
 
     __slots__ = ("cofinite", "mask")
     cofinite: bool
     mask: int
 
-    def __init__(self, kind: Kind, support: Iterable[int] = ()) -> None:
-        _set_cofinite(self, Kind(kind) is Kind.COFIN)
-        _set_mask(self, _mask_of(support))
+    def __new__(cls, *args: object, **kwargs: object) -> "NSet":
+        raise TypeError("build an NSet with NSet.fin, NSet.cofin or NSet.from_json_dict")
 
     @classmethod
     def fin(cls, elems: Iterable[int] = ()) -> "NSet":
@@ -131,28 +99,17 @@ class NSet:
         return hash((self.cofinite, self.mask))
 
     def __repr__(self) -> str:
-        return f"NSet.{self.kind.value}({list(self.support)})"
-
-    @property
-    def kind(self) -> Kind:
-        return Kind.COFIN if self.cofinite else Kind.FIN
+        return f"NSet.{'cofin' if self.cofinite else 'fin'}({list(self.support)})"
 
     @property
     def support(self) -> tuple[int, ...]:
         """The members (finite) or the holes (cofinite), sorted."""
         return tuple(_elements(self.mask))
 
-    # -- membership and size --------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.cofinite
+    # -- membership -------------------------------------------------------
 
     def __contains__(self, n: int) -> bool:
         return (n >= 0 and bool(self.mask >> n & 1)) is not self.cofinite
-
-    def cardinality(self) -> Cardinality:
-        return INFINITE if self.cofinite else Cardinality.finite(self.mask.bit_count())
 
     def smallest(self) -> int | None:
         """Least element, or ``None`` for the empty set."""
@@ -219,10 +176,12 @@ class NSet:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict[str, list[int]]:
-        return {self.kind.value: _elements(self.mask)}
+        return {"cofin" if self.cofinite else "fin": _elements(self.mask)}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "NSet":
+        """Read a literal whose element list denotes a set: order and repeats
+        are ignored, and :meth:`to_json_dict` writes each element once, sorted."""
         if not isinstance(data, Mapping) or len(data) != 1:
             raise ValueError(f"a set literal has exactly one of 'fin'/'cofin': {data!r}")
         key, value = next(iter(data.items()))

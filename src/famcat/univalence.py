@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 from .harness import CheckResult, Universe, Violation, universe_objects
 from .kernel import (
+    INITIAL,
+    TERMINAL,
     Obj,
     arrow_exists,
-    initial,
     is_iso,
     label_f,
     label_w,
     product,
-    terminal,
 )
 from .nset import FULL
 from .vobj import VObj, decide, exp_explicit, is_iso_virtual, wexp_member
@@ -120,7 +120,7 @@ def is_univalent(q: Fibration) -> UnivalenceCertificate:
     selfexp = exp_explicit(eb, eb)
     s4 = CertificateStep(
         "self_exponential_is_terminal",
-        is_iso(selfexp, terminal()),
+        is_iso(selfexp, TERMINAL),
         {"exponential": selfexp.to_json_dict()},
     )
     classifier = VObj.wexp(bb, eb, eb)
@@ -156,7 +156,7 @@ def is_small(q: Fibration) -> bool:
 
     Equivalently: every member of the total object is finite.
     """
-    return label_w(initial(), q.total)
+    return label_w(INITIAL, q.total)
 
 
 def is_p_small(q: Fibration) -> bool:
@@ -210,10 +210,10 @@ def universe_object_facts() -> dict[str, bool]:
     """
     ut = VObj.universe()
     facts = {
-        "initial_wc_to_universe": decide(initial(), ut, "w")[0],
-        "universe_arrow_to_terminal": decide(ut, terminal(), "arrow")[0],
-        "universe_fibration_facts": decide(ut, terminal(), "f")[0],
-        "universe_not_initial": not is_iso_virtual(ut, initial()),
-        "universe_not_terminal": not is_iso_virtual(ut, terminal()),
+        "initial_wc_to_universe": decide(INITIAL, ut, "w")[0],
+        "universe_arrow_to_terminal": decide(ut, TERMINAL, "arrow")[0],
+        "universe_fibration_facts": decide(ut, TERMINAL, "f")[0],
+        "universe_not_initial": not is_iso_virtual(ut, INITIAL),
+        "universe_not_terminal": not is_iso_virtual(ut, TERMINAL),
     }
     return facts

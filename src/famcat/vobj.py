@@ -29,16 +29,16 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .kernel import (
+    INITIAL,
+    TERMINAL,
     LabelVerdict,
     Obj,
     arrow_exists,
-    initial,
     label_verdict,
     label_w,
     normalize,
     product,
     star_arrow,
-    terminal,
 )
 from .nset import EMPTY, FULL, NSet
 
@@ -153,9 +153,9 @@ def _wc_parts(v: VObj) -> tuple[Obj, Obj]:
     if v.kind is VKind.WC:
         return v.x, v.y  # type: ignore[return-value]
     if v.kind is VKind.UNIVERSE:
-        return initial(), terminal()
+        return INITIAL, TERMINAL
     if v.kind is VKind.UPROD:
-        return initial(), v.x  # type: ignore[return-value]
+        return INITIAL, v.x  # type: ignore[return-value]
     raise UndecidedPairError(f"{v.describe()} is not WC-shaped")
 
 
@@ -171,7 +171,7 @@ def wc_covers(v: VObj, s: NSet) -> bool:
     """
     xs, ys = _wc_parts(v)
     for x in xs:
-        if (s.is_finite or x.cofinite) and any((s - x).is_subset(y) for y in ys):
+        if (not s.cofinite or x.cofinite) and any((s - x).is_subset(y) for y in ys):
             return True
     return False
 
@@ -250,10 +250,10 @@ def exp_slice(a: Obj, b: Obj, c: Obj) -> Obj:
 
 def _finite_subsets(m: NSet, margin: int) -> list[NSet]:
     """A deterministic spread of finite subsets of ``m`` for spot checks."""
-    if m.is_finite:
-        elems = m.support[:5]
-    else:
+    if m.cofinite:
         elems = tuple(i for i in range(margin + 1) if i in m)[:4]
+    else:
+        elems = m.support[:5]
     subs = [EMPTY]
     subs.extend(NSet.fin((e,)) for e in elems)
     if len(elems) > 1:
@@ -324,9 +324,9 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
                 instances += 1
                 need = (u & ym) | b
                 witness = xm | ((b0 & ym) | b)
+                # wc_covers is downward closed: need inside a covered witness
+                # is covered too, so it is not asked separately
                 if not need.is_subset(witness) or not wc_covers(v, witness):
-                    fib_ok = False
-                if not wc_covers(v, need):
                     fib_ok = False
     return FactorizationCheck(
         x=x,

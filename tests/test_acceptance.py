@@ -18,12 +18,12 @@ from famcat.harness import (
     run_claims,
 )
 from famcat.kernel import (
+    INITIAL,
+    TERMINAL,
     Obj,
     arrow_exists,
-    initial,
     is_iso,
     label_verdict,
-    terminal,
 )
 from famcat.nset import NSet
 from famcat.univalence import (
@@ -97,7 +97,7 @@ def test_criterion_4_univalence_certificates_and_self_exponentials():
     certs = [is_univalent(q) for q in fibs]
     failing = [c.failing_step for c in certs if not c.valid]
     self_exp = all(
-        is_iso(exp_explicit(c, c), terminal())
+        is_iso(exp_explicit(c, c), TERMINAL)
         for c in enumerate_objects(Universe(window=3))
     )
     _report(
@@ -127,11 +127,11 @@ def test_criterion_5_smallness_matches_p_smallness():
 
 def test_criterion_6_the_model_structure_is_not_degenerate():
     target = Obj.of(NSet.fin([0]))
-    v = label_verdict(initial(), target)
+    v = label_verdict(INITIAL, target)
     degenerate_checks = {
         "initial_to_singleton_is_wc_not_f": v.w and v.c and not v.f,
-        "universe_not_initial": not is_iso_virtual(VObj.universe(), initial()),
-        "universe_not_terminal": not is_iso_virtual(VObj.universe(), terminal()),
+        "universe_not_initial": not is_iso_virtual(VObj.universe(), INITIAL),
+        "universe_not_terminal": not is_iso_virtual(VObj.universe(), TERMINAL),
     }
     _report(
         6,

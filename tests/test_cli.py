@@ -151,6 +151,26 @@ def test_elements_above_the_bound_exit_2(capsys):
     assert run("decide", "--from", edge_lit, "--to", TERMINAL_LIT) == 0
 
 
+def test_duplicate_json_keys_exit_2(capsys):
+    # the last value used to win silently, at every level of the literal
+    twice_members = '{"members":[], "members":[{"fin":[0]}]}'
+    twice_fin = '{"members":[{"fin":[0],"fin":[5]}]}'
+    twice_x = '{"vkind":"uprod","x":%s,"x":%s}' % (INITIAL_LIT, A_LIT)
+    for lit, key in ((twice_members, "members"), (twice_fin, "fin"), (twice_x, "x")):
+        assert run("decide", "--from", lit, "--to", A_LIT) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"duplicate key {key!r}" in captured.err
+    assert run("product", "--x", A_LIT, "--y", twice_fin) == 2
+
+
+def test_element_lists_load_as_sets_and_print_sorted(capsys):
+    assert load_input('{"members":[{"fin":[2,1,1]}]}') == load_input(
+        '{"members":[{"fin":[1,2]}]}'
+    )
+    assert run("product", "--x", '{"members":[{"fin":[2,1,1]}]}', "--y", TERMINAL_LIT) == 0
+    assert capsys.readouterr().out == '{"members":[{"fin":[]},{"fin":[1,2]}]}\n'
+
+
 def test_virtual_literals_with_unused_keys_exit_2(capsys):
     utilde_extra = '{"vkind":"utilde","x":{"members":[{"cofin":[]}]},"zzz":1}'
     assert run("decide", "--from", utilde_extra, "--to", TERMINAL_LIT) == 2

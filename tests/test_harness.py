@@ -154,11 +154,11 @@ def test_sampling_is_deterministic_per_seed():
 
 def test_sampling_respects_the_flags():
     finite_only = sample_objects(Universe(window=3, samples=150, seed=1))
-    assert all(m.is_finite for o in finite_only for m in o)
+    assert not any(m.cofinite for o in finite_only for m in o)
     with_cofinite = sample_objects(
         Universe(window=3, include_cofinite=True, samples=150, seed=1)
     )
-    assert any(not m.is_finite for o in with_cofinite for m in o)
+    assert any(m.cofinite for o in with_cofinite for m in o)
     assert all(e < 3 for o in with_cofinite for m in o for e in m.support)
 
 
@@ -363,6 +363,13 @@ def test_shrinking_preserves_the_violation_and_shrinks():
     # the greedy minimum here: a single one-element member on the left
     assert small[0] == normalize([fin([0])]) or len(small[0]) <= len(big[0])
     assert small[1] == normalize([])
+
+    # shrinking a cofinite member's holes keeps it cofinite
+    def has_cofinite(t):
+        return "cofinite source member" if any(m.cofinite for m in t[0]) else None
+
+    big = (normalize([NSet.cofin([0, 1]), fin([3])]),)
+    assert shrink_tuple(big, has_cofinite) == (normalize([FULL]),)
 
 
 def test_recorded_violations_are_shrunk():

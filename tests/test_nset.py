@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from famcat.nset import EMPTY, FULL, MAX_ELEMENT, Cardinality, Kind, NSet
+from famcat.nset import EMPTY, FULL, MAX_ELEMENT, NSet
 
 W = 8
 
@@ -29,11 +29,11 @@ def model(s: NSet) -> tuple[frozenset[int], bool]:
     """
     assert all(e < W for e in s.support)
     bits = frozenset(n for n in range(W) if n in s)
-    listed = sorted(bits) if s.is_finite else sorted(set(range(W)) - bits)
+    listed = sorted(set(range(W)) - bits) if s.cofinite else sorted(bits)
     assert s.support == tuple(listed)
     body = "{" + ",".join(map(str, listed)) + "}"
-    assert str(s) == (body if s.is_finite else ("N" if not listed else f"N-{body}"))
-    return bits, not s.is_finite
+    assert str(s) == (("N" if not listed else f"N-{body}") if s.cofinite else body)
+    return bits, s.cofinite
 
 
 def from_parts(bits: frozenset[int], tail: bool) -> tuple[frozenset[int], bool]:
@@ -84,7 +84,7 @@ def test_bools_are_not_naturals():
 def test_elements_are_bounded_by_max_element():
     assert NSet.fin([MAX_ELEMENT]).support == (MAX_ELEMENT,)
     assert MAX_ELEMENT not in NSet.cofin([MAX_ELEMENT])
-    for build in (NSet.fin, NSet.cofin, lambda e: NSet(Kind.FIN, e)):
+    for build in (NSet.fin, NSet.cofin):
         with pytest.raises(ValueError):
             build([MAX_ELEMENT + 1])
     with pytest.raises(ValueError):
@@ -100,14 +100,23 @@ def test_values_are_immutable():
             delattr(s, name)
     assert s == NSet.fin([1])
     # copies are rebuilt from the mask, not by setting attributes
-    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(FULL)) == FULL
+    for t in (s, FULL, NSet.cofin([0, 3])):
+        assert copy.copy(t) == t and copy.deepcopy(t) == t
+        assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_direct_construction_raises_type_error():
+    # a value must come with both slots set; only the named builders do that
+    for args in ((), ("fin", [1]), (False, 0)):
+        with pytest.raises(TypeError, match="NSet.fin, NSet.cofin or NSet.from_json_dict"):
+            NSet(*args)
 
 
 def test_named_constants():
     assert EMPTY == NSet.fin()
     assert FULL == NSet.cofin()
-    assert EMPTY.cardinality().value == 0
-    assert not FULL.cardinality().is_finite
+    assert not EMPTY.cofinite and EMPTY.mask.bit_count() == 0
+    assert FULL.cofinite and not FULL.mask
 
 
 # -- membership, size, order ----------------------------------------------------
@@ -130,13 +139,6 @@ def test_membership_of_huge_naturals_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16  # a mask reaching 10**9 would take 125 MB
-
-
-def test_cardinality_examples():
-    assert NSet.fin([0, 2, 4]).cardinality() == Cardinality.finite(3)
-    assert str(NSet.cofin([7]).cardinality()) == "inf"
-    with pytest.raises(ValueError):
-        Cardinality.finite(-1)
 
 
 def test_smallest_element():
@@ -219,7 +221,7 @@ def test_subset_matches_pointwise_implication():
     for a in SMALL:
         for b in SMALL:
             pointwise = all((n not in a) or (n in b) for n in PROBES) and not (
-                not a.is_finite and b.is_finite
+                a.cofinite and not b.cofinite
             )
             assert a.is_subset(b) == pointwise, (a, b)
 
@@ -238,14 +240,14 @@ def test_lattice_laws_hold_exhaustively():
 def test_diff_card_infinite_exactly_for_cofinite_minus_finite():
     for a in SMALL:
         for b in SMALL:
-            expect_infinite = (not a.is_finite) and b.is_finite
-            assert (a - b).cardinality().is_finite == (not expect_infinite), (a, b)
+            expect_infinite = a.cofinite and not b.cofinite
+            assert (a - b).cofinite == expect_infinite, (a, b)
 
 
 def test_subset_iff_difference_is_empty():
     for a in SMALL:
         for b in SMALL:
-            assert a.is_subset(b) == ((a - b).cardinality() == Cardinality.finite(0))
+            assert a.is_subset(b) == ((a - b) == EMPTY)
 
 
 # -- algebra: randomized window-8 model -----------------------------------------
@@ -297,12 +299,11 @@ def test_model_agreement_drop_least(a):
 
 @given(nsets, nsets)
 def test_diff_card_counts_the_window(a, b):
-    card = (a - b).cardinality()
-    bits, tail = model(a - b)
-    if tail:
-        assert not card.is_finite
-    else:
-        assert card == Cardinality.finite(len(bits))
+    d = a - b
+    bits, tail = model(d)
+    assert d.cofinite == tail
+    if not tail:
+        assert d.mask.bit_count() == len(bits)
 
 
 @given(nsets)
@@ -324,6 +325,8 @@ def test_json_round_trip():
 def test_json_shape():
     assert NSet.fin([1, 0]).to_json_dict() == {"fin": [0, 1]}
     assert NSet.cofin().to_json_dict() == {"cofin": []}
+    # an element list denotes a set: order and repeats do not survive a load
+    assert NSet.from_json_dict({"cofin": [5, 0, 5]}).to_json_dict() == {"cofin": [0, 5]}
 
 
 def test_json_rejects_malformed_literals():
@@ -337,7 +340,4 @@ def test_str_forms():
     assert str(FULL) == "N"
     assert str(NSet.cofin([2])) == "N-{2}"
     assert str(EMPTY) == "{}"
-
-
-def test_kind_enum_values_match_wire_names():
-    assert Kind.FIN.value == "fin" and Kind.COFIN.value == "cofin"
+    assert repr(NSet.cofin([2, 0])) == "NSet.cofin([0, 2])" and repr(EMPTY) == "NSet.fin([])"

@@ -8,7 +8,7 @@ universal-fibration facts are asserted through the virtual-object oracles.
 import pytest
 
 from famcat.harness import Universe, enumerate_objects
-from famcat.kernel import Obj, initial, is_iso, label_w, product, terminal
+from famcat.kernel import INITIAL, TERMINAL, Obj, is_iso, label_w, product
 from famcat.nset import NSet
 from famcat.univalence import (
     Fibration,
@@ -67,7 +67,7 @@ def test_fibration_json():
 
 @pytest.mark.parametrize("base", [None] + list(range(5)), ids=lambda i: f"obj{i}")
 def test_identity_fibrations_are_univalent(base):
-    x = terminal() if base is None else W2[base]
+    x = TERMINAL if base is None else W2[base]
     cert = is_univalent(Fibration.verified(x, x))
     assert cert.valid and cert.failing_step is None
     assert tuple(s.name for s in cert.steps) == STEP_NAMES
@@ -80,7 +80,7 @@ def test_certificate_steps_recompute():
     cert = is_univalent(q)
     bb = product(B, B)
     assert is_iso(bb, B)  # product_collapse
-    assert is_iso(exp_explicit(bb, bb), terminal())  # self exponential
+    assert is_iso(exp_explicit(bb, bb), TERMINAL)  # self exponential
     facts = {s.name: s.facts for s in cert.steps}
     assert facts["product_collapse"]["square"] == bb.to_json_dict()
     assert facts["weq_classifier_is_slice_terminal"]["full_set_is_member"] is True
@@ -100,7 +100,7 @@ def test_certificate_json_round_shape():
 
 def test_self_exponential_is_terminal_for_every_small_object():
     for c in W2:
-        assert is_iso(exp_explicit(c, c), terminal())
+        assert is_iso(exp_explicit(c, c), TERMINAL)
 
 
 # -- smallness --------------------------------------------------------------------
@@ -108,15 +108,15 @@ def test_self_exponential_is_terminal_for_every_small_object():
 
 def test_is_small_iff_every_total_member_is_finite():
     for x in W2:
-        assert is_small(Fibration(x, x)) == all(m.is_finite for m in x)
-    assert not is_small(Fibration(terminal(), terminal()))
+        assert is_small(Fibration(x, x)) == (not any(m.cofinite for m in x))
+    assert not is_small(Fibration(TERMINAL, TERMINAL))
     assert not is_small(Fibration(NEAR_FULL, NEAR_FULL))
-    assert is_small(Fibration(initial(), initial()))
+    assert is_small(Fibration(INITIAL, INITIAL))
 
 
 def test_is_small_recomputes_as_label_w_from_initial():
-    for x in W2 + [terminal(), NEAR_FULL]:
-        assert is_small(Fibration(x, x)) == label_w(initial(), x)
+    for x in W2 + [TERMINAL, NEAR_FULL]:
+        assert is_small(Fibration(x, x)) == label_w(INITIAL, x)
 
 
 def test_is_p_small_on_identity_fibrations():
@@ -124,15 +124,15 @@ def test_is_p_small_on_identity_fibrations():
     assert is_p_small(Fibration(A, A))
     assert is_p_small(Fibration(C, C))
     # identity on the terminal object: N escapes every finite enlargement
-    assert not is_p_small(Fibration(terminal(), terminal()))
+    assert not is_p_small(Fibration(TERMINAL, TERMINAL))
     assert not is_p_small(Fibration(NEAR_FULL, NEAR_FULL))
 
 
 def test_is_p_small_detects_mismatched_pairs():
     # a non-fibration pair whose total undershoots the universe product
-    assert not is_p_small(Fibration(initial(), B))  # {0,1} escapes the total
+    assert not is_p_small(Fibration(INITIAL, B))  # {0,1} escapes the total
     # and one whose total overshoots it
-    assert not is_p_small(Fibration(B, initial()))  # {0,1} is not nearly empty
+    assert not is_p_small(Fibration(B, INITIAL))  # {0,1} is not nearly empty
 
 
 def test_smallness_is_closed_under_products_and_coproducts():

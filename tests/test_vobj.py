@@ -12,16 +12,16 @@ import pytest
 
 from famcat.harness import Universe, enumerate_objects
 from famcat.kernel import (
+    INITIAL,
+    TERMINAL,
     Obj,
     arrow_exists,
-    initial,
     is_iso,
     label_verdict,
     label_w,
     normalize,
     product,
     star_arrow,
-    terminal,
 )
 from famcat.nset import EMPTY, FULL, NSet
 from famcat.vobj import (
@@ -48,6 +48,7 @@ C = Obj.of(fin([0]), fin([1]))
 NEAR_FULL = Obj.of(cofin([0]))
 
 W2 = enumerate_objects(Universe(window=2))
+C2 = enumerate_objects(Universe(window=2, include_cofinite=True))
 
 
 # -- construction and serialization -----------------------------------------------
@@ -66,7 +67,7 @@ def test_slice_constructors_validate_the_slice():
     with pytest.raises(ValueError):
         VObj.exp_slice(A, B, A)  # no arrow B -> A
     with pytest.raises(ValueError):
-        VObj.wexp(A, terminal(), A)
+        VObj.wexp(A, TERMINAL, A)
     for vkind in ("exp_slice", "wexp"):  # literals are validated the same way
         with pytest.raises(ValueError):
             VObj.from_json_dict(
@@ -133,18 +134,18 @@ def test_wc_membership_examples():
 
 
 def test_uprod_is_wc_over_the_initial_object():
-    for x in W2 + [NEAR_FULL, terminal()]:
-        v, w = VObj.uprod(x), VObj.wc(initial(), x)
+    for x in W2 + [NEAR_FULL, TERMINAL]:
+        v, w = VObj.uprod(x), VObj.wc(INITIAL, x)
         probes = [EMPTY, fin([0]), fin([0, 1]), fin([2, 5]), FULL, cofin([1])]
         for s in probes:
             assert wc_covers(v, s) == wc_covers(w, s)
 
 
 def test_universe_is_uprod_of_the_terminal_object():
-    ut, up = VObj.universe(), VObj.uprod(terminal())
+    ut, up = VObj.universe(), VObj.uprod(TERMINAL)
     for s in (EMPTY, fin([4]), fin([0, 2]), FULL):
         assert wc_covers(ut, s) == wc_covers(up, s)
-    for t in W2 + [terminal()]:
+    for t in W2 + [TERMINAL]:
         assert arrow_from_vobj(ut, t) == arrow_from_vobj(up, t)
         assert arrow_into_vobj(t, ut) == arrow_into_vobj(t, up)
 
@@ -155,17 +156,17 @@ def test_universe_is_uprod_of_the_terminal_object():
 def test_arrow_into_universe_iff_all_members_finite():
     ut = VObj.universe()
     assert arrow_into_vobj(A, ut) and arrow_into_vobj(C, ut)
-    assert not arrow_into_vobj(terminal(), ut)
+    assert not arrow_into_vobj(TERMINAL, ut)
     assert not arrow_into_vobj(NEAR_FULL, ut)
 
 
 def test_arrow_from_universe_iff_target_has_the_full_set():
     # one missing natural per member of t builds a finite set none covers
     ut = VObj.universe()
-    assert arrow_from_vobj(ut, terminal())
+    assert arrow_from_vobj(ut, TERMINAL)
     assert not arrow_from_vobj(ut, B)
-    for t in W2 + [terminal(), NEAR_FULL, Obj.of(cofin([2]), fin([2]))]:
-        assert arrow_from_vobj(ut, t) == t.has_full
+    for t in W2 + [TERMINAL, NEAR_FULL, Obj.of(cofin([2]), fin([2]))]:
+        assert arrow_from_vobj(ut, t) == (FULL in t)
 
 
 def test_arrow_from_wc_counterexample_is_pinned():
@@ -180,26 +181,26 @@ def test_arrow_from_wc_counterexample_is_pinned():
 
 def test_arrow_from_wc_positive_example():
     assert arrow_from_vobj(VObj.wc(A, B), B)  # {0} | {0,1} = {0,1} is in B
-    assert arrow_from_vobj(VObj.wc(initial(), B), B)
+    assert arrow_from_vobj(VObj.wc(INITIAL, B), B)
 
 
 def test_star_reduction_for_wc_families():
     # w reads only the explicit source part of a WC-shaped end
     v = VObj.wc(NEAR_FULL, A)
     assert decide(NEAR_FULL, v, "w") == (True, None)
-    assert decide(initial(), v, "w") == (False, None)  # N-{0} minus {} is infinite
-    assert decide(v, terminal(), "w") == (True, None)  # N minus (N-{0}) = {0}
-    assert decide(VObj.wc(A, A), terminal(), "w") == (False, None)  # no cofinite member
+    assert decide(INITIAL, v, "w") == (False, None)  # N-{0} minus {} is infinite
+    assert decide(v, TERMINAL, "w") == (True, None)  # N minus (N-{0}) = {0}
+    assert decide(VObj.wc(A, A), TERMINAL, "w") == (False, None)  # no cofinite member
 
 
 def test_label_w_into_universe():
     ut = VObj.universe()
-    assert decide(initial(), ut, "w") == (True, None)
+    assert decide(INITIAL, ut, "w") == (True, None)
     assert decide(C, ut, "w") == (True, None)
-    assert decide(terminal(), ut, "w") == (False, None)  # no arrow in
+    assert decide(TERMINAL, ut, "w") == (False, None)  # no arrow in
     # arrow in holds, but N-{0} is not nearly inside the empty set
-    assert arrow_into_vobj(initial(), VObj.wc(NEAR_FULL, A))
-    assert decide(initial(), VObj.wc(NEAR_FULL, A), "w") == (False, None)
+    assert arrow_into_vobj(INITIAL, VObj.wc(NEAR_FULL, A))
+    assert decide(INITIAL, VObj.wc(NEAR_FULL, A), "w") == (False, None)
 
 
 def test_undecided_queries_refuse():
@@ -214,12 +215,12 @@ def test_decide_w_into_wexp_asks_the_arrow_first():
     # no arrow: false, although the classifier is not WC-shaped; with the
     # arrow, the near-inclusion half has no rule and the pair is undecided
     wexp = VObj.wexp(B, A, B)
-    assert not arrow_into_vobj(terminal(), wexp)
-    assert decide(terminal(), wexp, "w") == (False, None)
+    assert not arrow_into_vobj(TERMINAL, wexp)
+    assert decide(TERMINAL, wexp, "w") == (False, None)
     assert arrow_into_vobj(B, wexp)
     with pytest.raises(UndecidedPairError):
         decide(B, wexp, "w")
-    for z in W2 + [NEAR_FULL, terminal()]:
+    for z in W2 + [NEAR_FULL, TERMINAL]:
         if arrow_into_vobj(z, wexp):
             with pytest.raises(UndecidedPairError):
                 decide(z, wexp, "w")
@@ -228,17 +229,17 @@ def test_decide_w_into_wexp_asks_the_arrow_first():
 
 
 def test_is_iso_virtual_examples():
-    assert is_iso_virtual(VObj.exp(A, A), terminal())
-    assert not is_iso_virtual(VObj.universe(), initial())
-    assert not is_iso_virtual(VObj.universe(), terminal())
-    assert is_iso_virtual(VObj.wc(terminal(), A), terminal())
+    assert is_iso_virtual(VObj.exp(A, A), TERMINAL)
+    assert not is_iso_virtual(VObj.universe(), INITIAL)
+    assert not is_iso_virtual(VObj.universe(), TERMINAL)
+    assert is_iso_virtual(VObj.wc(TERMINAL, A), TERMINAL)
 
 
 # -- the label dispatch ---------------------------------------------------------------
 
 
 def test_decide_explicit_pairs_return_the_whole_verdict():
-    for x, y in itertools.product([initial(), A, B, C, NEAR_FULL, terminal()], repeat=2):
+    for x, y in itertools.product([INITIAL, A, B, C, NEAR_FULL, TERMINAL], repeat=2):
         for label in ("arrow", "w", "f", "c"):
             holds, verdict = decide(x, y, label)
             assert verdict == label_verdict(x, y)
@@ -255,11 +256,11 @@ def test_decide_reduces_exponentials_to_explicit_objects():
 
 def test_decide_explicit_into_virtual():
     for v in (VObj.universe(), VObj.uprod(B), VObj.wc(A, C), VObj.wexp(B, A, B)):
-        for z in W2 + [NEAR_FULL, terminal()]:
+        for z in W2 + [NEAR_FULL, TERMINAL]:
             assert decide(z, v, "arrow") == (arrow_into_vobj(z, v), None)
             assert decide(z, v, "c") == (arrow_into_vobj(z, v), None)
-    for v, source_part in ((VObj.universe(), initial()), (VObj.wc(NEAR_FULL, A), NEAR_FULL)):
-        for z in W2 + [NEAR_FULL, terminal()]:
+    for v, source_part in ((VObj.universe(), INITIAL), (VObj.wc(NEAR_FULL, A), NEAR_FULL)):
+        for z in W2 + [NEAR_FULL, TERMINAL]:
             w = arrow_into_vobj(z, v) and star_arrow(source_part, z)
             assert decide(z, v, "w") == (w, None)
     with pytest.raises(UndecidedPairError):
@@ -268,18 +269,18 @@ def test_decide_explicit_into_virtual():
 
 def test_decide_virtual_into_explicit():
     wc_shaped = (
-        (VObj.universe(), initial()),
-        (VObj.uprod(B), initial()),
+        (VObj.universe(), INITIAL),
+        (VObj.uprod(B), INITIAL),
         (VObj.wc(A, C), A),
         (VObj.wc(NEAR_FULL, A), NEAR_FULL),
     )
     for v, source_part in wc_shaped:
-        for t in W2 + [NEAR_FULL, terminal()]:
+        for t in W2 + [NEAR_FULL, TERMINAL]:
             arrow = arrow_from_vobj(v, t)
             assert decide(v, t, "arrow") == decide(v, t, "c") == (arrow, None)
             assert decide(v, t, "w") == (arrow and star_arrow(t, source_part), None)
     # f only into the bound family, through the factorization facts
-    assert decide(VObj.wc(initial(), terminal()), terminal(), "f") == (True, None)
+    assert decide(VObj.wc(INITIAL, TERMINAL), TERMINAL, "f") == (True, None)
     assert decide(VObj.wc(A, C), C, "f") == (False, None)  # no arrow onto C
     assert decide(VObj.wc(A, B), B, "f") == (True, None)
 
@@ -310,8 +311,8 @@ def brute_force_exp(b: Obj, c: Obj) -> Obj:
 
 
 SMALL_OBJS = [
-    initial(),
-    terminal(),
+    INITIAL,
+    TERMINAL,
     A,
     B,
     C,
@@ -329,10 +330,10 @@ def test_exp_matches_the_brute_force_oracle():
 
 def test_exp_identities():
     for c in W2 + [NEAR_FULL]:
-        assert is_iso(exp_explicit(c, c), terminal())  # c^c collapses
-        assert exp_explicit(initial(), c) == terminal()  # empty base
-        assert exp_explicit(c, terminal()) == terminal()
-    assert exp_explicit(terminal(), A) == A  # evaluating at N picks members
+        assert is_iso(exp_explicit(c, c), TERMINAL)  # c^c collapses
+        assert exp_explicit(INITIAL, c) == TERMINAL  # empty base
+        assert exp_explicit(c, TERMINAL) == TERMINAL
+    assert exp_explicit(TERMINAL, A) == A  # evaluating at N picks members
 
 
 def test_exp_representability_on_examples():
@@ -340,8 +341,8 @@ def test_exp_representability_on_examples():
         (A, B, C),
         (B, A, C),
         (C, C, A),
-        (terminal(), NEAR_FULL, B),
-        (NEAR_FULL, terminal(), NEAR_FULL),
+        (TERMINAL, NEAR_FULL, B),
+        (NEAR_FULL, TERMINAL, NEAR_FULL),
     ]
     for d, b, c in triples:
         through_exp = arrow_exists(d, exp_explicit(b, c))
@@ -352,7 +353,7 @@ def test_exp_representability_on_examples():
 def test_exp_vobj_arrow_out_reduces_to_the_explicit_object():
     v = VObj.exp(A, B)
     e = exp_explicit(A, B)
-    for t in W2 + [terminal()]:
+    for t in W2 + [TERMINAL]:
         assert decide(v, t, "arrow") == (arrow_exists(e, t), label_verdict(e, t))
     with pytest.raises(UndecidedPairError):
         arrow_from_vobj(v, B)  # the closed form is for WC-shaped families only
@@ -394,9 +395,9 @@ def test_wexp_membership_criterion_matches_whole_family_w():
 
 
 def test_arrow_into_wexp_is_the_hom_criterion():
-    a = terminal()
+    a = TERMINAL
     v = VObj.wexp(a, A, B)
-    for z in W2 + [terminal(), NEAR_FULL]:
+    for z in W2 + [TERMINAL, NEAR_FULL]:
         expected = arrow_exists(z, a) and label_w(product(z, A), product(z, B))
         assert arrow_into_vobj(z, v) == expected
 
@@ -406,12 +407,12 @@ def test_arrow_into_wexp_is_the_hom_criterion():
 
 def test_factorization_facts_hold_when_the_arrow_does():
     pairs = [
-        (initial(), terminal()),
+        (INITIAL, TERMINAL),
         (A, B),
         (A, C),
         (C, B),
-        (NEAR_FULL, terminal()),
-        (initial(), NEAR_FULL),
+        (NEAR_FULL, TERMINAL),
+        (INITIAL, NEAR_FULL),
     ]
     for x, y in pairs:
         assert arrow_exists(x, y)
@@ -426,6 +427,26 @@ def test_factorization_facts_are_independent_of_the_missing_arrow():
     fc = check_factorization(A, C)
     assert fc.ok
     assert not arrow_from_vobj(VObj.wc(A, C), C)
+
+
+def test_wc_covers_is_downward_closed():
+    # check_factorization asks wc_covers of each witness but not of the
+    # smaller set the witness contains; this lemma is why that is enough
+    pool = [
+        k(sup)
+        for k in (fin, cofin)
+        for r in range(4)
+        for sup in itertools.combinations(range(3), r)
+    ]
+    pairs = [(s, t) for s in pool for t in pool if s.is_subset(t)]
+    covered = 0
+    for x, y in itertools.product(C2, repeat=2):
+        v = VObj.wc(x, y)
+        for s, t in pairs:
+            if wc_covers(v, t):
+                covered += 1
+                assert wc_covers(v, s), (x, y, s, t)
+    assert (len(C2), len(pairs), covered) == (19, 81, 18801)
 
 
 def test_factorization_check_serializes_with_the_middle():
@@ -453,9 +474,9 @@ def test_uprod_dominates_examples():
     assert _dominates(A, B)  # subsets of {0} all sit inside {0,1}
     assert not _dominates(B, C)  # {0,1} itself escapes C
     assert not _dominates(B, Obj.of(fin([0])))  # {0,1} escapes
-    assert _dominates(terminal(), terminal())
-    assert not _dominates(terminal(), B)  # finite sets of any size escape
-    assert _dominates(NEAR_FULL, terminal())
+    assert _dominates(TERMINAL, TERMINAL)
+    assert not _dominates(TERMINAL, B)  # finite sets of any size escape
+    assert _dominates(NEAR_FULL, TERMINAL)
 
 
 def test_uprod_dominates_agrees_with_membership_on_the_small_universe():
@@ -472,7 +493,7 @@ def test_uprod_dominates_agrees_with_membership_on_the_small_universe():
 
 
 def _all_finite_subsets(m: NSet) -> list[NSet]:
-    assert m.is_finite
+    assert not m.cofinite
     return [
         NSet.fin(c)
         for r in range(len(m.support) + 1)
