@@ -5,10 +5,13 @@ canonical object over a small window, or seeded sampling, either with
 optional cofinite members.  Each named check runs a predicate over all (or
 sampled) tuples from that supply and returns a :class:`CheckResult` with
 minimized, replayable counterexamples; a :class:`Report` bundles a suite.
-On an enumerated universe an axiom check decides the arrow, w and f facts
+
+Axioms and claims share one runner.  An exhaustive universe is enumerated
+once per call, and a check with a premise decides the arrow, w and f facts
 of each pair once and runs its predicate only on the tuples its premise
-admits.  Identical universe and seed always produce the identical report,
-and the machine serialization is byte-stable.
+admits.  A sampled check streams its tuples from its own seeded draw, so no
+sample is held in memory.  Identical universe and seed always produce the
+identical report, and the machine serialization is byte-stable.
 
 Checks are pure and independent, so they are safe to run concurrently;
 the built-in runner is sequential to keep reports trivially reproducible.
@@ -142,13 +145,12 @@ def _draw_object(rng: random.Random, u: Universe) -> Obj:
     return normalize(_draw_nset(rng, u) for _ in range(count))
 
 
-def sample_objects(u: Universe) -> list[Obj]:
+def universe_objects(u: Universe) -> list[Obj]:
+    """The enumerated objects, or the ``samples`` objects drawn from ``seed``."""
+    if u.is_exhaustive:
+        return enumerate_objects(u)
     rng = random.Random(u.seed)
     return [_draw_object(rng, u) for _ in range(u.samples)]
-
-
-def universe_objects(u: Universe) -> list[Obj]:
-    return enumerate_objects(u) if u.is_exhaustive else sample_objects(u)
 
 
 def instance_tuples(u: Universe, arity: int) -> Iterator[tuple[Obj, ...]]:
@@ -274,20 +276,18 @@ def shrink_tuple(objs: tuple[Obj, ...], violates: Predicate) -> tuple[Obj, ...]:
 # -- relation tables and premises ----------------------------------------------
 
 
-def _relations(u: Universe) -> tuple[tuple[Obj, ...], tuple[list[int], ...]]:
-    """The objects of the exhaustive universe ``u`` and its pair facts.
+def _relations(objs: Sequence[Obj]) -> tuple[list[int], ...]:
+    """The pair facts of the enumerated objects ``objs``.
 
     The facts are three lists of int bitset rows, ``(A, W, F)``: bit ``j``
     of ``A[i]`` is set when ``arrow_exists(objs[i], objs[j])``, and ``W``
     and ``F`` hold ``label_w`` and ``label_f`` the same way.  Each fact is
     decided once.
     """
-    objs = tuple(enumerate_objects(u))
-    rows = tuple(
+    return tuple(
         [sum(1 << j for j, y in enumerate(objs) if fact(x, y)) for x in objs]
         for fact in (arrow_exists, label_w, label_f)
     )
-    return objs, rows
 
 
 # A premise takes the rows (A, W, F) of an enumerated universe and yields
@@ -348,46 +348,6 @@ def _premise_cobase_change(
         for z in _bits(W[x]):
             for y in _bits(A[x]):
                 yield x, z, y
-
-
-def _run_check(
-    name: str,
-    u: Universe,
-    arity: int,
-    pred: Predicate,
-    premise: Premise | None = None,
-    relations: Callable[[], tuple[tuple[Obj, ...], tuple[list[int], ...]]] | None = None,
-) -> CheckResult:
-    """Run ``pred`` over the universe's tuples and record its violations.
-
-    On an exhaustive universe a check with a ``premise`` runs ``pred`` only
-    on the premise's tuples, over the objects and rows ``relations()``
-    returns; the other tuples cannot violate it, so ``instances`` still
-    counts every tuple of the universe.
-    """
-    start = time.perf_counter()
-    if premise is not None and relations is not None and u.is_exhaustive:
-        objs, rows = relations()
-        total: int | None = len(objs) ** arity
-        tuples = (tuple(objs[i] for i in t) for t in premise(*rows))
-    else:
-        total, tuples = None, instance_tuples(u, arity)
-    instances = 0
-    violations: list[Violation] = []
-    for tup in tuples:
-        instances += 1
-        detail = pred(tup)
-        if detail is None:
-            continue
-        if len(violations) < MAX_RECORDED_VIOLATIONS:
-            small = shrink_tuple(tup, pred)
-            violations.append(Violation(objects=small, detail=pred(small) or detail))
-    return CheckResult(
-        name=name,
-        instances=instances if total is None else total,
-        violations=tuple(violations),
-        elapsed=time.perf_counter() - start,
-    )
 
 
 # -- presentation variants for the retract / iso checks ------------------------
@@ -572,10 +532,14 @@ def _pred_limits_universal(t: tuple[Obj, ...]) -> str | None:
     return None
 
 
+# A suite row: a check's arity, its predicate, and the premise that picks
+# its tuples on an enumerated universe (``None``: every tuple).
+Check = tuple[int, Predicate, "Premise | None"]
+
 # Retracts collapse to isomorphisms in a posetal category, so closure under
 # retracts is closure under isomorphic presentations: RETRACT_CLOSURE and
-# ISO_INVARIANCE share one predicate, and run_axioms decides it once.
-_AXIOMS: dict[str, tuple[int, Predicate, Premise | None]] = {
+# ISO_INVARIANCE share one predicate, and a suite run decides it once.
+_AXIOMS: dict[str, Check] = {
     "M1_LIFTING": (4, _pred_m1, _premise_m1),
     "M2_FACTOR_WC_F": (2, _pred_m2_wc_f, _premise_arrow),
     "M2_FACTOR_C_WF": (2, _pred_m2_c_wf, _premise_arrow),
@@ -586,45 +550,81 @@ _AXIOMS: dict[str, tuple[int, Predicate, Premise | None]] = {
     "ISO_INVARIANCE": (2, _iso_invariance_detail, None),
 }
 
-_CLAIMS: dict[str, tuple[int, Predicate]] = {
-    "WCF_REVERSE": (2, _pred_wcf_reverse),
-    "F_REDUCTION": (2, _pred_f_reduction),
-    "CLAIM5": (3, _pred_claim_products_weq),
-    "EXP_REPRESENTABILITY": (3, _pred_exp_representability),
-    "WEXP_REPRESENTABILITY": (4, _pred_wexp_representability),
-    "LIMITS_UNIVERSAL": (3, _pred_limits_universal),
+# The opt-in diagnostic: ISO_INVARIANCE under the target-minus-source star
+# template, which is expected to produce counterexamples.
+_LITERAL_STAR: dict[str, Check] = {"ISO_INVARIANCE": (2, _pred_iso_literal_star, None)}
+
+_CLAIMS: dict[str, Check] = {
+    "WCF_REVERSE": (2, _pred_wcf_reverse, None),
+    "F_REDUCTION": (2, _pred_f_reduction, None),
+    "CLAIM5": (3, _pred_claim_products_weq, None),
+    "EXP_REPRESENTABILITY": (3, _pred_exp_representability, None),
+    "WEXP_REPRESENTABILITY": (4, _pred_wexp_representability, None),
+    "LIMITS_UNIVERSAL": (3, _pred_limits_universal, None),
 }
 
 AXIOM_NAMES: tuple[str, ...] = tuple(_AXIOMS)
 CLAIM_NAMES: tuple[str, ...] = tuple(_CLAIMS)
 
 
-def _axiom(name: str, literal_star: bool) -> tuple[int, Predicate, Premise | None]:
-    """Arity, predicate and premise of a named axiom check.
+def _run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None) -> Report:
+    """Run the named checks of ``table`` (all by default) in order.
 
-    ``literal_star`` switches the ISO_INVARIANCE check to the
-    target-minus-source star template, the opt-in diagnostic that is
-    expected to produce counterexamples.
+    The names are checked before any work.  An exhaustive universe is
+    enumerated once; a check runs its predicate on the tuples its premise
+    admits, or on every tuple, and ``instances`` counts every tuple of the
+    universe, since the others cannot violate it.  The relation tables are
+    built by the first check with a premise, which is charged their time.
+    A sampled check streams its own seeded draw.  Each check records its
+    first ``MAX_RECORDED_VIOLATIONS`` violations, shrunk, and stops there.
+    Each distinct predicate runs once; a check that shares it reports the
+    same result under its own name, with no time charged to it.
     """
-    if name not in _AXIOMS:
-        raise ValueError(f"unknown axiom check {name!r}; choose from {AXIOM_NAMES}")
-    if literal_star and name == "ISO_INVARIANCE":
-        return 2, _pred_iso_literal_star, None
-    return _AXIOMS[name]
+    picked = tuple(table) if names is None else tuple(names)
+    if not picked:
+        raise ValueError("no checks selected")
+    for name in picked:
+        if name not in table:
+            raise ValueError(f"unknown check {name!r}; choose from {', '.join(table)}")
+    objs = enumerate_objects(u) if u.is_exhaustive else []
+    relations = functools.cache(lambda: _relations(objs))
+    done: dict[Predicate, CheckResult] = {}
+    checks = []
+    for name in picked:
+        arity, pred, premise = table[name]
+        if pred in done:
+            checks.append(replace(done[pred], name=name, elapsed=0.0))
+            continue
+        start = time.perf_counter()
+        if not u.is_exhaustive:
+            tuples, instances = instance_tuples(u, arity), u.samples
+        else:
+            every = itertools.product(range(len(objs)), repeat=arity)
+            index = premise(*relations()) if premise else every
+            tuples = (tuple(objs[i] for i in t) for t in index)
+            instances = len(objs) ** arity
+        violations: list[Violation] = []
+        for tup in tuples:
+            detail = pred(tup)
+            if detail is not None:
+                small = shrink_tuple(tup, pred)
+                violations.append(Violation(objects=small, detail=pred(small) or detail))
+                if len(violations) == MAX_RECORDED_VIOLATIONS:
+                    break
+        elapsed = time.perf_counter() - start
+        done[pred] = CheckResult(name, instances, tuple(violations), elapsed)
+        checks.append(done[pred])
+    return Report(universe=u, checks=tuple(checks))
 
 
 def check_axiom(name: str, u: Universe, *, literal_star: bool = False) -> CheckResult:
     """Run one named axiom check over the universe."""
-    arity, pred, premise = _axiom(name, literal_star)
-    return _run_check(name, u, arity, pred, premise, functools.partial(_relations, u))
+    return run_axioms(u, [name], literal_star=literal_star).checks[0]
 
 
 def check_claim(name: str, u: Universe) -> CheckResult:
     """Run one named claim check over the universe."""
-    if name not in _CLAIMS:
-        raise ValueError(f"unknown claim check {name!r}; choose from {CLAIM_NAMES}")
-    arity, pred = _CLAIMS[name]
-    return _run_check(name, u, arity, pred)
+    return run_claims(u, [name]).checks[0]
 
 
 def run_axioms(
@@ -635,25 +635,12 @@ def run_axioms(
 ) -> Report:
     """Run the named axiom checks (all by default) in order.
 
-    Each distinct predicate runs once; a check that shares it reports the
-    same result under its own name, with no time charged to it.  On an
-    exhaustive universe the relation tables are built by the first check
-    with a premise, which is charged their time, and kept for this call.
+    ``literal_star`` switches ISO_INVARIANCE to the target-minus-source
+    star template.
     """
-    picked = tuple(names) if names is not None else AXIOM_NAMES
-    relations = functools.cache(functools.partial(_relations, u))
-    done: dict[Predicate, CheckResult] = {}
-    checks = []
-    for name in picked:
-        arity, pred, premise = _axiom(name, literal_star)
-        if pred in done:
-            checks.append(replace(done[pred], name=name, elapsed=0.0))
-        else:
-            done[pred] = _run_check(name, u, arity, pred, premise, relations)
-            checks.append(done[pred])
-    return Report(universe=u, checks=tuple(checks))
+    return _run_suite(u, {**_AXIOMS, **_LITERAL_STAR} if literal_star else _AXIOMS, names)
 
 
 def run_claims(u: Universe, names: Sequence[str] | None = None) -> Report:
-    picked = tuple(names) if names is not None else CLAIM_NAMES
-    return Report(universe=u, checks=tuple(check_claim(n, u) for n in picked))
+    """Run the named claim checks (all by default) in order."""
+    return _run_suite(u, _CLAIMS, names)

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import famcat
-from famcat import kernel, nset
+from famcat import harness, kernel, nset
 from famcat.kernel import GapWitness, Obj
 from famcat.nset import NSet
 
@@ -17,7 +17,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # One spelling per fact: each of these restated a fact another name states.
 REMOVED = {
-    famcat: ("Cardinality", "Kind", "initial", "terminal"),
+    famcat: ("Cardinality", "Kind", "initial", "terminal", "sample_objects"),
+    harness: ("sample_objects",),
     nset: ("Cardinality", "INFINITE", "Kind"),
     kernel: ("initial", "terminal"),
     NSet: ("cardinality", "is_finite", "kind"),

@@ -7,6 +7,8 @@ Everything is driven through ``main`` so the tests see exactly what the
 console script would do; only the closed-pipe case needs a real process.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import famcat
 from famcat.cli import load_input, main
@@ -52,6 +56,66 @@ def test_load_input_from_files(tmp_path):
     v = tmp_path / "vobj.json"
     v.write_text(json.dumps({"vkind": "uprod", "x": json.loads(A_LIT)}))
     assert load_input(str(v)) == VObj.uprod(Obj.of(fin([0])))
+
+
+def test_deeply_nested_literals_exit_2(capsys):
+    deep = '{"members":' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_input(deep)
+    assert run("decide", "--from", deep, "--to", A_LIT) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert run("decide", "--from", A_LIT, "--to", '{"vkind":"uprod","x":' + deep + "}") == 2
+
+
+# Literals for the fuzz below: well-formed objects and virtual objects, the
+# same shapes with wrong keys and values mixed in, arbitrary text after an
+# opening brace, and deep nesting.  Each starts with "{", so none is read as
+# a file path.
+_ELEMENT = st.integers(-2, MAX_ELEMENT + 2) | st.booleans() | st.floats() | st.text(max_size=2)
+_SET = st.builds(
+    lambda key, elements: {key: elements},
+    st.sampled_from(["fin", "cofin"]),
+    st.lists(st.integers(0, 5), max_size=4) | st.lists(_ELEMENT, max_size=3),
+)
+_OBJ = st.fixed_dictionaries({"members": st.lists(_SET, max_size=4)})
+_FIELDS = {"wc": "xy", "utilde": "", "uprod": "x", "exp": "bc", "exp_slice": "abc", "wexp": "abc"}
+_VOBJ = st.sampled_from(sorted(_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"vkind": st.just(kind), **{f: _OBJ for f in _FIELDS[kind]}},
+        optional={"zzz": st.integers()},
+    )
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _OBJ,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["members", "fin", "cofin", "vkind", "x"]) | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=12,
+)
+_LITERALS = st.one_of(
+    _OBJ.map(json.dumps),
+    _VOBJ.map(json.dumps),
+    st.dictionaries(st.text(max_size=8), _JSON, max_size=3).map(json.dumps),
+    st.text(max_size=40).map(lambda t: "{" + t),
+    st.integers(1, 5_000).map(lambda d: '{"members":' + "[" * d + "]" * d + "}"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LITERALS)
+def test_load_input_fuzz(text):
+    try:
+        loaded = load_input(text)
+    except ValueError:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["decide", "--from", text, "--to", INITIAL_LIT])
+        assert code in (2, 3, 4) and err.getvalue().startswith("error: ")
+        return
+    assert load_input(json.dumps(loaded.to_json_dict())) == loaded
 
 
 # -- decide -----------------------------------------------------------------------
@@ -266,6 +330,14 @@ def test_axioms_subset_and_human_format(capsys):
 
 def test_axioms_unknown_check_exits_2(capsys):
     assert run("axioms", "--checks", "NOPE") == 2
+
+
+@pytest.mark.parametrize("verb", ["axioms", "claims"])
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_an_empty_check_selection_exits_2(capsys, verb, checks):
+    assert run(verb, "--checks", checks) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no checks selected" in captured.err
 
 
 def test_axioms_literal_star_diagnostic_fails(capsys):

@@ -3,15 +3,16 @@
 Enumeration counts are pinned and cross-checked against an independent
 antichain enumerator; sampling is checked for determinism; every axiom and
 claim check must pass on the exhaustive and a seeded cofinite universe;
-premise-first axiom checks must report exactly what a scan of every tuple
-reports, also under deliberately weakened deciders; and the opt-in literal
-star template must produce real, replayable counterexamples to isomorphism
-invariance.
+both suites, exhaustive (premise-first or not) and sampled, must report
+exactly what a hand-built scan of every tuple reports, also under
+deliberately weakened deciders; and the opt-in literal star template must
+produce real, replayable counterexamples to isomorphism invariance.
 """
 
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -30,7 +31,6 @@ from famcat.harness import (
     iso_presentations,
     run_axioms,
     run_claims,
-    sample_objects,
     shrink_tuple,
     universe_objects,
 )
@@ -138,24 +138,24 @@ def test_exhaustive_guards():
         Universe(window=3, samples=MAX_SAMPLES + 1)
     assert Universe(window=3, samples=MAX_SAMPLES).samples == MAX_SAMPLES
     # sampled universes take any window and cofinite members
-    assert len(sample_objects(Universe(window=5, include_cofinite=True, samples=7))) == 7
+    assert len(universe_objects(Universe(window=5, include_cofinite=True, samples=7))) == 7
 
 
 # -- sampling --------------------------------------------------------------------
 
 
 def test_sampling_is_deterministic_per_seed():
-    a = sample_objects(SAMPLED)
-    b = sample_objects(SAMPLED)
+    a = universe_objects(SAMPLED)
+    b = universe_objects(SAMPLED)
     assert a == b
-    other = sample_objects(Universe(window=3, include_cofinite=True, samples=200, seed=7))
+    other = universe_objects(Universe(window=3, include_cofinite=True, samples=200, seed=7))
     assert a != other
 
 
 def test_sampling_respects_the_flags():
-    finite_only = sample_objects(Universe(window=3, samples=150, seed=1))
+    finite_only = universe_objects(Universe(window=3, samples=150, seed=1))
     assert not any(m.cofinite for o in finite_only for m in o)
-    with_cofinite = sample_objects(
+    with_cofinite = universe_objects(
         Universe(window=3, include_cofinite=True, samples=150, seed=1)
     )
     assert any(m.cofinite for o in with_cofinite for m in o)
@@ -164,7 +164,9 @@ def test_sampling_respects_the_flags():
 
 def test_universe_objects_dispatches_on_mode():
     assert universe_objects(W2) == enumerate_objects(W2)
-    assert universe_objects(SAMPLED) == sample_objects(SAMPLED)
+    rng = random.Random(SAMPLED.seed)
+    drawn = [harness._draw_object(rng, SAMPLED) for _ in range(SAMPLED.samples)]
+    assert universe_objects(SAMPLED) == drawn
 
 
 def test_instance_tuples_counts():
@@ -192,34 +194,61 @@ def test_claim_passes_exhaustively_and_sampled(name):
     assert check_claim(name, SAMPLED).passed
 
 
-# -- premise-first enumeration against a brute-force oracle -------------------------
+# -- the suite runner against a brute-force oracle ------------------------------------
 
 
-def brute_force_axioms(u, names, literal_star=False):
-    """Every ``itertools.product`` tuple through each predicate; the first
-    violations recorded, each shrunk, as ``run_axioms`` promises."""
-    objs = enumerate_objects(u)
+def replayed_tuples(u, arity):
+    """The tuples a check sees, built by hand: every ``itertools.product``
+    tuple of the enumerated objects, or ``samples`` tuples of ``arity``
+    consecutive draws from a fresh ``random.Random(seed)``."""
+    if u.is_exhaustive:
+        yield from itertools.product(enumerate_objects(u), repeat=arity)
+        return
+    rng = random.Random(u.seed)
+    for _ in range(u.samples):
+        yield tuple(harness._draw_object(rng, u) for _ in range(arity))
+
+
+def brute_force(u, suite, names, literal_star=False):
+    """Every tuple through each predicate, counted; the first violations
+    recorded, each shrunk, as the suite runner promises."""
+    table = harness._CLAIMS if suite == "claims" else harness._AXIOMS
     out = []
     for name in names:
-        arity, pred, _ = harness._axiom(name, literal_star)
-        found = []
-        for tup in itertools.product(objs, repeat=arity):
+        arity, pred, _ = table[name]
+        if literal_star and name == "ISO_INVARIANCE":
+            pred = harness._pred_iso_literal_star
+        instances, found = 0, []
+        for tup in replayed_tuples(u, arity):
+            instances += 1
             detail = pred(tup)
-            if detail is not None:
+            if detail is not None and len(found) < MAX_RECORDED_VIOLATIONS:
                 small = shrink_tuple(tup, pred)
                 found.append((small, pred(small) or detail))
-                if len(found) == MAX_RECORDED_VIOLATIONS:
-                    break
-        out.append((name, len(objs) ** arity, found))
+        out.append((name, instances, found))
     return out
 
 
-def harness_axioms(u, names, literal_star=False):
-    report = run_axioms(u, names, literal_star=literal_star)
+def harness_suite(u, suite, names, literal_star=False):
+    if suite == "claims":
+        report = run_claims(u, names)
+    else:
+        report = run_axioms(u, names, literal_star=literal_star)
     return [
         (c.name, c.instances, [(v.objects, v.detail) for v in c.violations])
         for c in report.checks
     ]
+
+
+def assert_matches_brute_force(universe, suite, names, literal_star=False):
+    got = harness_suite(universe, suite, names, literal_star)
+    assert got == brute_force(universe, suite, names, literal_star)
+    violations = {name: len(found) for name, _, found in got}
+    if "ISO_INVARIANCE" in names:
+        assert bool(violations["ISO_INVARIANCE"]) == literal_star
+    if literal_star:
+        assert not violations["RETRACT_CLOSURE"]
+    return violations
 
 
 @pytest.mark.parametrize(
@@ -233,10 +262,28 @@ def harness_axioms(u, names, literal_star=False):
     ids=["W2", "W3", "C2", "C2-literal-star"],
 )
 def test_premise_first_checks_match_brute_force(universe, literal_star, names):
-    got = harness_axioms(universe, names, literal_star)
-    assert got == brute_force_axioms(universe, names, literal_star)
-    violations = {name: len(found) for name, _, found in got}
+    violations = assert_matches_brute_force(universe, "axioms", names, literal_star)
     assert violations["ISO_INVARIANCE"] == (MAX_RECORDED_VIOLATIONS if literal_star else 0)
+
+
+# WEXP_REPRESENTABILITY on W3 is 130,321 quadruples (about 23 s); W2 and the
+# sampled universe cover it.
+W3_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "WEXP_REPRESENTABILITY")
+
+
+@pytest.mark.parametrize(
+    "universe, suite, literal_star, names",
+    [
+        (SAMPLED, "axioms", False, AXIOM_NAMES),
+        (SAMPLED, "axioms", True, ("RETRACT_CLOSURE", "ISO_INVARIANCE")),
+        (W2, "claims", False, CLAIM_NAMES),
+        (W3, "claims", False, W3_CLAIMS),
+        (SAMPLED, "claims", False, CLAIM_NAMES),
+    ],
+    ids=["sampled", "sampled-literal-star", "W2-claims", "W3-claims", "sampled-claims"],
+)
+def test_suite_runner_matches_brute_force(universe, suite, literal_star, names):
+    assert_matches_brute_force(universe, suite, names, literal_star)
 
 
 def _small_source(fact):
@@ -291,9 +338,26 @@ def test_premise_first_checks_match_brute_force_on_weakened_deciders(
     deciders, broken = WEAKENED[patch]
     for attr, fake in deciders.items():
         monkeypatch.setattr(harness, attr, fake)
-    got = harness_axioms(universe, AXIOM_NAMES)
-    assert got == brute_force_axioms(universe, AXIOM_NAMES)
+    got = harness_suite(universe, "axioms", AXIOM_NAMES)
+    assert got == brute_force(universe, "axioms", AXIOM_NAMES)
     assert {name for name, _, found in got if found} == broken
+
+
+def test_sampled_suites_match_brute_force_on_a_weakened_decider(monkeypatch):
+    deciders, broken = WEAKENED["w-small-target"]
+    for attr, fake in deciders.items():
+        monkeypatch.setattr(harness, attr, fake)
+    got = {}
+    for suite, names in (("axioms", AXIOM_NAMES), ("claims", CLAIM_NAMES)):
+        checks = harness_suite(SAMPLED, suite, names)
+        assert checks == brute_force(SAMPLED, suite, names)
+        got.update({name: found for name, _, found in checks})
+    assert {name for name, found in got.items() if found} == broken | {
+        "CLAIM5",
+        "WEXP_REPRESENTABILITY",
+    }
+    # the claims stream holds more violations than are recorded
+    assert len(got["CLAIM5"]) == MAX_RECORDED_VIOLATIONS
 
 
 def test_unknown_check_names_are_rejected():
@@ -301,6 +365,24 @@ def test_unknown_check_names_are_rejected():
         check_axiom("NOT_A_CHECK", W2)
     with pytest.raises(ValueError):
         check_claim("M1_LIFTING", W2)  # axiom name, not a claim
+
+
+def test_names_are_checked_before_any_work(monkeypatch):
+    def no_work(u):
+        raise AssertionError("enumerated before the names were checked")
+
+    monkeypatch.setattr(harness, "enumerate_objects", no_work)
+    with pytest.raises(ValueError, match="unknown check 'NOPE'"):
+        run_axioms(W2, ["M1_LIFTING", "NOPE"])
+    with pytest.raises(ValueError, match="unknown check 'M1_LIFTING'"):
+        run_claims(W2, ["CLAIM5", "M1_LIFTING"])
+
+
+def test_an_empty_selection_is_rejected():
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_axioms(W2, [])
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_claims(SAMPLED, ())
 
 
 def test_check_result_counts_instances():
