@@ -9,9 +9,12 @@ minimized, replayable counterexamples; a :class:`Report` bundles a suite.
 Axioms and claims share one runner.  An exhaustive universe is enumerated
 once per call, and a check with a premise decides the arrow, w and f facts
 of each pair once and runs its predicate only on the tuples its premise
-admits.  A sampled check streams its tuples from its own seeded draw, so no
-sample is held in memory.  Identical universe and seed always produce the
-identical report, and the machine serialization is byte-stable.
+admits.  A sampled universe is drawn once per call, as one seeded stream
+held as indices into its distinct objects, and each check decides a tuple
+it meets again once; a draw with too many distinct objects to hold is
+drawn afresh by each check instead.  Identical universe and seed always
+produce the identical report, and the machine serialization is
+byte-stable.
 
 Checks are pure and independent, so they are safe to run concurrently;
 the built-in runner is sequential to keep reports trivially reproducible.
@@ -24,6 +27,7 @@ import itertools
 import json
 import random
 import time
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -49,6 +53,13 @@ MAX_RECORDED_VIOLATIONS = 25
 # A sampled universe draws this many tuples per check at most; the largest
 # pinned scale (the acceptance gate's) draws 10,000.
 MAX_SAMPLES = 1_000_000
+# A suite call on a sampled universe holds its draw of width x samples
+# objects (width the largest picked arity, 4 at most) as two bytes per draw,
+# indexing at most MAX_HELD distinct objects; a draw with more is dropped
+# and each check draws its own stream instead.  Each check remembers the
+# verdicts of its MAX_HELD most recent distinct tuples.  So a call holds at
+# most about 8 x samples bytes plus a few MiB, at any window.
+MAX_HELD = 4096
 
 
 class SizeGuardError(ValueError):
@@ -228,7 +239,7 @@ class Report:
             tag = "PASS" if c.passed else "FAIL"
             lines.append(
                 f"[{tag}] {c.name}: {c.instances} instances,"
-                f" {len(c.violations)} violations"
+                f" {len(c.violations)} violations, {c.elapsed:.3f}s"
             )
             for v in c.violations[:3]:
                 objs = "; ".join(str(o) for o in v.objects)
@@ -567,18 +578,35 @@ AXIOM_NAMES: tuple[str, ...] = tuple(_AXIOMS)
 CLAIM_NAMES: tuple[str, ...] = tuple(_CLAIMS)
 
 
+def _violation(pred: Predicate, tup: tuple[Obj, ...]) -> Violation | None:
+    """The shrunk violation of ``pred`` on ``tup``, or ``None``."""
+    detail = pred(tup)
+    if detail is None:
+        return None
+    small = shrink_tuple(tup, pred)
+    return Violation(objects=small, detail=pred(small) or detail)
+
+
 def _run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None) -> Report:
     """Run the named checks of ``table`` (all by default) in order.
 
-    The names are checked before any work.  An exhaustive universe is
-    enumerated once; a check runs its predicate on the tuples its premise
-    admits, or on every tuple, and ``instances`` counts every tuple of the
-    universe, since the others cannot violate it.  The relation tables are
-    built by the first check with a premise, which is charged their time.
-    A sampled check streams its own seeded draw.  Each check records its
-    first ``MAX_RECORDED_VIOLATIONS`` violations, shrunk, and stops there.
-    Each distinct predicate runs once; a check that shares it reports the
-    same result under its own name, with no time charged to it.
+    The names are checked before any work.  Tuples are read as indices into
+    one per-call list ``objs``.  An exhaustive universe is enumerated into
+    it once; a check runs its predicate on the tuples its premise admits,
+    or on every tuple, and ``instances`` counts every tuple of the universe,
+    since the others cannot violate it.  The relation tables are built by
+    the first check with a premise, which is charged their time.  A sampled
+    universe is drawn once, by the first check, which is charged the draw:
+    ``instance_tuples`` at the largest picked arity, its distinct objects
+    interned into ``objs`` and the stream kept as their indices.  An arity-k
+    check reads the first ``k * samples`` draws in chunks of k, which are
+    the tuples ``instance_tuples(u, k)`` yields, and a tuple it meets again
+    while remembered is not decided or shrunk again, but still recorded at
+    every occurrence.  A draw with more than ``MAX_HELD`` distinct objects
+    is not held: each check then streams ``instance_tuples`` itself.
+    Each check records its first ``MAX_RECORDED_VIOLATIONS`` violations and
+    stops there.  Each distinct predicate runs once; a check that shares it
+    reports the same result under its own name, with no time charged to it.
     """
     picked = tuple(table) if names is None else tuple(names)
     if not picked:
@@ -588,6 +616,23 @@ def _run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(table)}")
     objs = enumerate_objects(u) if u.is_exhaustive else []
     relations = functools.cache(lambda: _relations(objs))
+
+    def at(index: tuple[int, ...]) -> tuple[Obj, ...]:
+        return tuple(objs[i] for i in index)
+
+    @functools.cache
+    def draws() -> array[int] | None:
+        width = max(table[name][0] for name in picked)
+        seen: dict[Obj, int] = {}
+        stream = array("H")
+        for ob in itertools.chain.from_iterable(instance_tuples(u, width)):
+            i = seen.setdefault(ob, len(seen))
+            if i == MAX_HELD:
+                return None
+            stream.append(i)
+        objs.extend(seen)
+        return stream
+
     done: dict[Predicate, CheckResult] = {}
     checks = []
     for name in picked:
@@ -596,19 +641,24 @@ def _run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None
             checks.append(replace(done[pred], name=name, elapsed=0.0))
             continue
         start = time.perf_counter()
-        if not u.is_exhaustive:
-            tuples, instances = instance_tuples(u, arity), u.samples
-        else:
+        decide = functools.partial(_violation, pred)
+        if u.is_exhaustive:
             every = itertools.product(range(len(objs)), repeat=arity)
             index = premise(*relations()) if premise else every
-            tuples = (tuple(objs[i] for i in t) for t in index)
+            found = map(decide, map(at, index))
             instances = len(objs) ** arity
+        elif (stream := draws()) is None:  # too many distinct objects to hold
+            found = map(decide, instance_tuples(u, arity))
+            instances = u.samples
+        else:
+            # a sampled stream repeats its tuples; exhaustive ones are distinct
+            memo = functools.lru_cache(MAX_HELD)(lambda t: decide(at(t)))
+            found = map(memo, zip(*[itertools.islice(stream, arity * u.samples)] * arity))
+            instances = u.samples
         violations: list[Violation] = []
-        for tup in tuples:
-            detail = pred(tup)
-            if detail is not None:
-                small = shrink_tuple(tup, pred)
-                violations.append(Violation(objects=small, detail=pred(small) or detail))
+        for v in found:
+            if v is not None:
+                violations.append(v)
                 if len(violations) == MAX_RECORDED_VIOLATIONS:
                     break
         elapsed = time.perf_counter() - start

@@ -25,6 +25,7 @@ raise :class:`UndecidedPairError` rather than guessing.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -318,6 +319,7 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
 
     fib_ok = True
     instances = 0
+    covers = functools.cache(functools.partial(wc_covers, v))  # witnesses repeat
     for xm, b0, u in generators:
         for ym, subs in bounds:
             for b in subs:
@@ -326,7 +328,7 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
                 witness = xm | ((b0 & ym) | b)
                 # wc_covers is downward closed: need inside a covered witness
                 # is covered too, so it is not asked separately
-                if not need.is_subset(witness) or not wc_covers(v, witness):
+                if not need.is_subset(witness) or not covers(witness):
                     fib_ok = False
     return FactorizationCheck(
         x=x,

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -326,6 +327,21 @@ def test_axioms_subset_and_human_format(capsys):
     assert run("axioms", "--checks", "M5_TWO_OF_THREE,M1_LIFTING") == 0
     text = capsys.readouterr().out
     assert "[PASS] M5_TWO_OF_THREE" in text and "result: PASS" in text
+
+
+@pytest.mark.parametrize("verb", ["axioms", "claims"])
+def test_timings_show_only_in_human_output(tmp_path, capsys, verb):
+    universe = ("--window", "3", "--cofinite", "--samples", "50")
+    out = tmp_path / "report.json"
+    assert run(verb, *universe, "--format", "machine", "--out", str(out)) == 0
+    machine = capsys.readouterr().out
+    assert out.read_text() == machine
+    assert "elapsed" not in machine
+    assert run(verb, *universe, "--format", "machine") == 0
+    assert capsys.readouterr().out == machine
+    assert run(verb, *universe) == 0
+    checks = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+    assert checks and all(re.search(r" violations, \d+\.\d{3}s$", ln) for ln in checks)
 
 
 def test_axioms_unknown_check_exits_2(capsys):

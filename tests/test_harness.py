@@ -5,8 +5,10 @@ antichain enumerator; sampling is checked for determinism; every axiom and
 claim check must pass on the exhaustive and a seeded cofinite universe;
 both suites, exhaustive (premise-first or not) and sampled, must report
 exactly what a hand-built scan of every tuple reports, also under
-deliberately weakened deciders; and the opt-in literal star template must
-produce real, replayable counterexamples to isomorphism invariance.
+deliberately weakened deciders; a sampled suite call decides each distinct
+tuple once and keeps nothing for the next call; and the opt-in literal star
+template must produce real, replayable counterexamples to isomorphism
+invariance.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from famcat import harness
 from famcat.harness import (
     AXIOM_NAMES,
     CLAIM_NAMES,
+    MAX_HELD,
     MAX_RECORDED_VIOLATIONS,
     MAX_SAMPLES,
     SizeGuardError,
@@ -275,14 +278,28 @@ W3_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "WEXP_REPRESENTABILITY")
     "universe, suite, literal_star, names",
     [
         (SAMPLED, "axioms", False, AXIOM_NAMES),
+        (SAMPLED, "axioms", False, ("M2_FACTOR_C_WF",)),
+        (SAMPLED, "axioms", False, ("M1_LIFTING",)),
+        (SAMPLED, "axioms", False, ("M5_TWO_OF_THREE", "M2_FACTOR_WC_F")),
         (SAMPLED, "axioms", True, ("RETRACT_CLOSURE", "ISO_INVARIANCE")),
         (W2, "claims", False, CLAIM_NAMES),
         (W3, "claims", False, W3_CLAIMS),
         (SAMPLED, "claims", False, CLAIM_NAMES),
     ],
-    ids=["sampled", "sampled-literal-star", "W2-claims", "W3-claims", "sampled-claims"],
+    ids=[
+        "sampled",
+        "sampled-width-2",
+        "sampled-width-4",
+        "sampled-widths-3-2",
+        "sampled-literal-star",
+        "W2-claims",
+        "W3-claims",
+        "sampled-claims",
+    ],
 )
 def test_suite_runner_matches_brute_force(universe, suite, literal_star, names):
+    # a sampled suite draws once at its widest picked arity; each check must
+    # still see the tuples of its own fresh per-check draw
     assert_matches_brute_force(universe, suite, names, literal_star)
 
 
@@ -358,6 +375,85 @@ def test_sampled_suites_match_brute_force_on_a_weakened_decider(monkeypatch):
     }
     # the claims stream holds more violations than are recorded
     assert len(got["CLAIM5"]) == MAX_RECORDED_VIOLATIONS
+
+
+def test_a_repeated_violating_tuple_is_recorded_at_each_occurrence(monkeypatch):
+    u = Universe(window=1, include_cofinite=True, samples=300, seed=5)
+    names = ("M2_FACTOR_C_WF", "M5_TWO_OF_THREE", "COBASE_CHANGE_WC")
+    deciders, _ = WEAKENED["w-small-target"]
+    for attr, fake in deciders.items():
+        monkeypatch.setattr(harness, attr, fake)
+    shrunk = []
+    monkeypatch.setattr(
+        harness, "shrink_tuple", lambda t, pred: shrunk.append(t) or shrink_tuple(t, pred)
+    )
+    got = harness_suite(u, "axioms", names)
+    assert got == brute_force(u, "axioms", names)
+    recorded = []
+    for name in names:
+        arity, pred, _ = harness._AXIOMS[name]
+        firing = [t for t in replayed_tuples(u, arity) if pred(t) is not None]
+        recorded.append(firing[:MAX_RECORDED_VIOLATIONS])
+    # recorded at each occurrence, shrunk once per distinct tuple and check
+    assert [(len(r), len(set(r))) for r in recorded] == [(19, 4), (2, 2), (10, 5)]
+    assert sorted(map(str, shrunk)) == sorted(str(t) for r in recorded for t in set(r))
+
+
+def test_each_distinct_sampled_tuple_is_decided_once_per_call(monkeypatch):
+    calls = {}
+
+    def counted(name, pred):
+        def run(t):
+            calls[name] = calls.get(name, 0) + 1
+            return pred(t)
+
+        return run
+
+    wrapped, distinct = {}, {}
+    for name, (arity, pred, premise) in harness._AXIOMS.items():
+        if pred not in wrapped:
+            wrapped[pred] = counted(name, pred)
+            distinct[name] = len(set(replayed_tuples(SAMPLED, arity)))
+        monkeypatch.setitem(harness._AXIOMS, name, (arity, wrapped[pred], premise))
+    first = run_axioms(SAMPLED)
+    per_call = dict(calls)
+    calls.clear()
+    second = run_axioms(SAMPLED)
+    # no cache outlives a call, and within one each distinct tuple is decided once
+    assert calls == per_call == distinct
+    assert first.machine_json() == second.machine_json()
+    assert sum(per_call.values()) < SAMPLED.samples * len(per_call)
+
+
+@pytest.mark.parametrize(
+    "universe, held",
+    [(SAMPLED, 8), (Universe(window=2, include_cofinite=True, samples=300, seed=7), 40)],
+    ids=["more-objects-than-held", "more-tuples-than-held"],
+)
+def test_sampled_suites_past_max_held_match_brute_force(monkeypatch, universe, held):
+    # past MAX_HELD distinct objects each check draws its own stream; past
+    # MAX_HELD distinct tuples a check forgets some and decides them again
+    monkeypatch.setattr(harness, "MAX_HELD", held)
+    deciders, broken = WEAKENED["w-small-target"]
+    for attr, fake in deciders.items():
+        monkeypatch.setattr(harness, attr, fake)
+    got = harness_suite(universe, "axioms", AXIOM_NAMES)
+    assert got == brute_force(universe, "axioms", AXIOM_NAMES)
+    assert {name for name, _, found in got if found} == broken
+
+
+def test_a_draw_with_no_repeats_is_not_held(monkeypatch):
+    # at window 16 nearly every draw is new: 4 x 1100 draws pass MAX_HELD
+    u = Universe(window=16, include_cofinite=True, samples=1100, seed=3)
+    assert len(set(universe_objects(dataclasses.replace(u, samples=4400)))) > MAX_HELD
+    names = ("M1_LIFTING", "RETRACT_CLOSURE")
+    expected = brute_force(u, "axioms", names)
+    draws = []
+    draw = harness._draw_object
+    monkeypatch.setattr(harness, "_draw_object", lambda rng, u: draws.append(1) or draw(rng, u))
+    assert harness_suite(u, "axioms", names) == expected
+    # the dropped shared draw stops one past MAX_HELD; then each check draws its own
+    assert len(draws) > MAX_HELD + 4 * 1100 + 2 * 1100
 
 
 def test_unknown_check_names_are_rejected():

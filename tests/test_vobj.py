@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from famcat import vobj
 from famcat.harness import Universe, enumerate_objects
 from famcat.kernel import (
     INITIAL,
@@ -25,9 +26,11 @@ from famcat.kernel import (
 )
 from famcat.nset import EMPTY, FULL, NSet
 from famcat.vobj import (
+    FactorizationCheck,
     UndecidedPairError,
     VKind,
     VObj,
+    _finite_subsets,
     arrow_from_vobj,
     arrow_into_vobj,
     check_factorization,
@@ -447,6 +450,57 @@ def test_wc_covers_is_downward_closed():
                 covered += 1
                 assert wc_covers(v, s), (x, y, s, t)
     assert (len(C2), len(pairs), covered) == (19, 81, 18801)
+
+
+def _factorization_per_instance(x, y):
+    """check_factorization with wc_covers asked afresh at every instance,
+    and the distinct witnesses it asks about."""
+    v = VObj.wc(x, y)
+    margin = 2 + max((e for m in x.members + y.members for e in m.support), default=0)
+    bounds = [(ym, _finite_subsets(ym, margin)) for ym in y]
+    generators = [(xm, b0, xm | b0) for xm in x for _, subs in bounds for b0 in subs]
+    fib_ok, instances, witnesses = True, 0, set()
+    for xm, b0, u in generators:
+        for ym, subs in bounds:
+            for b in subs:
+                instances += 1
+                need = (u & ym) | b
+                witness = xm | ((b0 & ym) | b)
+                if need.is_subset(witness):
+                    witnesses.add(witness)
+                    fib_ok = wc_covers(v, witness) and fib_ok
+                else:
+                    fib_ok = False
+    fc = FactorizationCheck(
+        x=x,
+        y=y,
+        arrow_into_middle=all(wc_covers(v, m) for m in x),
+        star_back_to_source=star_arrow([u for _, _, u in generators], x),
+        fibration_instances_ok=fib_ok,
+        instances=instances,
+    )
+    return fc, witnesses
+
+
+def test_factorization_decides_each_witness_once(monkeypatch):
+    asked = []
+
+    def counted(v, s):
+        asked.append(s)
+        return wc_covers(v, s)
+
+    pairs = [(x, y) for x, y in itertools.product(C2, repeat=2) if arrow_exists(x, y)]
+    repeated = 0
+    for x, y in pairs:
+        expected, witnesses = _factorization_per_instance(x, y)
+        asked.clear()
+        monkeypatch.setattr(vobj, "wc_covers", counted)
+        assert check_factorization(x, y) == expected, (x, y)
+        monkeypatch.undo()
+        # the members of x, then each distinct witness once
+        assert len(asked) <= len(x.members) + len(witnesses), (x, y)
+        repeated += expected.instances > len(witnesses)
+    assert (len(pairs), repeated) == (148, 147)
 
 
 def test_factorization_check_serializes_with_the_middle():
