@@ -6,15 +6,15 @@ optional cofinite members.  Each named check runs a predicate over all (or
 sampled) tuples from that supply and returns a :class:`CheckResult` with
 minimized, replayable counterexamples; a :class:`Report` bundles a suite.
 
-Axioms and claims share one runner.  An exhaustive universe is enumerated
-once per call, and a check with a premise decides the arrow, w and f facts
-of each pair once and runs its predicate only on the tuples its premise
-admits.  A sampled universe is drawn once per call, as one seeded stream
-held as indices into its distinct objects, and each check decides a tuple
-it meets again once; a draw with too many distinct objects to hold is
-drawn afresh by each check instead.  Identical universe and seed always
-produce the identical report, and the machine serialization is
-byte-stable.
+Axioms, claims and the universal-fibration check of ``univalence`` share
+one runner, ``run_suite``.  An exhaustive universe is enumerated once per
+call, and a check with a premise decides the arrow, w and f facts of each
+pair once and runs its predicate only on the tuples its premise admits.  A
+sampled universe is drawn once per call, as one seeded stream held as
+indices into its distinct objects, and each check decides a tuple it meets
+again once; a draw with too many distinct objects to hold is drawn afresh
+by each check instead.  Identical universe and seed always produce the
+identical report, and the machine serialization is byte-stable.
 
 Checks are pure and independent, so they are safe to run concurrently;
 the built-in runner is sequential to keep reports trivially reproducible.
@@ -158,10 +158,7 @@ def _draw_object(rng: random.Random, u: Universe) -> Obj:
 
 def universe_objects(u: Universe) -> list[Obj]:
     """The enumerated objects, or the ``samples`` objects drawn from ``seed``."""
-    if u.is_exhaustive:
-        return enumerate_objects(u)
-    rng = random.Random(u.seed)
-    return [_draw_object(rng, u) for _ in range(u.samples)]
+    return [x for (x,) in instance_tuples(u, 1)]
 
 
 def instance_tuples(u: Universe, arity: int) -> Iterator[tuple[Obj, ...]]:
@@ -587,7 +584,7 @@ def _violation(pred: Predicate, tup: tuple[Obj, ...]) -> Violation | None:
     return Violation(objects=small, detail=pred(small) or detail)
 
 
-def _run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None) -> Report:
+def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None) -> Report:
     """Run the named checks of ``table`` (all by default) in order.
 
     The names are checked before any work.  Tuples are read as indices into
@@ -688,9 +685,9 @@ def run_axioms(
     ``literal_star`` switches ISO_INVARIANCE to the target-minus-source
     star template.
     """
-    return _run_suite(u, {**_AXIOMS, **_LITERAL_STAR} if literal_star else _AXIOMS, names)
+    return run_suite(u, {**_AXIOMS, **_LITERAL_STAR} if literal_star else _AXIOMS, names)
 
 
 def run_claims(u: Universe, names: Sequence[str] | None = None) -> Report:
     """Run the named claim checks (all by default) in order."""
-    return _run_suite(u, _CLAIMS, names)
+    return run_suite(u, _CLAIMS, names)

@@ -12,6 +12,7 @@ import famcat
 from famcat import harness, kernel, nset
 from famcat.kernel import GapWitness, Obj
 from famcat.nset import NSet
+from famcat.univalence import Fibration
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,6 +25,7 @@ REMOVED = {
     NSet: ("cardinality", "is_finite", "kind"),
     Obj: ("has_full",),
     GapWitness: ("to_json_dict",),
+    Fibration: ("to_json_dict",),
 }
 
 

@@ -246,6 +246,23 @@ def test_virtual_literals_with_unused_keys_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--x", UTILDE_LIT, "--y", A_LIT],
+        ["exp", "--b", UTILDE_LIT, "--c", A_LIT],
+        ["factorize", "--from", UTILDE_LIT, "--to", A_LIT],
+        ["psmall", "--total", UTILDE_LIT, "--base", A_LIT],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_virtual_literals_where_an_object_is_needed_exit_2(capsys, argv):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: this argument needs an explicit object")
+
+
 def test_closed_stdout_exits_141_quietly():
     env = dict(os.environ, PYTHONPATH=str(Path(famcat.__file__).parents[1]))
     proc = subprocess.Popen(

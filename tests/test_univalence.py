@@ -1,13 +1,18 @@
 """Fibrations, univalence certificates, and the two smallness notions.
 
 Certificates are checked step by step on pinned fibrations; smallness and
-p-smallness are compared against first-principles recomputation; and the
+p-smallness are compared against first-principles recomputation; the
+universal-fibration check must report what a hand replay of its universe
+reports, also under a deliberately weakened ``is_p_small``; and the
 universal-fibration facts are asserted through the virtual-object oracles.
 """
 
+import random
+
 import pytest
 
-from famcat.harness import Universe, enumerate_objects
+from famcat import harness, univalence
+from famcat.harness import MAX_RECORDED_VIOLATIONS, Universe, enumerate_objects, shrink_tuple
 from famcat.kernel import INITIAL, TERMINAL, Obj, is_iso, label_w, product
 from famcat.nset import NSet
 from famcat.univalence import (
@@ -52,14 +57,6 @@ def test_verified_accepts_identities_and_rejects_non_fibrations():
     with pytest.raises(ValueError):
         Fibration.verified(B, A)  # no arrow at all
     assert not Fibration(A, B).is_fibration()
-
-
-def test_fibration_json():
-    q = Fibration(C, C)
-    assert q.to_json_dict() == {
-        "total": C.to_json_dict(),
-        "base": C.to_json_dict(),
-    }
 
 
 # -- univalence certificates ----------------------------------------------------
@@ -161,6 +158,59 @@ def test_verify_universal_exhaustive_and_sampled():
     assert r.passed and r.instances == 5 and r.name == "UNIVERSAL_FIBRATION"
     r = verify_universal(Universe(window=3, include_cofinite=True, samples=300, seed=42))
     assert r.passed and r.instances == 300
+
+
+def _p_small_without_wide_finite_members(q):
+    # wrong on purpose: a finite member of two or more elements breaks it
+    wide = any(len(m.support) >= 2 for m in q.total if not m.cofinite)
+    return is_p_small(q) and not wide
+
+
+def replayed_objects(u):
+    """The universe's objects built by hand: the enumeration, or ``samples``
+    draws from a fresh ``random.Random(seed)``."""
+    if u.is_exhaustive:
+        return enumerate_objects(u)
+    rng = random.Random(u.seed)
+    return [harness._draw_object(rng, u) for _ in range(u.samples)]
+
+
+@pytest.mark.parametrize(
+    "u, firing, distinct",
+    [
+        (Universe(window=2), 1, 1),
+        (Universe(window=3, include_cofinite=True, samples=300, seed=42), 121, 11),
+    ],
+    ids=["W2", "sampled"],
+)
+def test_verify_universal_matches_a_hand_replay_on_a_weakened_decider(
+    monkeypatch, u, firing, distinct
+):
+    monkeypatch.setattr(univalence, "is_p_small", _p_small_without_wide_finite_members)
+    pred = univalence._pred_universal
+    stream = replayed_objects(u)
+    at = [i for i, x in enumerate(stream) if pred((x,)) is not None]
+    fires = [stream[i] for i in at]
+    assert (len(fires), len(set(fires))) == (firing, distinct)
+    recorded = fires[:MAX_RECORDED_VIOLATIONS]
+    expected = []
+    for x in recorded:
+        (small,) = shrink_tuple((x,), pred)
+        expected.append(((small,), pred((small,))))
+    # the run stops at its last recorded violation
+    full = len(at) >= MAX_RECORDED_VIOLATIONS
+    read = stream[: at[MAX_RECORDED_VIOLATIONS - 1] + 1] if full else stream
+    decided, shrunk = [], []
+    violation, shrink = harness._violation, harness.shrink_tuple
+    monkeypatch.setattr(harness, "_violation", lambda p, t: decided.append(t) or violation(p, t))
+    monkeypatch.setattr(harness, "shrink_tuple", lambda t, p: shrunk.append(t) or shrink(t, p))
+    r = verify_universal(u)
+    assert (r.name, r.instances, r.passed) == ("UNIVERSAL_FIBRATION", len(stream), False)
+    # recorded at every occurrence, in stream order, shrunk to a 1-tuple
+    assert [(v.objects, v.detail) for v in r.violations] == expected
+    # each distinct object decided once, and each distinct firing one shrunk once
+    assert decided == [(x,) for x in dict.fromkeys(read)]
+    assert shrunk == [(x,) for x in dict.fromkeys(recorded)]
 
 
 def test_small_iff_p_small_pointwise_on_the_small_universe():

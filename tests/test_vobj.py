@@ -503,6 +503,19 @@ def test_factorization_decides_each_witness_once(monkeypatch):
     assert (len(pairs), repeated) == (148, 147)
 
 
+def test_factorization_reports_a_failing_fibration_fact(monkeypatch):
+    # a middle that covers no set of two or more elements breaks only the
+    # fibration instances: the members of x and the star back are untouched
+    x, y = A, Obj.of(fin([0, 1, 2]))
+    assert check_factorization(x, y).ok
+    monkeypatch.setattr(
+        vobj, "wc_covers", lambda v, s: not s.cofinite and len(s.support) <= 1
+    )
+    fc = check_factorization(x, y)
+    assert fc.arrow_into_middle and fc.star_back_to_source
+    assert not fc.fibration_instances_ok and not fc.ok
+
+
 def test_factorization_check_serializes_with_the_middle():
     d = check_factorization(A, B).to_json_dict()
     assert d["wc"] == VObj.wc(A, B).to_json_dict()
