@@ -35,8 +35,38 @@ Family = Iterable[NSet]
 _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subsets b per member
 
 
-def _member_sort_key(m: NSet) -> tuple[bool, int, tuple[int, ...]]:
-    return (m.cofinite, m.mask.bit_count(), m.support)
+_LOW_BIT_FIRST = str.maketrans("01", "10")
+
+
+def _member_sort_key(m: NSet) -> tuple[bool, int, str]:
+    """Orders members as ``(cofinite, mask size, support)`` does, without the support.
+
+    Supports of one size first differ at an element of the earlier one.
+    Spelled least bit first, a set bit as ``0``, masks of one size are not
+    prefixes of each other, and they first differ at that same element.
+    """
+    mask = m.mask
+    return (m.cofinite, mask.bit_count(), bin(mask)[:1:-1].translate(_LOW_BIT_FIRST))
+
+
+def _superset_first_key(m: NSet) -> tuple[bool, int]:
+    """Cofinite first, then fewer holes or more elements: strict supersets first."""
+    size = m.mask.bit_count()
+    return (not m.cofinite, size if m.cofinite else -size)
+
+
+def maximal(members: Family) -> list[NSet]:
+    """The distinct members that no other member strictly contains, in no fixed order.
+
+    One pass in superset-first order keeps each set that no kept set
+    contains.  That keeps every maximal set and drops a repeat or a
+    dominated set, since a maximal superset of it comes first.
+    """
+    keep: list[NSet] = []
+    for m in sorted(members, key=_superset_first_key):
+        if not any(m.is_subset(k) for k in keep):
+            keep.append(m)
+    return keep
 
 
 @dataclass(frozen=True)
@@ -49,10 +79,13 @@ class Obj:
         ms = self.members
         if EMPTY not in ms:
             raise ValueError("a canonical family contains the empty set")
-        if ms != tuple(sorted(set(ms), key=_member_sort_key)):
+        # the key is injective, so strictly increasing keys mean sorted and duplicate-free
+        keys = [_member_sort_key(m) for m in ms]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("members must be sorted and duplicate-free")
-        for a, b in itertools.permutations(ms, 2):
-            if a != EMPTY and a.is_subset(b):
+        # EMPTY has the least key, so it is ms[0]
+        for a, b in itertools.permutations(ms[1:], 2):
+            if a.is_subset(b):
                 raise ValueError(f"{a} is dominated by {b}; family is not an antichain")
 
     @classmethod
@@ -88,9 +121,9 @@ def normalize(members: Family) -> Obj:
     non-empty; the empty input normalizes to the initial object ``{{}}``.
     """
     pool = set(members)
-    pool.add(EMPTY)
-    keep = {m for m in pool if not any(m != o and m.is_subset(o) for o in pool)}
-    keep.add(EMPTY)
+    pool.discard(EMPTY)
+    keep = maximal(pool)
+    keep.append(EMPTY)
     return Obj(tuple(sorted(keep, key=_member_sort_key)))
 
 
@@ -267,9 +300,24 @@ def label_verdict(
 
 
 def product(x: Family, y: Family) -> Obj:
-    """Binary product: pointwise intersections, normalized."""
-    ys = tuple(y)
-    return normalize(a & b for a in x for b in ys)
+    """Binary product: pointwise intersections, normalized.
+
+    The product of two comparable objects is the lesser one, returned
+    without building anything.  If ``x -> y``, each ``a`` in x lies in some
+    ``b`` in y, so ``a & b = a`` is among the intersections, and every
+    intersection lies in a member of x: the product is isomorphic to x.
+    Canonical objects that are isomorphic are equal, because their
+    non-empty members form an antichain, so the product is x itself.
+    """
+    if isinstance(x, Obj) and isinstance(y, Obj):
+        xs, ys = x.members, y.members
+        if arrow_exists(xs, ys):
+            return x
+        if arrow_exists(ys, xs):
+            return y
+    else:
+        xs, ys = x, tuple(y)
+    return normalize(a & b for a in xs for b in ys)
 
 
 def coproduct(x: Family, y: Family) -> Obj:

@@ -37,6 +37,7 @@ from .kernel import (
     arrow_exists,
     label_verdict,
     label_w,
+    maximal,
     normalize,
     product,
     star_arrow,
@@ -220,10 +221,6 @@ def arrow_from_vobj(v: VObj, t: Obj) -> bool:
 # -- exponentials ------------------------------------------------------------
 
 
-def _maximal(sets: set[NSet]) -> list[NSet]:
-    return [s for s in sets if not any(s != o and s.is_subset(o) for o in sets)]
-
-
 def exp_explicit(b: Obj, c: Obj) -> Obj:
     """The exponential of C by B as an explicit object.
 
@@ -233,10 +230,10 @@ def exp_explicit(b: Obj, c: Obj) -> Obj:
     dominated partial intersections are pruned at every step, which keeps
     the choice-function blowup collapsed.
     """
-    partials: set[NSet] = {FULL}
+    partials = [FULL]
     for m in b:
         terms = {t | ~m for t in c}
-        partials = set(_maximal({p & t for p in partials for t in terms}))
+        partials = maximal({p & t for p in partials for t in terms})
     return normalize(partials)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from famcat.harness import Universe, enumerate_objects, iso_presentations
+from famcat.harness import Universe, enumerate_objects, iso_presentations, universe_objects
 from famcat.kernel import (
     INITIAL,
     TERMINAL,
@@ -27,6 +27,7 @@ from famcat.kernel import (
     label_f,
     label_verdict,
     label_w,
+    maximal,
     normalize,
     product,
     star_arrow,
@@ -54,6 +55,42 @@ def test_normalize_adds_empty_and_prunes_dominated_members():
     assert normalize([fin([0]), fin([0])]) == A
 
 
+def quadratic_normalize(members) -> tuple[NSet, ...]:
+    """The all-pairs canonical form: every member against every other."""
+    pool = set(members)
+    pool.add(EMPTY)
+    keep = {m for m in pool if not any(m != o and m.is_subset(o) for o in pool)}
+    keep.add(EMPTY)
+    return tuple(sorted(keep, key=lambda m: (m.cofinite, m.mask.bit_count(), m.support)))
+
+
+def _member(elems: set[int], cofinite: bool) -> NSet:
+    return cofin(elems) if cofinite else fin(elems)
+
+
+# small supports make domination common; wide ones give masks of unequal lengths
+family_strategy = st.lists(
+    st.one_of(
+        st.just(EMPTY),
+        st.just(FULL),
+        st.builds(_member, st.sets(st.integers(0, 4), max_size=4), st.booleans()),
+        st.builds(_member, st.sets(st.integers(0, 300), max_size=3), st.booleans()),
+    ),
+    max_size=8,
+)
+
+
+@given(family_strategy, st.integers(0, 8))
+def test_normalize_matches_the_quadratic_filter(ms, repeat):
+    ms = ms + ms[:repeat]  # duplicates
+    canon = normalize(ms)
+    assert canon.members == quadratic_normalize(ms)
+    assert Obj(canon.members) == canon
+    kept, pool = maximal(ms), set(ms)
+    assert len(kept) == len(set(kept))
+    assert set(kept) == {m for m in pool if not any(m != o and m <= o for o in pool)}
+
+
 def test_normalize_keeps_mutual_arrows_with_the_input():
     fam = [fin([0, 1]), fin([1]), cofin([2])]
     canon = normalize(fam)
@@ -67,6 +104,15 @@ def test_obj_constructor_rejects_non_canonical_families():
         Obj((EMPTY, fin([0]), fin([0, 1])))  # dominated member
     with pytest.raises(ValueError):
         Obj((fin([0]), EMPTY))  # unsorted
+    with pytest.raises(ValueError):
+        Obj((EMPTY, fin([0]), fin([0])))  # repeated member
+    with pytest.raises(ValueError):
+        Obj((EMPTY, fin([1, 2]), fin([0, 3])))  # same size, supports out of order
+    with pytest.raises(ValueError):
+        Obj((EMPTY, cofin([0]), fin([0])))  # cofinite before finite
+    # the same members in canonical order are accepted
+    assert Obj((EMPTY, fin([0, 3]), fin([1, 2]))) == normalize([fin([1, 2]), fin([0, 3])])
+    assert Obj((EMPTY, fin([0]), cofin([0]))) == normalize([cofin([0]), fin([0])])
 
 
 def test_extreme_objects():
@@ -305,6 +351,21 @@ def test_product_examples():
     assert product(TERMINAL, C) == C
     assert product(INITIAL, B) == INITIAL
     assert product(NEAR_FULL, TERMINAL) == NEAR_FULL
+
+
+def test_product_closed_form_matches_the_construction():
+    universes = (
+        Universe(window=2, include_cofinite=True),
+        Universe(window=3),
+        Universe(window=3, include_cofinite=True, samples=400, seed=11),
+    )
+    for u in universes:
+        objs = list(dict.fromkeys(universe_objects(u)))  # distinct draws
+        for x, y in itertools.product(objs, repeat=2):
+            p = product(x, y)
+            assert p == normalize(a & b for a in x for b in y), (x, y)
+            if arrow_exists(x, y):
+                assert p is x, (x, y)
 
 
 def test_coproduct_examples():
