@@ -6,8 +6,9 @@ with a ``vkind`` key denotes a virtual object.  Exit status: 0 when all
 requested facts hold or checks pass, 1 when a verdict is false or a check
 fails, 2 on parse errors, 3 on an undecided virtual-object pair, 4 when a
 size guard rejects the request (an exhaustive ``--window`` past its limit, a
-``--window`` that would draw elements above ``MAX_ELEMENT``, or
-``--samples`` above ``MAX_SAMPLES``), and 141 (128 + SIGPIPE), with no
+``--window`` that would draw elements above ``MAX_ELEMENT``, ``--samples``
+above ``MAX_SAMPLES``, or an exponential with more than ``MAX_PARTIALS``
+partial intersections), and 141 (128 + SIGPIPE), with no
 message, when the reader of stdout goes away before the output is written.
 """
 

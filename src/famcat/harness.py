@@ -8,8 +8,11 @@ minimized, replayable counterexamples; a :class:`Report` bundles a suite.
 
 Axioms, claims and the universal-fibration check of ``univalence`` share
 one runner, ``run_suite``.  An exhaustive universe is enumerated once per
-call, and a check with a premise decides the arrow, w and f facts of each
-pair once and runs its predicate only on the tuples its premise admits.  A
+call, and a check with a premise decides the arrow, w and f facts and the
+product and coproduct of each pair once, and runs its predicate only on the
+tuples its premise admits.  A premise reads the facts its conclusion reads
+too: two-of-three the three w facts, base change the f fact of the
+product, cobase change the w fact into the coproduct.  A
 sampled universe is drawn once per call, as one seeded stream held as
 indices into its distinct objects, and each check decides a tuple it meets
 again once; a draw with too many distinct objects to hold is drawn afresh
@@ -34,6 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .kernel import (
     Family,
     Obj,
+    SizeGuardError,
     StarTemplate,
     arrow_exists,
     coproduct,
@@ -60,10 +64,6 @@ MAX_SAMPLES = 1_000_000
 # verdicts of its MAX_HELD most recent distinct tuples.  So a call holds at
 # most about 8 x samples bytes plus a few MiB, at any window.
 MAX_HELD = 4096
-
-
-class SizeGuardError(ValueError):
-    """A universe was asked for that is too large to enumerate or draw."""
 
 
 @dataclass(frozen=True)
@@ -283,26 +283,42 @@ def shrink_tuple(objs: tuple[Obj, ...], violates: Predicate) -> tuple[Obj, ...]:
 
 # -- relation tables and premises ----------------------------------------------
 
+# A premise takes the tables (A, W, F, P, C) of an enumerated universe and
+# yields the index tuples on which its predicate can fire, perhaps with some
+# on which it cannot, in the order of ``itertools.product``.  Each reads only
+# facts its predicate reads, the conclusion's among them; a tuple whose
+# product or coproduct is not enumerated is yielded.
+Rows = list[int]
+Table = list[list[int | None]]
+Relations = tuple[Rows, Rows, Rows, Table, Table]
+Premise = Callable[[Rows, Rows, Rows, Table, Table], Iterator[tuple[int, ...]]]
 
-def _relations(objs: Sequence[Obj]) -> tuple[list[int], ...]:
+
+def _relations(objs: Sequence[Obj]) -> Relations:
     """The pair facts of the enumerated objects ``objs``.
 
     The facts are three lists of int bitset rows, ``(A, W, F)``: bit ``j``
     of ``A[i]`` is set when ``arrow_exists(objs[i], objs[j])``, and ``W``
-    and ``F`` hold ``label_w`` and ``label_f`` the same way.  Each fact is
-    decided once.
+    and ``F`` hold ``label_w`` and ``label_f`` the same way.  Two index
+    tables follow, ``(P, C)``: ``P[i][j]`` is the index of
+    ``product(objs[i], objs[j])`` in ``objs``, or ``None`` when the product
+    is not enumerated, and ``C`` holds ``coproduct`` the same way.  Both
+    are symmetric on canonical objects, so each is computed on half the
+    pairs.  Each fact is decided once.
     """
-    return tuple(
+    rows = tuple(
         [sum(1 << j for j, y in enumerate(objs) if fact(x, y)) for x in objs]
         for fact in (arrow_exists, label_w, label_f)
     )
-
-
-# A premise takes the rows (A, W, F) of an enumerated universe and yields
-# the index tuples on which its predicate can fire, perhaps with some on
-# which it cannot, in the order of ``itertools.product``.  Each reads only
-# facts the predicate requires.
-Premise = Callable[[list[int], list[int], list[int]], Iterator[tuple[int, ...]]]
+    index = {ob: i for i, ob in enumerate(objs)}
+    tables = []
+    for op in (product, coproduct):
+        table: Table = [[None] * len(objs) for _ in objs]
+        for i, x in enumerate(objs):
+            for j in range(i, len(objs)):
+                table[i][j] = table[j][i] = index.get(op(x, objs[j]))
+        tables.append(table)
+    return (*rows, *tables)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -313,9 +329,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _premise_m1(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int, ...]]:
+def _premise_m1(
+    A: Rows, W: Rows, F: Rows, P: Table, C: Table
+) -> Iterator[tuple[int, ...]]:
     # Both squares need arrow(x, w), arrow(y, z), f(w, z) and no arrow(y, w);
-    # the first needs w(x, y), the second arrow(x, y).
+    # the first needs w(x, y), the second arrow(x, y).  On canonical objects
+    # this yields nothing: f is is_iso, so z == w, and then arrow(y, z)
+    # contradicts not arrow(y, w).
     for x in range(len(A)):
         for y in _bits(A[x] | W[x]):
             for w in _bits(A[x] & ~A[y]):
@@ -323,39 +343,53 @@ def _premise_m1(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int,
                     yield x, y, w, z
 
 
-def _premise_arrow(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int, ...]]:
+def _premise_arrow(
+    A: Rows, W: Rows, F: Rows, P: Table, C: Table
+) -> Iterator[tuple[int, ...]]:
     # Both factorization checks start from arrow(x, y).
     for x in range(len(A)):
         for y in _bits(A[x]):
             yield x, y
 
 
-def _premise_m5(A: list[int], W: list[int], F: list[int]) -> Iterator[tuple[int, ...]]:
-    # Two-of-three is asked of composable pairs: arrow(x, y) and arrow(y, z).
+def _premise_m5(
+    A: Rows, W: Rows, F: Rows, P: Table, C: Table
+) -> Iterator[tuple[int, ...]]:
+    # Two-of-three fails only on a composable pair, arrow(x, y) and
+    # arrow(y, z), whose three w facts hold exactly twice: with w(x, y), one
+    # of w(y, z) and w(x, z); without it, both.
     for x in range(len(A)):
         for y in _bits(A[x]):
-            for z in _bits(A[y]):
+            exactly_two = W[y] ^ W[x] if W[x] >> y & 1 else W[y] & W[x]
+            for z in _bits(A[y] & exactly_two):
                 yield x, y, z
 
 
 def _premise_base_change(
-    A: list[int], W: list[int], F: list[int]
+    A: Rows, W: Rows, F: Rows, P: Table, C: Table
 ) -> Iterator[tuple[int, ...]]:
-    # The square is f(y, z) and arrow(x, z).
+    # The square is f(y, z) and arrow(x, z); it fails only without
+    # f(x * y, x).
     for x in range(len(A)):
         for y in range(len(A)):
+            p = P[x][y]
+            if p is not None and F[p] >> x & 1:
+                continue
             for z in _bits(F[y] & A[x]):
                 yield x, y, z
 
 
 def _premise_cobase_change(
-    A: list[int], W: list[int], F: list[int]
+    A: Rows, W: Rows, F: Rows, P: Table, C: Table
 ) -> Iterator[tuple[int, ...]]:
-    # On (x, z, y), the span is w(x, z) and arrow(x, y).
+    # On (x, z, y), the span is w(x, z) and arrow(x, y); it fails only
+    # without w(y, z + y).
     for x in range(len(A)):
         for z in _bits(W[x]):
             for y in _bits(A[x]):
-                yield x, z, y
+                c = C[z][y]
+                if c is None or not W[y] >> c & 1:
+                    yield x, z, y
 
 
 # -- presentation variants for the retract / iso checks ------------------------
@@ -591,8 +625,11 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     one per-call list ``objs``.  An exhaustive universe is enumerated into
     it once; a check runs its predicate on the tuples its premise admits,
     or on every tuple, and ``instances`` counts every tuple of the universe,
-    since the others cannot violate it.  The relation tables are built by
-    the first check with a premise, which is charged their time.  A sampled
+    since the others cannot violate it.  The relation tables, ``(A, W, F)``
+    of the arrow, w and f facts and ``(P, C)`` of the product and coproduct
+    indices, are built by the first check with a premise, which is charged
+    their time.  A premise that reads a product or coproduct yields every
+    tuple whose result is not among ``objs``.  A sampled
     universe is drawn once, by the first check, which is charged the draw:
     ``instance_tuples`` at the largest picked arity, its distinct objects
     interned into ``objs`` and the stream kept as their indices.  An arity-k

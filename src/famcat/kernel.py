@@ -35,6 +35,10 @@ Family = Iterable[NSet]
 _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subsets b per member
 
 
+class SizeGuardError(ValueError):
+    """A request too large to enumerate, draw or construct."""
+
+
 _LOW_BIT_FIRST = str.maketrans("01", "10")
 
 

@@ -34,6 +34,7 @@ from .kernel import (
     TERMINAL,
     LabelVerdict,
     Obj,
+    SizeGuardError,
     arrow_exists,
     label_verdict,
     label_w,
@@ -43,6 +44,12 @@ from .kernel import (
     star_arrow,
 )
 from .nset import EMPTY, FULL, NSet
+
+
+# exp_explicit holds at most this many partial intersections.  The claim
+# suites peak at 4; past the limit the maximal-member filter, quadratic in
+# the count, runs for seconds and then minutes.
+MAX_PARTIALS = 1024
 
 
 class UndecidedPairError(Exception):
@@ -228,12 +235,19 @@ def exp_explicit(b: Obj, c: Obj) -> Obj:
     the intersection of ``choice(m) | ~m`` over members m of B, for some
     choice of targets in C.  The maximal such intersections are the members;
     dominated partial intersections are pruned at every step, which keeps
-    the choice-function blowup collapsed.
+    the choice-function blowup collapsed.  Pruning cannot always collapse
+    it: k disjoint two-element members of B against their 2k singletons in
+    C leave 2**k partials.  Past ``MAX_PARTIALS`` of them the construction
+    stops with :class:`SizeGuardError`.
     """
     partials = [FULL]
     for m in b:
         terms = {t | ~m for t in c}
         partials = maximal({p & t for p in partials for t in terms})
+        if len(partials) > MAX_PARTIALS:
+            raise SizeGuardError(
+                f"the exponential passed MAX_PARTIALS = {MAX_PARTIALS} partial intersections"
+            )
     return normalize(partials)
 
 
@@ -301,6 +315,12 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     members u, target members y' and finite b inside y', the constructive
     witness ``x | ((b0 & y') | b)`` keeps ``(u & y') | b`` covered, which is
     the definitional fibration condition of the middle over y.
+
+    A middle member ``u = xm | b0`` comes from a generator ``(xm, b0)``, and
+    the same generator can arise from several members of y (``b0 = {}``
+    arises from each of them).  Its instances are a function of the generator alone, so
+    they are decided once per distinct generator, and a repeated generator
+    repeats their outcome; ``instances`` still counts every generator.
     """
     v = VObj.wc(x, y)
     margin = 2 + max(
@@ -309,20 +329,18 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     arrow_into = all(wc_covers(v, m) for m in x)
 
     bounds = [(ym, _finite_subsets(ym, margin)) for ym in y]
-    generators = [
-        (xm, b0, xm | b0) for xm in x for _, subs in bounds for b0 in subs
-    ]
-    star_back = star_arrow([u for _, _, u in generators], x)
+    generators = [(xm, b0) for xm in x for _, subs in bounds for b0 in subs]
+    distinct = [(xm, b0, xm | b0) for xm, b0 in dict.fromkeys(generators)]
+    star_back = star_arrow([u for _, _, u in distinct], x)
 
     fib_ok = True
-    instances = 0
     covers = functools.cache(functools.partial(wc_covers, v))  # witnesses repeat
-    for xm, b0, u in generators:
+    for xm, b0, u in distinct:
         for ym, subs in bounds:
+            # (xm | (b0 & ym)) | b is the witness xm | ((b0 & ym) | b)
+            meet, base = u & ym, xm | (b0 & ym)
             for b in subs:
-                instances += 1
-                need = (u & ym) | b
-                witness = xm | ((b0 & ym) | b)
+                need, witness = meet | b, base | b
                 # wc_covers is downward closed: need inside a covered witness
                 # is covered too, so it is not asked separately
                 if not need.is_subset(witness) or not covers(witness):
@@ -333,7 +351,7 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
         arrow_into_middle=arrow_into,
         star_back_to_source=star_back,
         fibration_instances_ok=fib_ok,
-        instances=instances,
+        instances=len(generators) * sum(len(subs) for _, subs in bounds),
     )
 
 

@@ -404,6 +404,18 @@ def test_axioms_size_guard_exits_4(capsys):
     assert run("axioms", "--window", "100000", "--samples", "1") == 4
 
 
+def test_exponential_size_guard_exits_4(capsys):
+    # k disjoint pairs against their 2k singletons keep 2**k partials; at
+    # k = 16 the unguarded construction practically never returns
+    k = 16
+    b = json.dumps({"members": [{"fin": [2 * i, 2 * i + 1]} for i in range(k)]})
+    c = json.dumps({"members": [{"fin": [j]} for j in range(2 * k)]})
+    assert run("exp", "--b", b, "--c", c) == 4
+    assert "MAX_PARTIALS" in capsys.readouterr().err
+    exp_lit = json.dumps({"vkind": "exp", "b": json.loads(b), "c": json.loads(c)})
+    assert run("decide", "--from", A_LIT, "--to", exp_lit) == 4
+
+
 def test_claims_pass(capsys):
     assert run("claims") == 0
     capsys.readouterr()

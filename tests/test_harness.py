@@ -360,6 +360,69 @@ def test_premise_first_checks_match_brute_force_on_weakened_deciders(
     assert {name for name, _, found in got if found} == broken
 
 
+C1 = Universe(window=1, include_cofinite=True)
+PREMISED = {name: check for name, check in harness._AXIOMS.items() if check[2]}
+
+
+def assert_premises_admit_every_firing_tuple(objs):
+    relations = harness._relations(objs)
+    for name, (arity, pred, premise) in PREMISED.items():
+        admitted = set(premise(*relations))
+        for index in itertools.product(range(len(objs)), repeat=arity):
+            if pred(tuple(objs[i] for i in index)) is not None:
+                assert index in admitted, (name, index)
+
+
+@pytest.mark.parametrize("universe", [W2, C1, C2], ids=["W2", "C1", "C2"])
+@pytest.mark.parametrize("patch", WEAKENED)
+def test_premises_admit_every_tuple_their_predicate_fires_on(monkeypatch, universe, patch):
+    deciders, _ = WEAKENED[patch]
+    for attr, fake in deciders.items():
+        monkeypatch.setattr(harness, attr, fake)
+    assert_premises_admit_every_firing_tuple(enumerate_objects(universe))
+
+
+@pytest.mark.parametrize("universe", [W3, C2], ids=["W3", "C2"])
+def test_conclusion_reading_premises_yield_nothing_on_canonical_objects(universe):
+    relations = harness._relations(enumerate_objects(universe))
+    for premise in (
+        harness._premise_m1,
+        harness._premise_m5,
+        harness._premise_base_change,
+        harness._premise_cobase_change,
+    ):
+        assert next(premise(*relations), None) is None, premise.__name__
+
+
+def test_a_product_or_coproduct_outside_the_universe_is_yielded(monkeypatch):
+    objs = enumerate_objects(C1)
+    outside = Obj.of(fin([5]))
+    # one unordered pair, with an arrow one way, leaves the universe under both
+    i, j = next(
+        (i, j)
+        for i, j in itertools.combinations(range(len(objs)), 2)
+        if arrow_exists(objs[i], objs[j]) and not arrow_exists(objs[j], objs[i])
+    )
+    missed = {objs[i], objs[j]}
+
+    def leaving(op):
+        return lambda x, y: outside if {x, y} == missed else op(x, y)
+
+    monkeypatch.setattr(harness, "product", leaving(harness.product))
+    monkeypatch.setattr(harness, "coproduct", leaving(harness.coproduct))
+    A, W, F, P, C = harness._relations(objs)
+    assert P[i][j] is P[j][i] is C[i][j] is C[j][i] is None
+    base = set(harness._premise_base_change(A, W, F, P, C))
+    assert {(i, j, z) for z in range(len(objs)) if F[j] >> z & 1 and A[i] >> z & 1} <= base
+    cobase = set(harness._premise_cobase_change(A, W, F, P, C))
+    assert {(x, i, j) for x in range(len(objs)) if W[x] >> i & 1 and A[x] >> j & 1} <= cobase
+    assert_premises_admit_every_firing_tuple(objs)
+    names = ("BASE_CHANGE_F", "COBASE_CHANGE_WC")
+    got = harness_suite(C1, "axioms", names)
+    assert got == brute_force(C1, "axioms", names)
+    assert all(found for _, _, found in got)
+
+
 def test_sampled_suites_match_brute_force_on_a_weakened_decider(monkeypatch):
     deciders, broken = WEAKENED["w-small-target"]
     for attr, fake in deciders.items():

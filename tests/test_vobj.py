@@ -10,12 +10,14 @@ import itertools
 
 import pytest
 
+import famcat
 from famcat import vobj
-from famcat.harness import Universe, enumerate_objects
+from famcat.harness import Universe, enumerate_objects, universe_objects
 from famcat.kernel import (
     INITIAL,
     TERMINAL,
     Obj,
+    SizeGuardError,
     arrow_exists,
     is_iso,
     label_verdict,
@@ -339,6 +341,19 @@ def test_exp_identities():
     assert exp_explicit(TERMINAL, A) == A  # evaluating at N picks members
 
 
+def test_exp_stops_past_max_partials(monkeypatch):
+    # k disjoint pairs against their 2k singletons keep 2**k partials
+    k = 3
+    b = normalize(fin([2 * i, 2 * i + 1]) for i in range(k))
+    c = normalize(fin([j]) for j in range(2 * k))
+    monkeypatch.setattr(vobj, "MAX_PARTIALS", 2**k)
+    assert len(exp_explicit(b, c).members) == 2**k + 1
+    monkeypatch.setattr(vobj, "MAX_PARTIALS", 2**k - 1)
+    with pytest.raises(SizeGuardError, match="MAX_PARTIALS"):
+        exp_explicit(b, c)
+    assert SizeGuardError is famcat.SizeGuardError is famcat.harness.SizeGuardError
+
+
 def test_exp_representability_on_examples():
     triples = [
         (A, B, C),
@@ -452,9 +467,10 @@ def test_wc_covers_is_downward_closed():
     assert (len(C2), len(pairs), covered) == (19, 81, 18801)
 
 
-def _factorization_per_instance(x, y):
-    """check_factorization with wc_covers asked afresh at every instance,
-    and the distinct witnesses it asks about."""
+def _factorization_per_instance(x, y, covers=wc_covers):
+    """check_factorization with ``covers`` asked afresh at every instance of
+    every generator, repeats included, and the distinct witnesses it asks
+    about."""
     v = VObj.wc(x, y)
     margin = 2 + max((e for m in x.members + y.members for e in m.support), default=0)
     bounds = [(ym, _finite_subsets(ym, margin)) for ym in y]
@@ -468,13 +484,13 @@ def _factorization_per_instance(x, y):
                 witness = xm | ((b0 & ym) | b)
                 if need.is_subset(witness):
                     witnesses.add(witness)
-                    fib_ok = wc_covers(v, witness) and fib_ok
+                    fib_ok = covers(v, witness) and fib_ok
                 else:
                     fib_ok = False
     fc = FactorizationCheck(
         x=x,
         y=y,
-        arrow_into_middle=all(wc_covers(v, m) for m in x),
+        arrow_into_middle=all(covers(v, m) for m in x),
         star_back_to_source=star_arrow([u for _, _, u in generators], x),
         fibration_instances_ok=fib_ok,
         instances=instances,
@@ -482,14 +498,29 @@ def _factorization_per_instance(x, y):
     return fc, witnesses
 
 
-def test_factorization_decides_each_witness_once(monkeypatch):
+def _sampled_objects(seed):
+    u = Universe(window=3, include_cofinite=True, samples=250, seed=seed)
+    return list(dict.fromkeys(universe_objects(u)))
+
+
+@pytest.mark.parametrize(
+    "objs, pinned",
+    [
+        (C2, (148, 147)),
+        (enumerate_objects(Universe(window=3)), (148, 147)),
+        (_sampled_objects(0), (760, 759)),
+        (_sampled_objects(1), (809, 808)),
+    ],
+    ids=["C2", "W3", "sampled-C3-seed-0", "sampled-C3-seed-1"],
+)
+def test_factorization_decides_each_witness_once(monkeypatch, objs, pinned):
     asked = []
 
     def counted(v, s):
         asked.append(s)
         return wc_covers(v, s)
 
-    pairs = [(x, y) for x, y in itertools.product(C2, repeat=2) if arrow_exists(x, y)]
+    pairs = [(x, y) for x, y in itertools.product(objs, repeat=2) if arrow_exists(x, y)]
     repeated = 0
     for x, y in pairs:
         expected, witnesses = _factorization_per_instance(x, y)
@@ -500,7 +531,22 @@ def test_factorization_decides_each_witness_once(monkeypatch):
         # the members of x, then each distinct witness once
         assert len(asked) <= len(x.members) + len(witnesses), (x, y)
         repeated += expected.instances > len(witnesses)
-    assert (len(pairs), repeated) == (148, 147)
+    assert (len(pairs), repeated) == pinned
+
+
+def test_factorization_fails_on_a_repeated_generator(monkeypatch):
+    # ({}, {}) is a generator once for each member of B, and {} | {1} is one
+    # of its witnesses: a middle that misses {1} fails those instances
+    def weak(v, s):
+        return s != fin([1])
+
+    x, y = A, B
+    expected, witnesses = _factorization_per_instance(x, y, weak)
+    assert fin([1]) in witnesses
+    monkeypatch.setattr(vobj, "wc_covers", weak)
+    fc = check_factorization(x, y)
+    assert fc == expected
+    assert (fc.instances, fc.arrow_into_middle, fc.fibration_instances_ok) == (50, True, False)
 
 
 def test_factorization_reports_a_failing_fibration_fact(monkeypatch):
