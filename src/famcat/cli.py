@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--diagnostic-literal-star",
         action="store_true",
-        help="switch ISO_INVARIANCE to the target-minus-source star template",
+        help="switch ISO_INVARIANCE to the target-minus-source star orientation",
     )
     sp.set_defaults(func=cmd_axioms)
 

@@ -36,9 +36,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     Family,
+    LabelVerdict,
     Obj,
     SizeGuardError,
-    StarTemplate,
     arrow_exists,
     coproduct,
     fibration_condition,
@@ -407,13 +407,13 @@ def iso_presentations(x: Obj) -> list[tuple[NSet, ...]]:
 
 
 def _iso_invariance_detail(
-    pair: tuple[Obj, ...], template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET
+    pair: tuple[Obj, ...], verdict: Callable[[Family, Family], LabelVerdict]
 ) -> str | None:
     x, y = pair
-    base = label_verdict(x, y, template)
+    base = verdict(x, y)
     for px in [x.members, *iso_presentations(x)]:
         for py in [y.members, *iso_presentations(y)]:
-            got = label_verdict(px, py, template)
+            got = verdict(px, py)
             if got != base:
                 return (
                     "verdict changed under an isomorphic presentation: "
@@ -493,8 +493,27 @@ def _pred_cobase_change(t: tuple[Obj, ...]) -> str | None:
     return None
 
 
+def _pred_iso(t: tuple[Obj, ...]) -> str | None:
+    return _iso_invariance_detail(t, label_verdict)
+
+
+def _literal_star(source: Family, target: Family) -> bool:
+    """The diagnostic near-inclusion, measured target minus source: ``t - s`` is
+    finite iff t is finite or s is cofinite.  An empty target admits only an
+    empty source."""
+    src, tgt = tuple(source), tuple(target)
+    if not tgt:
+        return not src
+    return not all(t.cofinite for t in tgt) or all(s.cofinite for s in src)
+
+
+def _literal_verdict(s: Family, t: Family) -> LabelVerdict:
+    v = label_verdict(s, t)
+    return replace(v, star=_literal_star(s, t), w=v.arrow and _literal_star(t, s))
+
+
 def _pred_iso_literal_star(t: tuple[Obj, ...]) -> str | None:
-    return _iso_invariance_detail(t, StarTemplate.TARGET_MINUS_SOURCE)
+    return _iso_invariance_detail(t, _literal_verdict)
 
 
 # -- claim predicates -----------------------------------------------------------
@@ -588,12 +607,12 @@ _AXIOMS: dict[str, Check] = {
     "M5_TWO_OF_THREE": (3, _pred_m5, _premise_m5),
     "BASE_CHANGE_F": (3, _pred_base_change, _premise_base_change),
     "COBASE_CHANGE_WC": (3, _pred_cobase_change, _premise_cobase_change),
-    "RETRACT_CLOSURE": (2, _iso_invariance_detail, None),
-    "ISO_INVARIANCE": (2, _iso_invariance_detail, None),
+    "RETRACT_CLOSURE": (2, _pred_iso, None),
+    "ISO_INVARIANCE": (2, _pred_iso, None),
 }
 
-# The opt-in diagnostic: ISO_INVARIANCE under the target-minus-source star
-# template, which is expected to produce counterexamples.
+# The opt-in diagnostic: ISO_INVARIANCE under the literal (target-minus-source)
+# star, which is expected to produce counterexamples.
 _LITERAL_STAR: dict[str, Check] = {"ISO_INVARIANCE": (2, _pred_iso_literal_star, None)}
 
 _CLAIMS: dict[str, Check] = {
@@ -719,8 +738,8 @@ def run_axioms(
 ) -> Report:
     """Run the named axiom checks (all by default) in order.
 
-    ``literal_star`` switches ISO_INVARIANCE to the target-minus-source
-    star template.
+    ``literal_star`` switches ISO_INVARIANCE to the near-inclusion measured
+    target minus source, a diagnostic that is not invariant under isomorphism.
     """
     return run_suite(u, {**_AXIOMS, **_LITERAL_STAR} if literal_star else _AXIOMS, names)
 

@@ -11,20 +11,20 @@ Three labels are decided here:
 * ``c`` (cofibration): every arrow carries it.
 * ``w`` (weak equivalence): the arrow exists and every member of the target
   is a near-subset of some member of the source (finitely many points may
-  stick out).
+  stick out), decided by :func:`star_arrow` in that one orientation.
 * ``f`` (fibration): the arrow exists and the family satisfies the finite
   extension property decided by :func:`fibration_condition`; that property
   is the reverse arrow, so an ``f`` arrow is an isomorphism.
 
 The decision functions accept any iterable of NSets, not only canonical
 :class:`Obj` values; the harness exploits that to evaluate labels on
-non-canonical presentations of the same object.  All values are immutable
-and every function is pure, so concurrent use is safe.
+non-canonical presentations of the same object; only :func:`product` needs
+canonical objects.  All values are immutable and every function is pure,
+so concurrent use is safe.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -135,31 +135,13 @@ INITIAL = Obj((EMPTY,))  # the least object {{}}: it maps into everything
 TERMINAL = Obj((EMPTY, FULL))  # the greatest object {{}, N}: everything maps into it
 
 
-class StarTemplate(enum.Enum):
-    """Orientation of the near-subset test behind the ``w`` label.
-
-    SOURCE_MINUS_TARGET (the default) asks each source member to be inside
-    some target member up to finitely many points.  TARGET_MINUS_SOURCE
-    measures the difference the other way around; it is not invariant under
-    isomorphic presentations of the endpoints and exists only so the
-    harness can demonstrate that defect on request.
-    """
-
-    SOURCE_MINUS_TARGET = "source_minus_target"
-    TARGET_MINUS_SOURCE = "target_minus_source"
-
-
 def arrow_exists(source: Family, target: Family) -> bool:
     """True iff every member of the source is contained in some target member."""
     tgt = tuple(target)
     return all(any(s.is_subset(t) for t in tgt) for s in source)
 
 
-def star_arrow(
-    source: Family,
-    target: Family,
-    template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET,
-) -> bool:
+def star_arrow(source: Family, target: Family) -> bool:
     """Near-inclusion: every source member almost fits in some target member.
 
     Only kinds matter: ``s - t`` is finite iff s is finite or t is cofinite,
@@ -168,10 +150,7 @@ def star_arrow(
     src, tgt = tuple(source), tuple(target)
     if not tgt:
         return not src
-    if template is StarTemplate.SOURCE_MINUS_TARGET:
-        return any(t.cofinite for t in tgt) or not any(s.cofinite for s in src)
-    # t - s is finite iff t is finite or s is cofinite
-    return not all(t.cofinite for t in tgt) or all(s.cofinite for s in src)
+    return any(t.cofinite for t in tgt) or not any(s.cofinite for s in src)
 
 
 def label_w(source: Family, target: Family) -> bool:
@@ -284,17 +263,13 @@ class LabelVerdict:
         return {"arrow": self.arrow, "star": self.star, "w": self.w, "f": self.f, "c": self.c}
 
 
-def label_verdict(
-    source: Family,
-    target: Family,
-    template: StarTemplate = StarTemplate.SOURCE_MINUS_TARGET,
-) -> LabelVerdict:
+def label_verdict(source: Family, target: Family) -> LabelVerdict:
     src, tgt = tuple(source), tuple(target)
     arrow = arrow_exists(src, tgt)
     return LabelVerdict(
         arrow=arrow,
-        star=star_arrow(src, tgt, template),
-        w=arrow and star_arrow(tgt, src, template),
+        star=star_arrow(src, tgt),
+        w=arrow and star_arrow(tgt, src),
         f=arrow and arrow_exists(tgt, src),
         c=arrow,
     )
@@ -303,8 +278,8 @@ def label_verdict(
 # -- limits ----------------------------------------------------------------
 
 
-def product(x: Family, y: Family) -> Obj:
-    """Binary product: pointwise intersections, normalized.
+def product(x: Obj, y: Obj) -> Obj:
+    """Binary product of canonical objects: pointwise intersections, normalized.
 
     The product of two comparable objects is the lesser one, returned
     without building anything.  If ``x -> y``, each ``a`` in x lies in some
@@ -313,14 +288,11 @@ def product(x: Family, y: Family) -> Obj:
     Canonical objects that are isomorphic are equal, because their
     non-empty members form an antichain, so the product is x itself.
     """
-    if isinstance(x, Obj) and isinstance(y, Obj):
-        xs, ys = x.members, y.members
-        if arrow_exists(xs, ys):
-            return x
-        if arrow_exists(ys, xs):
-            return y
-    else:
-        xs, ys = x, tuple(y)
+    xs, ys = x.members, y.members
+    if arrow_exists(xs, ys):
+        return x
+    if arrow_exists(ys, xs):
+        return y
     return normalize(a & b for a in xs for b in ys)
 
 

@@ -109,7 +109,7 @@ class NSet:
     # -- membership -------------------------------------------------------
 
     def __contains__(self, n: int) -> bool:
-        return (n >= 0 and bool(self.mask >> n & 1)) is not self.cofinite
+        return n >= 0 and (bool(self.mask >> n & 1) is not self.cofinite)
 
     def smallest(self) -> int | None:
         """Least element, or ``None`` for the empty set."""

@@ -18,10 +18,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # One spelling per fact: each of these restated a fact another name states.
 REMOVED = {
-    famcat: ("Cardinality", "Kind", "initial", "terminal", "sample_objects"),
+    famcat: ("Cardinality", "Kind", "initial", "terminal", "sample_objects", "StarTemplate"),
     harness: ("sample_objects",),
     nset: ("Cardinality", "INFINITE", "Kind"),
-    kernel: ("initial", "terminal"),
+    kernel: ("initial", "terminal", "StarTemplate"),
     NSet: ("cardinality", "is_finite", "kind"),
     Obj: ("has_full",),
     GapWitness: ("to_json_dict",),
@@ -41,8 +41,9 @@ def test_removed_names_stay_gone():
             assert name not in getattr(owner, "__all__", ()), (owner, name)
     # membership in an object falls back to iterating its members
     assert "__contains__" not in vars(Obj)
-    params = inspect.signature(kernel.fibration_condition_enumerated).parameters
-    assert list(params) == ["source", "target"]
+    # these deciders take the two families and nothing else
+    for fn in (kernel.fibration_condition_enumerated, kernel.star_arrow, kernel.label_verdict):
+        assert list(inspect.signature(fn).parameters) == ["source", "target"], fn
 
 
 def test_readme_library_tour_runs():

@@ -39,7 +39,6 @@ from famcat.harness import (
 )
 from famcat.kernel import (
     Obj,
-    StarTemplate,
     arrow_exists,
     is_iso,
     label_verdict,
@@ -549,7 +548,7 @@ def test_check_result_counts_instances():
     assert r.instances == 25 and r.passed and r.name == "M2_FACTOR_WC_F"
 
 
-# -- the literal star template diagnostic -------------------------------------------
+# -- the literal star diagnostic ----------------------------------------------------
 
 
 def test_iso_presentations_really_are_isomorphic():
@@ -571,11 +570,10 @@ def test_literal_star_counterexample_is_replayable():
     # the minimal shape: {{}} -> {{}, N}; dropping the empty member from the
     # target presentation flips the literal star verdict
     x, y = Obj.of(), Obj.of(FULL)
-    t = StarTemplate.TARGET_MINUS_SOURCE
-    canonical = label_verdict(x, y, t)
-    variant = label_verdict(x.members, (FULL,), t)
+    canonical = harness._literal_verdict(x, y)
+    variant = harness._literal_verdict(x.members, (FULL,))
     assert canonical.star and not variant.star
-    # the adopted template is invariant on the same presentations
+    # the adopted orientation is invariant on the same presentations
     assert label_verdict(x, y).star == label_verdict(x.members, (FULL,)).star
 
 

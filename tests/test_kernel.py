@@ -12,12 +12,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from famcat.harness import Universe, enumerate_objects, iso_presentations, universe_objects
+from famcat.harness import (
+    Universe,
+    _literal_star,
+    enumerate_objects,
+    iso_presentations,
+    universe_objects,
+)
 from famcat.kernel import (
     INITIAL,
     TERMINAL,
     Obj,
-    StarTemplate,
     arrow_exists,
     coproduct,
     fibration_condition,
@@ -178,20 +183,21 @@ def test_star_measures_source_minus_target_by_default():
 
 
 def test_star_literal_template_measures_the_other_difference():
-    t = StarTemplate.TARGET_MINUS_SOURCE
-    assert star_arrow(TERMINAL, A, t)  # {0} - N is empty
+    # the harness's diagnostic orientation, target minus source
+    assert _literal_star(TERMINAL, A)  # {0} - N is empty
     # on canonical families the empty target member absorbs the test ...
-    assert star_arrow(A, TERMINAL, t)
+    assert _literal_star(A, TERMINAL)
     # ... so the defect only shows on presentations without the empty set:
-    assert not star_arrow([EMPTY], [FULL], t)  # N - {} is infinite
-    assert star_arrow([EMPTY], [EMPTY, FULL], t)
-    assert star_arrow(A, B, t)
+    assert not _literal_star([EMPTY], [FULL])  # N - {} is infinite
+    assert _literal_star([EMPTY], [EMPTY, FULL])
+    assert _literal_star(A, B)
 
 
-def _star_by_difference(source, target, template=StarTemplate.SOURCE_MINUS_TARGET):
-    """Reference oracle: build each difference and read its kind."""
+def _star_by_difference(source, target, literal=False):
+    """Reference oracle: build each difference and read its kind; ``literal``
+    measures target minus source instead of source minus target."""
     tgt = tuple(target)
-    if template is StarTemplate.SOURCE_MINUS_TARGET:
+    if not literal:
         return all(any(not (s - t).cofinite for t in tgt) for s in source)
     return all(any(not (t - s).cofinite for t in tgt) for s in source)
 
@@ -217,11 +223,9 @@ def _small_families():
 def test_star_closed_form_matches_the_difference_oracle():
     fams = _small_families()
     assert len(fams) > 200
-    for template in StarTemplate:
-        for s, t in itertools.product(fams, repeat=2):
-            assert star_arrow(s, t, template) == _star_by_difference(s, t, template), (
-                s, t, template,
-            )
+    for s, t in itertools.product(fams, repeat=2):
+        assert star_arrow(s, t) == _star_by_difference(s, t), (s, t)
+        assert _literal_star(s, t) == _star_by_difference(s, t, literal=True), (s, t)
 
 
 def test_w_examples():
@@ -333,6 +337,12 @@ def test_verdict_invariants(ms, ns):
     assert v.w == label_w(x, y)
     assert v.f == label_f(x, y)
     assert v.c == arrow_exists(x, y)
+    # the non-canonical presentations ISO_INVARIANCE hands to label_verdict
+    for px in [x.members, *iso_presentations(x)]:
+        for py in [y.members, *iso_presentations(y)]:
+            got = label_verdict(px, py)
+            assert got.w == label_w(px, py), (px, py)
+            assert got.f == label_f(px, py), (px, py)
 
 
 @given(members_strategy)

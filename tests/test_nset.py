@@ -128,6 +128,9 @@ def test_membership_examples():
     assert 2 in NSet.cofin([1, 4])
     assert 4 not in NSet.cofin([1, 4])
     assert 10**9 in FULL and 10**9 not in EMPTY
+    # a negative integer is no natural, so no set, finite or cofinite, has it
+    for s in (EMPTY, FULL, NSet.fin([0, 1]), NSet.cofin([0]), NSet.cofin([1, 4])):
+        assert -1 not in s and -5 not in s, s
 
 
 def test_membership_of_huge_naturals_allocates_nothing():
