@@ -59,17 +59,47 @@ def _superset_first_key(m: NSet) -> tuple[bool, int]:
     return (not m.cofinite, size if m.cofinite else -size)
 
 
+def _fits(s: NSet, fins: list[int], holes: list[int]) -> bool:
+    """Whether ``s`` sits inside some member of a family given as the masks
+    ``fins`` of its finite members and the holes of its cofinite ones.
+
+    The four cases are the table in :func:`arrow_exists`.
+    """
+    a = s.mask
+    if s.cofinite:
+        for h in holes:
+            if not h & ~a:
+                return True
+        return False
+    for b in fins:
+        if not a & ~b:
+            return True
+    for h in holes:
+        if not a & h:
+            return True
+    return False
+
+
 def maximal(members: Family) -> list[NSet]:
     """The distinct members that no other member strictly contains, in no fixed order.
 
     One pass in superset-first order keeps each set that no kept set
     contains.  That keeps every maximal set and drops a repeat or a
-    dominated set, since a maximal superset of it comes first.
+    dominated set, since a maximal superset of it comes first.  "No kept
+    set contains it" is the mask loop of :func:`arrow_exists` over the kept
+    masks, split by kind as they are kept: a finite ``a`` lies in a finite
+    ``b`` when ``a & ~b == 0`` and in a cofinite set with holes ``h`` when
+    ``a & h == 0``; a cofinite ``a`` lies in ``h`` when ``h & ~a == 0`` and
+    never in a finite set.  :meth:`NSet.is_subset` stays the definition the
+    tests compare with.
     """
     keep: list[NSet] = []
+    fins: list[int] = []
+    holes: list[int] = []
     for m in sorted(members, key=_superset_first_key):
-        if not any(m.is_subset(k) for k in keep):
+        if not _fits(m, fins, holes):
             keep.append(m)
+            (holes if m.cofinite else fins).append(m.mask)
     return keep
 
 
@@ -87,10 +117,13 @@ class Obj:
         keys = [_member_sort_key(m) for m in ms]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("members must be sorted and duplicate-free")
-        # EMPTY has the least key, so it is ms[0]
-        for a, b in itertools.permutations(ms[1:], 2):
-            if a.is_subset(b):
-                raise ValueError(f"{a} is dominated by {b}; family is not an antichain")
+        # EMPTY has the least key, so it is ms[0]; the rest is duplicate-free,
+        # so it is an antichain exactly when maximal keeps all of it (one
+        # member always is)
+        rest = ms[1:]
+        if len(rest) > 1 and len(maximal(rest)) < len(rest):
+            a, b = next((a, b) for a, b in itertools.permutations(rest, 2) if a.is_subset(b))
+            raise ValueError(f"{a} is dominated by {b}; family is not an antichain")
 
     @classmethod
     def of(cls, *members: NSet) -> "Obj":
@@ -135,10 +168,37 @@ INITIAL = Obj((EMPTY,))  # the least object {{}}: it maps into everything
 TERMINAL = Obj((EMPTY, FULL))  # the greatest object {{}, N}: everything maps into it
 
 
+def _members(family: Family) -> tuple[NSet, ...]:
+    """The members of a family, read straight from an :class:`Obj`."""
+    return family.members if isinstance(family, Obj) else tuple(family)
+
+
 def arrow_exists(source: Family, target: Family) -> bool:
-    """True iff every member of the source is contained in some target member."""
-    tgt = tuple(target)
-    return all(any(s.is_subset(t) for t in tgt) for s in source)
+    """True iff every member of the source is contained in some target member.
+
+    Containment is decided on masks.  The target is split once into finite
+    masks ``b`` and cofinite hole masks ``h``; a source member with mask
+    ``a`` fits when
+
+    ======================  ===============  ===============
+    source member           in finite ``b``  in cofinite ``h``
+    ======================  ===============  ===============
+    finite, elements ``a``  ``a & ~b == 0``  ``a & h == 0``
+    cofinite, holes ``a``   never            ``h & ~a == 0``
+    ======================  ===============  ===============
+
+    which is :meth:`NSet.is_subset` case by case; that method stays the
+    definition the tests compare this with.  Each argument is iterated
+    once, so one-shot iterables work.
+    """
+    fins: list[int] = []
+    holes: list[int] = []
+    for t in target.members if isinstance(target, Obj) else target:
+        (holes if t.cofinite else fins).append(t.mask)
+    for s in source.members if isinstance(source, Obj) else source:
+        if not _fits(s, fins, holes):
+            return False
+    return True
 
 
 def star_arrow(source: Family, target: Family) -> bool:
@@ -147,7 +207,7 @@ def star_arrow(source: Family, target: Family) -> bool:
     Only kinds matter: ``s - t`` is finite iff s is finite or t is cofinite,
     so no difference is built.  An empty target admits only an empty source.
     """
-    src, tgt = tuple(source), tuple(target)
+    src, tgt = _members(source), _members(target)
     if not tgt:
         return not src
     return any(t.cofinite for t in tgt) or not any(s.cofinite for s in src)
@@ -155,7 +215,7 @@ def star_arrow(source: Family, target: Family) -> bool:
 
 def label_w(source: Family, target: Family) -> bool:
     """Weak equivalence: the arrow plus a near-inclusion back."""
-    src, tgt = tuple(source), tuple(target)
+    src, tgt = _members(source), _members(target)
     return arrow_exists(src, tgt) and star_arrow(tgt, src)
 
 
@@ -264,7 +324,7 @@ class LabelVerdict:
 
 
 def label_verdict(source: Family, target: Family) -> LabelVerdict:
-    src, tgt = tuple(source), tuple(target)
+    src, tgt = _members(source), _members(target)
     arrow = arrow_exists(src, tgt)
     return LabelVerdict(
         arrow=arrow,
@@ -303,5 +363,5 @@ def coproduct(x: Family, y: Family) -> Obj:
 
 def is_iso(x: Family, y: Family) -> bool:
     """Mutual arrows; on canonical objects this agrees with equality."""
-    xs, ys = tuple(x), tuple(y)
+    xs, ys = _members(x), _members(y)
     return arrow_exists(xs, ys) and arrow_exists(ys, xs)

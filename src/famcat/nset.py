@@ -96,7 +96,9 @@ class NSet:
         return self.mask == other.mask and self.cofinite is other.cofinite
 
     def __hash__(self) -> int:
-        return hash((self.cofinite, self.mask))
+        # the mask itself, or for a cofinite set a value below -1 (Python
+        # reserves -1): narrow masks never collide, and no tuple is built
+        return -2 - self.mask if self.cofinite else self.mask
 
     def __repr__(self) -> str:
         return f"NSet.{'cofin' if self.cofinite else 'fin'}({list(self.support)})"

@@ -120,6 +120,31 @@ def test_obj_constructor_rejects_non_canonical_families():
     assert Obj((EMPTY, fin([0]), cofin([0]))) == normalize([cofin([0]), fin([0])])
 
 
+def test_obj_antichain_check_covers_every_kind_of_containment():
+    dominated = [
+        (EMPTY, fin([0]), fin([0, 1])),  # finite in finite
+        (EMPTY, fin([0, 300]), fin([0, 2, 300])),
+        (EMPTY, fin([0]), cofin([1])),  # finite in cofinite
+        (EMPTY, fin([5, 300]), cofin([4])),
+        (EMPTY, FULL, cofin([0])),  # cofinite in cofinite
+        (EMPTY, cofin([300]), cofin([0, 300])),
+        (EMPTY, fin([1]), fin([0, 3]), cofin([3])),  # one pair among three
+    ]
+    for ms in dominated:
+        with pytest.raises(ValueError, match="not an antichain"):
+            Obj(ms)
+    with pytest.raises(ValueError, match=r"^\{0\} is dominated by N-\{1\};"):
+        Obj((EMPTY, fin([0]), cofin([1])))
+    # a cofinite member beside a finite one it does not contain
+    for ms in [
+        (EMPTY, fin([0]), cofin([0])),
+        (EMPTY, fin([5, 300]), cofin([300])),
+        (EMPTY, fin([0, 1]), cofin([1, 2])),
+        (EMPTY, fin([0, 1]), cofin([0]), cofin([1])),
+    ]:
+        assert Obj(ms).members == ms == normalize(ms).members
+
+
 def test_extreme_objects():
     assert INITIAL == Obj.of()
     assert TERMINAL == Obj.of(FULL)
@@ -151,6 +176,24 @@ def test_arrow_examples():
     assert arrow_exists(C, B) and not arrow_exists(B, C)
     assert not arrow_exists(TERMINAL, A)  # N fits only in N
     assert arrow_exists(NEAR_FULL, TERMINAL)
+
+
+def _presentations(family):
+    """Makers of the family as a list, a one-shot generator and, if canonical, an Obj."""
+    makers = [lambda: list(family), lambda: (m for m in family)]
+    if normalize(family).members == tuple(family):
+        makers.append(lambda: Obj(tuple(family)))
+    return makers
+
+
+@given(family_strategy, family_strategy)
+def test_arrow_exists_matches_the_subset_definition(ms, ns):
+    x, y = normalize(ms).members, normalize(ns).members
+    # the drawn lists, their canonical forms and the empty family, each way round
+    for src, tgt in itertools.product((ms, x, []), (ns, y, [])):
+        want = all(any(s.is_subset(t) for t in tgt) for s in src)
+        for make_src, make_tgt in itertools.product(_presentations(src), _presentations(tgt)):
+            assert arrow_exists(make_src(), make_tgt()) == want, (src, tgt)
 
 
 def test_arrows_are_a_preorder_on_the_small_universe():
