@@ -16,9 +16,10 @@ product, cobase change the w fact into the coproduct.  A
 sampled universe is drawn once per call, as one seeded stream held as
 indices into its distinct objects, and each check decides a tuple it meets
 again once; a draw with too many distinct objects to hold is drawn afresh
-by each check instead.  A sampled stream normalizes each distinct set of
-drawn members once, through a dict of at most ``MAX_HELD`` objects that
-lives only as long as the stream; no cache outlives a call.  Identical
+by each check instead.  A sampled stream draws its members as signed masks
+and builds each distinct object once, through a dict of at most
+``MAX_HELD`` objects keyed by the maximal drawn masks, that lives only as
+long as the stream; no cache outlives a call.  Identical
 universe and seed always produce the identical report, and the machine
 serialization is byte-stable.
 
@@ -42,6 +43,8 @@ from .kernel import (
     LabelVerdict,
     Obj,
     SizeGuardError,
+    _canonical,
+    _maximal,
     arrow_exists,
     coproduct,
     fibration_condition,
@@ -146,33 +149,41 @@ def enumerate_objects(u: Universe) -> list[Obj]:
     return out
 
 
-def _draw_nset(rng: random.Random, u: Universe) -> NSet:
-    support = tuple(i for i in range(u.window) if rng.random() < 0.5)
+def _draw_mask(rng: random.Random, u: Universe) -> int:
+    """One sampled member as a signed mask: each window element with
+    probability 1/2, then, with cofinite members, the complement with
+    probability 1/4."""
+    mask = 0
+    for i in range(u.window):
+        if rng.random() < 0.5:
+            mask |= 1 << i
     if u.include_cofinite and rng.random() < 0.25:
-        return NSet.cofin(support)
-    return NSet.fin(support)
+        return ~mask
+    return mask
 
 
 def _draw_object(
-    rng: random.Random, u: Universe, canon: dict[frozenset[NSet], Obj] | None = None
+    rng: random.Random, u: Universe, canon: dict[frozenset[int], Obj] | None = None
 ) -> Obj:
-    """One sampled object: a geometric number of drawn members, normalized.
+    """One sampled object: a geometric number of drawn members, canonicalized.
 
-    With ``canon``, the object of members drawn before is read from it
-    instead of normalized again, and a new one is kept while it holds fewer
-    than ``MAX_HELD`` objects.  The draw itself is the same either way.
+    With ``canon``, the object is looked up by the frozenset of its maximal
+    drawn masks, which names its non-empty members, and only a new one is
+    built; it is kept while ``canon`` holds fewer than ``MAX_HELD`` objects.
+    The draw itself is the same either way.
     """
     count = 1  # geometric with mean 2
     while rng.random() < 0.5:
         count += 1
-    drawn = frozenset([_draw_nset(rng, u) for _ in range(count)])
+    drawn = [_draw_mask(rng, u) for _ in range(count)]
     if canon is None:
-        return normalize(drawn)
-    ob = canon.get(drawn)
+        return _canonical(drawn)
+    key = frozenset(_maximal(drawn))
+    ob = canon.get(key)
     if ob is None:
-        ob = normalize(drawn)
+        ob = _canonical(key)
         if len(canon) < MAX_HELD:
-            canon[drawn] = ob
+            canon[key] = ob
     return ob
 
 
@@ -184,14 +195,14 @@ def universe_objects(u: Universe) -> list[Obj]:
 def instance_tuples(u: Universe, arity: int) -> Iterator[tuple[Obj, ...]]:
     """The instance stream for a check of the given arity, in fixed order.
 
-    A sampled stream normalizes each distinct set of drawn members once,
-    through a dict that lives as long as the stream.
+    A sampled stream builds each distinct object once, through a dict that
+    lives as long as the stream.
     """
     if u.is_exhaustive:
         yield from itertools.product(enumerate_objects(u), repeat=arity)
     else:
         rng = random.Random(u.seed)
-        canon: dict[frozenset[NSet], Obj] = {}
+        canon: dict[frozenset[int], Obj] = {}
         for _ in range(u.samples):
             yield tuple(_draw_object(rng, u, canon) for _ in range(arity))
 

@@ -16,11 +16,19 @@ Three labels are decided here:
   extension property decided by :func:`fibration_condition`; that property
   is the reverse arrow, so an ``f`` arrow is an isomorphism.
 
-The decision functions accept any iterable of NSets, not only canonical
-:class:`Obj` values; the harness exploits that to evaluate labels on
-non-canonical presentations of the same object; only :func:`product` needs
-canonical objects.  All values are immutable and every function is pure,
-so concurrent use is safe.
+Every decider works on *signed masks*, one int per member: a finite set is
+its mask (``>= 0``) and a cofinite set with holes ``h`` is ``~h`` (``< 0``).
+Python ints are infinite two's complement, so ``&``, ``|`` and ``~`` are
+intersection, union and complement, ``s`` lies in ``t`` exactly when
+``not s & ~t``, and ``s`` is cofinite exactly when ``s < 0``: no decider
+branches on the kind of a member.  An :class:`Obj` holds the signed masks
+of its members; any other iterable of NSets is converted once per call, so
+the deciders also take non-canonical presentations of an object, which the
+harness exploits, and one-shot iterables.  :func:`normalize`,
+:func:`coproduct`, :func:`product`, the exponential of :mod:`famcat.vobj`
+and the sampled draw of :mod:`famcat.harness` build canonical objects on
+the masks and make NSets only for the members they keep.  All values are
+immutable and every function is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .nset import EMPTY, FULL, NSet
+from .nset import EMPTY, FULL, NSet, _make
 
 Family = Iterable[NSet]
 _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subsets b per member
@@ -39,131 +47,117 @@ class SizeGuardError(ValueError):
     """A request too large to enumerate, draw or construct."""
 
 
+def _signed(m: NSet) -> int:
+    """The signed mask of a member: its mask if finite, ``~holes`` if cofinite."""
+    return ~m.mask if m.cofinite else m.mask
+
+
+def _member(s: int) -> NSet:
+    """The member whose signed mask is ``s``."""
+    return _make(True, ~s) if s < 0 else _make(False, s)
+
+
 _LOW_BIT_FIRST = str.maketrans("01", "10")
 
 
-def _member_sort_key(m: NSet) -> tuple[bool, int, str]:
-    """Orders members as ``(cofinite, mask size, support)`` does, without the support.
+def _member_sort_key(s: int) -> tuple[bool, int, str]:
+    """Orders signed masks as ``(cofinite, mask size, support)`` orders members.
 
     Supports of one size first differ at an element of the earlier one.
     Spelled least bit first, a set bit as ``0``, masks of one size are not
     prefixes of each other, and they first differ at that same element.
-    Only :func:`normalize` sorts by it; :func:`_in_order` checks the same
+    Only :func:`_canonical` sorts by it; :func:`_in_order` checks the same
     order on two neighbours without building a key.
     """
-    mask = m.mask
-    return (m.cofinite, mask.bit_count(), bin(mask)[:1:-1].translate(_LOW_BIT_FIRST))
+    mask = ~s if s < 0 else s
+    return (s < 0, mask.bit_count(), bin(mask)[:1:-1].translate(_LOW_BIT_FIRST))
 
 
-def _in_order(s: NSet, t: NSet) -> bool:
+def _in_order(s: int, t: int) -> bool:
     """Whether ``s`` comes strictly before ``t`` in :func:`_member_sort_key` order.
 
     Finite comes before cofinite, then fewer mask bits first.  Two distinct
-    masks of one kind and size first differ at the lowest bit of ``a ^ b``,
-    and the key puts first the mask that has that bit set.  Equal members
-    are not in order.
+    masks of one kind and size first differ at the lowest bit of their
+    xor, and the key puts first the mask that has that bit set.  Equal
+    members are not in order.
     """
-    if s.cofinite is not t.cofinite:
-        return t.cofinite
-    a, b = s.mask, t.mask
-    na, nb = a.bit_count(), b.bit_count()
+    if (s < 0) is not (t < 0):
+        return t < 0
+    if s < 0:
+        s, t = ~s, ~t
+    na, nb = s.bit_count(), t.bit_count()
     if na != nb:
         return na < nb
-    d = a ^ b
-    return d & -d & a != 0
+    d = s ^ t
+    return d & -d & s != 0
 
 
-def _superset_first_key(m: NSet) -> tuple[bool, int]:
+def _superset_first_key(s: int) -> tuple[bool, int]:
     """Cofinite first, then fewer holes or more elements: strict supersets first."""
-    size = m.mask.bit_count()
-    return (not m.cofinite, size if m.cofinite else -size)
+    return (True, -s.bit_count()) if s >= 0 else (False, (~s).bit_count())
 
 
-def _split(members: Iterable[NSet]) -> tuple[list[int], list[int]]:
-    """The masks of the finite members and the hole masks of the cofinite ones."""
-    fins: list[int] = []
-    holes: list[int] = []
-    for m in members:
-        (holes if m.cofinite else fins).append(m.mask)
-    return fins, holes
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct non-empty signed masks that no other one contains, in no fixed order.
 
-
-def _fits(s: NSet, fins: list[int], holes: list[int]) -> bool:
-    """Whether ``s`` sits inside some member of a family given as the masks
-    ``fins`` of its finite members and the holes of its cofinite ones.
-
-    The four cases are the table in :func:`arrow_exists`.
+    One pass in superset-first order keeps each mask that no kept mask
+    contains.  That keeps every maximal mask and drops a dominated one,
+    since a maximal superset of it comes first.
     """
-    a = s.mask
-    if s.cofinite:
-        for h in holes:
-            if not h & ~a:
-                return True
-        return False
-    for b in fins:
-        if not a & ~b:
-            return True
-    for h in holes:
-        if not a & h:
-            return True
-    return False
-
-
-def maximal(members: Family) -> list[NSet]:
-    """The distinct members that no other member strictly contains, in no fixed order.
-
-    One pass in superset-first order keeps each set that no kept set
-    contains.  That keeps every maximal set and drops a repeat or a
-    dominated set, since a maximal superset of it comes first.  "No kept
-    set contains it" is the mask loop of :func:`arrow_exists` over the kept
-    masks, split by kind as they are kept: a finite ``a`` lies in a finite
-    ``b`` when ``a & ~b == 0`` and in a cofinite set with holes ``h`` when
-    ``a & h == 0``; a cofinite ``a`` lies in ``h`` when ``h & ~a == 0`` and
-    never in a finite set.  :meth:`NSet.is_subset` stays the definition the
-    tests compare with.
-    """
-    keep: list[NSet] = []
-    fins: list[int] = []
-    holes: list[int] = []
-    for m in sorted(members, key=_superset_first_key):
-        if not _fits(m, fins, holes):
-            keep.append(m)
-            (holes if m.cofinite else fins).append(m.mask)
+    pool = set(masks)
+    pool.discard(0)
+    keep: list[int] = []
+    for a in sorted(pool, key=_superset_first_key):
+        for b in keep:
+            if not a & ~b:
+                break
+        else:
+            keep.append(a)
     return keep
+
+
+def _canonical(masks: Iterable[int]) -> Obj:
+    """The canonical object of a family given by its signed masks.
+
+    It keeps the maximal masks, sorts them when there is more than one, and
+    builds NSets only for those, after ``EMPTY``, which sorts first.
+    """
+    keep = _maximal(masks)
+    if len(keep) > 1:
+        keep.sort(key=_member_sort_key)
+    return Obj((EMPTY, *map(_member, keep)))
 
 
 @dataclass(frozen=True)
 class Obj:
     """A canonical family: contains the empty set, plus an antichain.
 
-    Building one checks that form and keeps the member masks split by kind:
-    ``_fins`` the masks of the finite members and ``_holes`` the hole masks
-    of the cofinite ones, each in member order.  The deciders read these
-    instead of splitting the members again.  They take no part in
-    equality, hashing or ``repr``, and :func:`dataclasses.replace` builds
-    them afresh.
+    Building one checks that form and keeps ``_signed``, the signed masks
+    of the members in member order, which the deciders read instead of
+    converting the members again.  It takes no part in equality, hashing
+    or ``repr``, and :func:`dataclasses.replace` builds it afresh.
     """
 
     members: tuple[NSet, ...]
-    _fins: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _holes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _signed: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ms = self.members
-        if EMPTY not in ms:
+        signed = tuple(_signed_masks(ms))
+        if 0 not in signed:
             raise ValueError("a canonical family contains the empty set")
         # the order is strict, so neighbours in order mean sorted and duplicate-free
-        if not all(map(_in_order, ms, ms[1:])):
+        if not all(map(_in_order, signed, signed[1:])):
             raise ValueError("members must be sorted and duplicate-free")
-        fins, holes = _split(ms)
-        object.__setattr__(self, "_fins", tuple(fins))
-        object.__setattr__(self, "_holes", tuple(holes))
-        # EMPTY has the least key, so it is ms[0]; the rest is duplicate-free,
-        # so it is an antichain exactly when maximal keeps all of it (one
-        # member always is)
-        rest = ms[1:]
-        if len(rest) > 1 and len(maximal(rest)) < len(rest):
-            a, b = next((a, b) for a, b in itertools.permutations(rest, 2) if a.is_subset(b))
+        object.__setattr__(self, "_signed", signed)
+        # EMPTY has the least key, so it comes first; the rest is
+        # duplicate-free, so it is an antichain exactly when _maximal keeps
+        # all of it (one member always is)
+        rest = signed[1:]
+        if len(rest) > 1 and len(_maximal(rest)) < len(rest):
+            a, b = next(
+                (a, b) for a, b in itertools.permutations(ms[1:], 2) if a.is_subset(b)
+            )
             raise ValueError(f"{a} is dominated by {b}; family is not an antichain")
 
     @classmethod
@@ -192,99 +186,76 @@ class Obj:
         return "{" + ", ".join(str(m) for m in self.members) + "}"
 
 
+def _signed_masks(family: Family) -> Sequence[int]:
+    """The signed masks of a family: held by an :class:`Obj`, else converted once."""
+    if isinstance(family, Obj):
+        return family._signed
+    return [~m.mask if m.cofinite else m.mask for m in family]
+
+
 def normalize(members: Family) -> Obj:
     """Canonical form: add the empty set, drop duplicates and dominated members.
 
     The result has mutual arrows with the input family whenever the input is
     non-empty; the empty input normalizes to the initial object ``{{}}``.
     """
-    pool = set(members)
-    pool.discard(EMPTY)
-    keep = maximal(pool)
-    if len(keep) > 1:
-        keep.sort(key=_member_sort_key)
-    return Obj((EMPTY, *keep))
+    return _canonical(_signed_masks(members))
 
 
 INITIAL = Obj((EMPTY,))  # the least object {{}}: it maps into everything
 TERMINAL = Obj((EMPTY, FULL))  # the greatest object {{}, N}: everything maps into it
 
 
-def _members(family: Family) -> Obj | tuple[NSet, ...]:
-    """An :class:`Obj` as it is, with its masks; any other family as a tuple."""
-    return family if isinstance(family, Obj) else tuple(family)
-
-
-def _masks(family: Family) -> tuple[Sequence[int], Sequence[int]]:
-    """:func:`_split` of a family, read from an :class:`Obj` without splitting."""
-    return (family._fins, family._holes) if isinstance(family, Obj) else _split(family)
-
-
-def arrow_exists(source: Family, target: Family) -> bool:
-    """True iff every member of the source is contained in some target member.
-
-    Containment is decided on masks: the finite masks ``b`` and cofinite
-    hole masks ``h`` of the target, and a source member with mask ``a``
-    fits when
-
-    ======================  ===============  ===============
-    source member           in finite ``b``  in cofinite ``h``
-    ======================  ===============  ===============
-    finite, elements ``a``  ``a & ~b == 0``  ``a & h == 0``
-    cofinite, holes ``a``   never            ``h & ~a == 0``
-    ======================  ===============  ===============
-
-    which is :meth:`NSet.is_subset` case by case; that method stays the
-    definition the tests compare this with.  An :class:`Obj` holds its
-    masks; any other family is split once, so one-shot iterables work.
-    """
-    # _masks, spelled out on the hottest path
-    if isinstance(target, Obj):
-        fins, holes = target._fins, target._holes
-    else:
-        fins, holes = _split(target)
-    if isinstance(source, Obj):
-        src_fins, src_holes = source._fins, source._holes
-    else:
-        src_fins, src_holes = _split(source)
-    for a in src_fins:
-        for b in fins:
+def _arrow(src: Sequence[int], tgt: Sequence[int]) -> bool:
+    """:func:`arrow_exists` on signed masks."""
+    for a in src:
+        for b in tgt:
             if not a & ~b:
-                break
-        else:
-            for h in holes:
-                if not a & h:
-                    break
-            else:
-                return False
-    for a in src_holes:
-        for h in holes:
-            if not h & ~a:
                 break
         else:
             return False
     return True
 
 
+def _star(src: Sequence[int], tgt: Sequence[int]) -> bool:
+    """:func:`star_arrow` on signed masks: a family has a cofinite member
+    exactly when its least signed mask is negative."""
+    if not tgt:
+        return not src
+    return min(tgt) < 0 or not src or min(src) >= 0
+
+
+def arrow_exists(source: Family, target: Family) -> bool:
+    """True iff every member of the source is contained in some target member.
+
+    A member with signed mask ``a`` lies in one with signed mask ``b``
+    exactly when ``a & ~b == 0``.  That is :meth:`NSet.is_subset` case by
+    case, which stays the definition the tests compare this with:
+
+    ======================  ===========================  ==============================
+    member ``a`` in ``b``   finite ``b``                 cofinite, holes ``h``
+    ======================  ===========================  ==============================
+    finite ``a``            ``a & ~b``                   ``a & h``
+    cofinite, holes ``g``   ``~g & ~b``, never zero      ``~g & h``, i.e. ``h & ~g``
+    ======================  ===========================  ==============================
+    """
+    return _arrow(_signed_masks(source), _signed_masks(target))
+
+
 def star_arrow(source: Family, target: Family) -> bool:
     """Near-inclusion: every source member almost fits in some target member.
 
     Only kinds matter: ``s - t`` is finite iff s is finite or t is cofinite,
-    so no difference is built, and whether a family has a cofinite member
-    is whether it has a hole mask.  An empty target admits only an empty
+    so no difference is built.  An empty target admits only an empty
     source.
     """
-    src_fins, src_holes = _masks(source)
-    fins, holes = _masks(target)
-    if not fins and not holes:
-        return not src_fins and not src_holes
-    return bool(holes) or not src_holes
+    return _star(_signed_masks(source), _signed_masks(target))
 
 
 def label_w(source: Family, target: Family) -> bool:
     """Weak equivalence: the arrow plus a near-inclusion back."""
-    src, tgt = _members(source), _members(target)
-    return arrow_exists(src, tgt) and star_arrow(tgt, src)
+    src, tgt = _signed_masks(source), _signed_masks(target)
+    return _arrow(src, tgt) and _star(tgt, src)
 
 
 # -- the fibration condition and its three deciders -----------------------
@@ -392,13 +363,13 @@ class LabelVerdict:
 
 
 def label_verdict(source: Family, target: Family) -> LabelVerdict:
-    src, tgt = _members(source), _members(target)
-    arrow = arrow_exists(src, tgt)
+    src, tgt = _signed_masks(source), _signed_masks(target)
+    arrow = _arrow(src, tgt)
     return LabelVerdict(
         arrow=arrow,
-        star=star_arrow(src, tgt),
-        w=arrow and star_arrow(tgt, src),
-        f=arrow and arrow_exists(tgt, src),
+        star=_star(src, tgt),
+        w=arrow and _star(tgt, src),
+        f=arrow and _arrow(tgt, src),
         c=arrow,
     )
 
@@ -407,7 +378,9 @@ def label_verdict(source: Family, target: Family) -> LabelVerdict:
 
 
 def product(x: Obj, y: Obj) -> Obj:
-    """Binary product of canonical objects: pointwise intersections, normalized.
+    """Binary product of canonical objects: pointwise intersections, canonicalized.
+
+    The intersections are ``a & b`` over the signed masks the objects hold.
 
     The product of two comparable objects is the lesser one, returned
     without building anything.  If ``x -> y``, each ``a`` in x lies in some
@@ -416,19 +389,20 @@ def product(x: Obj, y: Obj) -> Obj:
     Canonical objects that are isomorphic are equal, because their
     non-empty members form an antichain, so the product is x itself.
     """
-    if arrow_exists(x, y):
+    xs, ys = x._signed, y._signed
+    if _arrow(xs, ys):
         return x
-    if arrow_exists(y, x):
+    if _arrow(ys, xs):
         return y
-    return normalize(a & b for a in x.members for b in y.members)
+    return _canonical({a & b for a in xs for b in ys})
 
 
 def coproduct(x: Family, y: Family) -> Obj:
     """Binary coproduct: the union of the families, normalized."""
-    return normalize(itertools.chain(x, y))
+    return _canonical([*_signed_masks(x), *_signed_masks(y)])
 
 
 def is_iso(x: Family, y: Family) -> bool:
     """Mutual arrows; on canonical objects this agrees with equality."""
-    xs, ys = _members(x), _members(y)
-    return arrow_exists(xs, ys) and arrow_exists(ys, xs)
+    xs, ys = _signed_masks(x), _signed_masks(y)
+    return _arrow(xs, ys) and _arrow(ys, xs)

@@ -12,10 +12,14 @@ forms proved once and tested against the explicit kernel:
 * ``UPROD(X)`` - the product of the universe object with X; definitionally
   ``WC(initial, X)``.
 * ``EXP(B, C)`` - the exponential; reducible to the explicit object computed
-  by :func:`exp_explicit`.
+  by :func:`exp_explicit`, and queried member by member through
+  :func:`exp_member`.
 * ``EXP_SLICE(A, B, C)`` - the exponential pulled into the slice over A.
 * ``WEXP(A, B, C)`` - the weak-equivalence classifier of the slice over A;
-  queried through :func:`wexp_member`.
+  queried member by member through :func:`wexp_member`.
+
+The member oracles and :func:`exp_explicit` work on the signed member masks
+that :class:`~famcat.kernel.Obj` holds and build no product.
 
 :func:`decide` is the one dispatch for a label on an ordered pair with
 explicit or virtual endpoints.  Arrow queries that no documented rule covers
@@ -27,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .kernel import (
     INITIAL,
@@ -35,15 +39,15 @@ from .kernel import (
     LabelVerdict,
     Obj,
     SizeGuardError,
+    _canonical,
+    _maximal,
+    _signed,
     arrow_exists,
     label_verdict,
-    label_w,
-    maximal,
-    normalize,
     product,
     star_arrow,
 )
-from .nset import EMPTY, FULL, NSet
+from .nset import EMPTY, NSet
 
 
 # exp_explicit holds at most this many partial intersections.  The claim
@@ -185,33 +189,93 @@ def wc_covers(v: VObj, s: NSet) -> bool:
     return False
 
 
+def _maps_into_exp(zs: Iterable[int], b: Obj, c: Obj) -> bool:
+    """Whether every ``s & m``, for ``s`` in the signed masks ``zs`` and
+    ``m`` a member of B, lies in some member ``n`` of C: ``not (s & m) & ~n``."""
+    cs = c._signed
+    for s in zs:
+        for m in b._signed:
+            sm = s & m
+            for n in cs:
+                if not sm & ~n:
+                    break
+            else:
+                return False
+    return True
+
+
+def _kinds_allow(b: Obj, c: Obj) -> bool:
+    """B has a cofinite member or C has none; cofinite members sort last."""
+    return b._signed[-1] < 0 or c._signed[-1] >= 0
+
+
+def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
+    """Is ``s`` a member of the exponential of C by B?
+
+    That is the arrow from ``{{}, s}`` into ``EXP(B, C)``, which is the arrow
+    ``{{}, s} x B -> C``.  The members of that product are the ``s & m``
+    for m in B, up to dominated ones, so it holds exactly when every
+    ``s & m`` lies in some member of C.  No product is built.
+    """
+    return _maps_into_exp((_signed(s),), b, c)
+
+
 def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
     """Is ``s`` a member of the weak-equivalence classifier over (B, C)?
 
-    Decided by the singleton criterion: the two-member family ``{{}, s}``
-    must carry a weak equivalence between its products with B and with C.
-    That family is built as it stands, without :func:`normalize`: a single
-    non-empty member is an antichain, and it sorts after ``EMPTY``, which
-    comes first in the member order (finite, no elements).  For
-    ``s == EMPTY`` the family is ``INITIAL``.
+    The singleton criterion: with ``z = {{}, s}``, the arrow
+    ``z x B -> z x C`` must be a weak equivalence, the arrow plus the
+    near-inclusion back.  Both halves are closed forms on signed masks, and
+    no product is built:
+
+    * The members of ``z x B`` are the ``s & m`` for m in B, and those of
+      ``z x C`` the ``s & n`` for n in C.  ``s & m`` lies in ``s & n``
+      exactly when it lies in n, since it lies in s, so the arrow is
+      :func:`exp_member`.
+    * The near-inclusion ``z x C ~> z x B`` fails exactly when ``z x C``
+      has a cofinite member and ``z x B`` has none
+      (:func:`~famcat.kernel.star_arrow`).  ``s & m`` is cofinite exactly
+      when s and m are, and only a cofinite member contains a cofinite
+      one, so ``z x B`` has a cofinite member exactly when s is cofinite
+      and B has one, and the same holds for C.  The near-inclusion is
+      therefore: s is finite, or B has a cofinite member, or C has none.
     """
-    z = INITIAL if s == EMPTY else Obj((EMPTY, s))
-    return label_w(product(z, b), product(z, c))
+    return exp_member(b, c, s) and (not s.cofinite or _kinds_allow(b, c))
 
 
 # -- arrow oracles -----------------------------------------------------------
 
 
 def arrow_into_vobj(z: Obj, v: VObj) -> bool:
-    """Arrow from an explicit object into a virtual one."""
+    """Arrow from an explicit object into a virtual one.
+
+    Into a WC-shaped family, each member of z must be covered.  Into
+    ``EXP(B, C)`` the arrow is ``z x B -> C``, into ``EXP_SLICE(A, B, C)``
+    it is also ``z -> A``, and into ``WEXP(A, B, C)`` it is ``z -> A`` and a
+    weak equivalence ``z x B -> z x C``.  Each hom condition splits member
+    by member of z, so it is decided on the signed masks z holds, with no
+    product.  The members of ``z x B`` are the ``s & m`` for s in z and m
+    in B, so ``z x B -> C`` is :func:`exp_member` for every member.  If
+    ``s & m`` lies in some ``s' & n``, it lies in n and in s, so in
+    ``s & n``: ``z x B -> z x C`` is the same condition.  Its
+    near-inclusion back fails exactly when z and C have a cofinite member
+    and B has none, so the arrow into ``WEXP`` is ``z -> A`` and
+    :func:`wexp_member` for every member.
+    """
     if v.kind in _WC_SHAPED:
         return all(wc_covers(v, m) for m in z)
+    zs = z._signed
     if v.kind is VKind.EXP:
-        return arrow_exists(product(z, v.b), v.c)
+        return _maps_into_exp(zs, v.b, v.c)
     if v.kind is VKind.EXP_SLICE:
-        return arrow_exists(z, v.a) and arrow_exists(product(z, v.b), v.c)
+        return arrow_exists(z, v.a) and _maps_into_exp(zs, v.b, v.c)
     if v.kind is VKind.WEXP:
-        return arrow_exists(z, v.a) and label_w(product(z, v.b), product(z, v.c))
+        # z has no cofinite member exactly when its last member is finite
+        return (
+            arrow_exists(z, v.a)
+            and _maps_into_exp(zs, v.b, v.c)
+            and (zs[-1] >= 0 or _kinds_allow(v.b, v.c))
+        )
     raise UndecidedPairError(f"no arrow rule into {v.describe()}")
 
 
@@ -238,21 +302,22 @@ def exp_explicit(b: Obj, c: Obj) -> Obj:
     A set s maps against every member of B into C exactly when s is inside
     the intersection of ``choice(m) | ~m`` over members m of B, for some
     choice of targets in C.  The maximal such intersections are the members;
-    dominated partial intersections are pruned at every step, which keeps
+    they are computed on signed masks, and dominated partial intersections
+    are pruned at every step, which keeps
     the choice-function blowup collapsed.  Pruning cannot always collapse
     it: k disjoint two-element members of B against their 2k singletons in
     C leave 2**k partials.  Past ``MAX_PARTIALS`` of them the construction
     stops with :class:`SizeGuardError`.
     """
-    partials = [FULL]
-    for m in b:
-        terms = {t | ~m for t in c}
-        partials = maximal({p & t for p in partials for t in terms})
+    partials = [-1]  # the signed mask of N
+    for m in b._signed:
+        terms = {t | ~m for t in c._signed}
+        partials = _maximal({p & t for p in partials for t in terms})
         if len(partials) > MAX_PARTIALS:
             raise SizeGuardError(
                 f"the exponential passed MAX_PARTIALS = {MAX_PARTIALS} partial intersections"
             )
-    return normalize(partials)
+    return _canonical(partials)
 
 
 def exp_slice(a: Obj, b: Obj, c: Obj) -> Obj:

@@ -230,6 +230,34 @@ def test_interned_stream_is_the_plain_draw(u):
         assert all(g.members == w.members for gt, wt in zip(got, want) for g, w in zip(gt, wt))
 
 
+def nset_draw(rng, u):
+    """One sampled object drawn as NSets: a geometric number of members,
+    each window element with probability 1/2, then, with cofinite members,
+    the complement with probability 1/4; then normalized."""
+    count = 1
+    while rng.random() < 0.5:
+        count += 1
+    drawn = []
+    for _ in range(count):
+        support = tuple(i for i in range(u.window) if rng.random() < 0.5)
+        cofinite = u.include_cofinite and rng.random() < 0.25
+        drawn.append(NSet.cofin(support) if cofinite else NSet.fin(support))
+    return normalize(frozenset(drawn))
+
+
+@pytest.mark.parametrize("window", [3, 16])
+@pytest.mark.parametrize("cofinite", [False, True])
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_mask_draw_is_the_nset_draw(window, cofinite, seed):
+    u = Universe(window=window, include_cofinite=cofinite, samples=300, seed=seed)
+    for arity in (1, 3):
+        rng = random.Random(seed)
+        want = [tuple(nset_draw(rng, u) for _ in range(arity)) for _ in range(u.samples)]
+        got = list(instance_tuples(u, arity))
+        assert got == want
+        assert all(g.members == w.members for gt, wt in zip(got, want) for g, w in zip(gt, wt))
+
+
 def test_a_stream_interns_at_most_max_held_objects(monkeypatch):
     u = Universe(window=16, include_cofinite=True, samples=300, seed=3)
     want = list(replayed_tuples(u, 2))
@@ -240,6 +268,8 @@ def test_a_stream_interns_at_most_max_held_objects(monkeypatch):
     def spy(rng, u, canon):
         out = draw(rng, u, canon)
         sizes.append(len(canon))
+        # an object is held under the signed masks of its non-empty members
+        assert all(key == frozenset(ob._signed[1:]) for key, ob in canon.items())
         return out
 
     monkeypatch.setattr(harness, "_draw_object", spy)

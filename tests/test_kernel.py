@@ -26,9 +26,12 @@ from famcat.kernel import (
     INITIAL,
     TERMINAL,
     Obj,
+    _canonical,
     _in_order,
+    _maximal,
+    _member,
     _member_sort_key,
-    _split,
+    _signed,
     arrow_exists,
     coproduct,
     fibration_condition,
@@ -38,12 +41,11 @@ from famcat.kernel import (
     label_f,
     label_verdict,
     label_w,
-    maximal,
     normalize,
     product,
     star_arrow,
 )
-from famcat.nset import EMPTY, FULL, NSet
+from famcat.nset import EMPTY, FULL, MAX_ELEMENT, NSet
 
 fin = NSet.fin
 cofin = NSet.cofin
@@ -77,24 +79,71 @@ def quadratic_normalize(members) -> tuple[NSet, ...]:
     return tuple(sorted(keep, key=lambda m: (m.cofinite, m.mask.bit_count(), m.support)))
 
 
-def _member(elems: set[int], cofinite: bool) -> NSet:
+def _nset(elems: set[int], cofinite: bool) -> NSet:
     return cofin(elems) if cofinite else fin(elems)
 
 
-# small supports make domination common; wide ones give masks of unequal lengths
+# small supports make domination common; wide ones give masks of unequal
+# lengths, up to the widest a literal can ask for
 member_strategy = st.one_of(
     st.just(EMPTY),
     st.just(FULL),
-    st.builds(_member, st.sets(st.integers(0, 4), max_size=4), st.booleans()),
-    st.builds(_member, st.sets(st.integers(0, 300), max_size=3), st.booleans()),
+    st.builds(_nset, st.sets(st.integers(0, 4), max_size=4), st.booleans()),
+    st.builds(_nset, st.sets(st.integers(0, 300), max_size=3), st.booleans()),
+    st.builds(_nset, st.sets(st.integers(0, MAX_ELEMENT), max_size=3), st.booleans()),
 )
 family_strategy = st.lists(member_strategy, max_size=8)
 
 
 @given(member_strategy, member_strategy)
+def test_signed_masks_are_the_set_algebra(s, t):
+    a, b = _signed(s), _signed(t)
+    assert _member(a) == s
+    assert (a < 0) == s.cofinite
+    assert _member(a & b) == s.intersect(t)
+    assert _member(a | b) == s.union(t)
+    assert _member(~a) == s.complement()
+    assert _member(a | ~b) == s.union(t.complement())
+    assert (not a & ~b) == s.is_subset(t)
+
+
+def _nset_sort_key(m: NSet) -> tuple[bool, int, str]:
+    mask = m.mask
+    return (m.cofinite, mask.bit_count(), bin(mask)[:1:-1].translate(str.maketrans("01", "10")))
+
+
+def _nset_superset_first_key(m: NSet) -> tuple[bool, int]:
+    size = m.mask.bit_count()
+    return (not m.cofinite, size if m.cofinite else -size)
+
+
+def nset_normalize(members) -> Obj:
+    """Canonical form on NSets: keep the members no other one contains, in
+    one superset-first pass, sort them by the member key, then build."""
+    pool = set(members)
+    pool.discard(EMPTY)
+    keep: list[NSet] = []
+    for m in sorted(pool, key=_nset_superset_first_key):
+        if not any(m.is_subset(k) for k in keep):
+            keep.append(m)
+    keep.sort(key=_nset_sort_key)
+    return Obj((EMPTY, *keep))
+
+
+@given(family_strategy, st.integers(0, 8))
+def test_mask_canonicalizer_is_the_nset_normalize(ms, repeat):
+    ms = ms + ms[:repeat]  # duplicates
+    want = nset_normalize(ms)
+    for got in (_canonical([_signed(m) for m in ms]), normalize(ms), normalize(iter(ms))):
+        assert got == want and got.members == want.members
+        assert got._signed == want._signed
+
+
+@given(member_strategy, member_strategy)
 def test_mask_order_is_the_sort_key_order(s, t):
-    assert _in_order(s, t) == (_member_sort_key(s) < _member_sort_key(t))
-    assert _in_order(s, t) == ((s.cofinite, s.mask.bit_count(), s.support)
+    a, b = _signed(s), _signed(t)
+    assert _in_order(a, b) == (_member_sort_key(a) < _member_sort_key(b))
+    assert _in_order(a, b) == ((s.cofinite, s.mask.bit_count(), s.support)
                                < (t.cofinite, t.mask.bit_count(), t.support))
 
 
@@ -104,9 +153,9 @@ def test_normalize_matches_the_quadratic_filter(ms, repeat):
     canon = normalize(ms)
     assert canon.members == quadratic_normalize(ms)
     assert Obj(canon.members) == canon
-    kept, pool = maximal(ms), set(ms)
+    kept, pool = _maximal(map(_signed, ms)), set(ms) - {EMPTY}
     assert len(kept) == len(set(kept))
-    assert set(kept) == {m for m in pool if not any(m != o and m <= o for o in pool)}
+    assert set(kept) == {_signed(m) for m in pool if not any(m != o and m <= o for o in pool)}
 
 
 def test_normalize_keeps_mutual_arrows_with_the_input():
@@ -146,7 +195,7 @@ def test_obj_order_check_keeps_its_messages():
     for ms in unsorted:
         with pytest.raises(ValueError, match="^members must be sorted and duplicate-free$"):
             Obj(ms)
-        assert Obj(tuple(sorted(ms, key=_member_sort_key))).members != ms
+        assert Obj(tuple(sorted(ms, key=lambda m: _member_sort_key(_signed(m))))).members != ms
     for ms in [(EMPTY, EMPTY), (EMPTY, fin([0]), fin([0])), (EMPTY, FULL, FULL)]:
         with pytest.raises(ValueError, match="^members must be sorted and duplicate-free$"):
             Obj(ms)
@@ -157,17 +206,18 @@ def test_obj_order_check_keeps_its_messages():
 
 def test_obj_holds_the_masks_of_its_members():
     for x in W3 + C2:
-        fins, holes = _split(x.members)
-        held = (x._fins, x._holes)
-        assert held == (tuple(fins), tuple(holes))
+        held = x._signed
+        assert held == tuple(~m.mask if m.cofinite else m.mask for m in x.members)
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)),
                   dataclasses.replace(x), dataclasses.replace(x, members=x.members)):
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
-            assert (y._fins, y._holes) == held
+            assert y._signed == held
     # the masks are not part of the value
     assert repr(C) == f"Obj(members={C.members!r})"
-    assert Obj.from_json_dict(C.to_json_dict())._fins == C._fins
+    assert Obj.from_json_dict(C.to_json_dict())._signed == C._signed
     assert [f.name for f in dataclasses.fields(Obj) if f.init] == ["members"]
+    # one mask layout only
+    assert [f.name for f in dataclasses.fields(Obj)] == ["members", "_signed"]
 
 
 def once(x):

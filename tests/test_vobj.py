@@ -40,6 +40,7 @@ from famcat.vobj import (
     check_factorization,
     decide,
     exp_explicit,
+    exp_member,
     exp_slice,
     is_iso_virtual,
     wc_covers,
@@ -407,21 +408,36 @@ def test_wexp_membership_examples():
 
 @given(family_strategy)
 def test_wexp_member_builds_the_normalized_singleton_family(ms):
-    # wexp_member builds {{}, s} without normalize; it must be normalize([s])
-    seen = []
+    # the closed form agrees with the w label on the products with {{}, s}
+    for s in ms:
+        for b, c in ((A, B), (C, NEAR_FULL), (TERMINAL, C)):
+            z = normalize([s])
+            assert wexp_member(b, c, s) == label_w(product(z, b), product(z, c))
 
-    def spy(z, y):
-        seen.append(z)
-        return product(z, y)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vobj, "product", spy)
-        for s in ms:
-            for b, c in ((A, B), (C, NEAR_FULL), (TERMINAL, C)):
-                seen.clear()
-                z = normalize([s])
-                assert wexp_member(b, c, s) == label_w(product(z, b), product(z, c))
-                assert seen and all(x == z and x.members == z.members for x in seen)
+@given(family_strategy)
+def test_exp_member_is_the_singleton_hom_criterion(ms):
+    for s in ms:
+        z = normalize([s])
+        for b, c in itertools.product((A, C, NEAR_FULL, TERMINAL, Obj.of(cofin([1]), fin([0]))),
+                                      repeat=2):
+            assert exp_member(b, c, s) == arrow_exists(product(z, b), c)
+            assert exp_member(b, c, s) == arrow_exists(z, exp_explicit(b, c))
+
+
+def test_arrows_into_exponentials_and_classifiers_split_by_member():
+    # cofinite W2 against bases and targets with and without cofinite members
+    sides = (INITIAL, A, C, NEAR_FULL, TERMINAL, Obj.of(cofin([1]), fin([0])))
+    for z in C2:
+        for b, c in itertools.product(sides, repeat=2):
+            zb, zc = product(z, b), product(z, c)
+            assert arrow_into_vobj(z, VObj.exp(b, c)) == arrow_exists(zb, c)
+            assert arrow_into_vobj(z, VObj.wexp(TERMINAL, b, c)) == label_w(zb, zc)
+            assert arrow_into_vobj(z, VObj.exp_slice(TERMINAL, b, c)) == arrow_exists(zb, c)
+            assert arrow_into_vobj(z, VObj.exp(b, c)) == all(exp_member(b, c, m) for m in z)
+            assert arrow_into_vobj(z, VObj.wexp(TERMINAL, b, c)) == all(
+                wexp_member(b, c, m) for m in z
+            )
 
 
 def test_wexp_membership_criterion_matches_whole_family_w():
