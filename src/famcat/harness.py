@@ -44,6 +44,7 @@ from .kernel import (
     Obj,
     SizeGuardError,
     _canonical,
+    _from_maximal,
     _maximal,
     arrow_exists,
     coproduct,
@@ -181,7 +182,7 @@ def _draw_object(
     key = frozenset(_maximal(drawn))
     ob = canon.get(key)
     if ob is None:
-        ob = _canonical(key)
+        ob = _from_maximal(key)
         if len(canon) < MAX_HELD:
             canon[key] = ob
     return ob

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .nset import EMPTY, FULL, NSet, _make
 
@@ -47,16 +47,6 @@ class SizeGuardError(ValueError):
     """A request too large to enumerate, draw or construct."""
 
 
-def _signed(m: NSet) -> int:
-    """The signed mask of a member: its mask if finite, ``~holes`` if cofinite."""
-    return ~m.mask if m.cofinite else m.mask
-
-
-def _member(s: int) -> NSet:
-    """The member whose signed mask is ``s``."""
-    return _make(True, ~s) if s < 0 else _make(False, s)
-
-
 _LOW_BIT_FIRST = str.maketrans("01", "10")
 
 
@@ -66,7 +56,7 @@ def _member_sort_key(s: int) -> tuple[bool, int, str]:
     Supports of one size first differ at an element of the earlier one.
     Spelled least bit first, a set bit as ``0``, masks of one size are not
     prefixes of each other, and they first differ at that same element.
-    Only :func:`_canonical` sorts by it; :func:`_in_order` checks the same
+    Only :func:`_from_maximal` sorts by it; :func:`_in_order` checks the same
     order on two neighbours without building a key.
     """
     mask = ~s if s < 0 else s
@@ -117,25 +107,32 @@ def _maximal(masks: Iterable[int]) -> list[int]:
 
 
 def _canonical(masks: Iterable[int]) -> Obj:
-    """The canonical object of a family given by its signed masks.
+    """The canonical object of a family given by its signed masks."""
+    return _from_maximal(_maximal(masks))
 
-    It keeps the maximal masks, sorts them when there is more than one, and
-    builds NSets only for those, after ``EMPTY``, which sorts first.
-    """
-    keep = _maximal(masks)
+
+def _from_maximal(keep: Collection[int]) -> Obj:
+    """The canonical object whose non-empty members are ``keep``, a result
+    of :func:`_maximal`.  It sorts them, makes NSets only for them, after
+    ``EMPTY``, which sorts first, and skips ``Obj``'s checks of that form."""
     if len(keep) > 1:
-        keep.sort(key=_member_sort_key)
-    return Obj((EMPTY, *map(_member, keep)))
+        keep = sorted(keep, key=_member_sort_key)
+    ob = object.__new__(Obj)
+    object.__setattr__(ob, "members", (EMPTY, *map(_make, keep)))
+    object.__setattr__(ob, "_signed", (0, *keep))
+    return ob
 
 
 @dataclass(frozen=True)
 class Obj:
     """A canonical family: contains the empty set, plus an antichain.
 
-    Building one checks that form and keeps ``_signed``, the signed masks
-    of the members in member order, which the deciders read instead of
-    converting the members again.  It takes no part in equality, hashing
-    or ``repr``, and :func:`dataclasses.replace` builds it afresh.
+    An object holds ``_signed``, the signed masks of the members in member
+    order, which the deciders read instead of converting the members
+    again.  It takes no part in equality, hashing or ``repr``, and
+    :func:`dataclasses.replace` builds it afresh.  ``Obj(members)`` checks
+    the canonical form; the kernel's builders, the exponential and the
+    sampled draw skip it in :func:`_from_maximal`, whose input has it.
     """
 
     members: tuple[NSet, ...]
@@ -190,7 +187,7 @@ def _signed_masks(family: Family) -> Sequence[int]:
     """The signed masks of a family: held by an :class:`Obj`, else converted once."""
     if isinstance(family, Obj):
         return family._signed
-    return [~m.mask if m.cofinite else m.mask for m in family]
+    return [m._s for m in family]
 
 
 def normalize(members: Family) -> Obj:
@@ -229,8 +226,9 @@ def arrow_exists(source: Family, target: Family) -> bool:
     """True iff every member of the source is contained in some target member.
 
     A member with signed mask ``a`` lies in one with signed mask ``b``
-    exactly when ``a & ~b == 0``.  That is :meth:`NSet.is_subset` case by
-    case, which stays the definition the tests compare this with:
+    exactly when ``a & ~b == 0``, which is :meth:`NSet.is_subset`.  The
+    proof, case by case (the windowed membership model of the NSet tests
+    is the independent oracle):
 
     ======================  ===========================  ==============================
     member ``a`` in ``b``   finite ``b``                 cofinite, holes ``h``

@@ -6,10 +6,11 @@ closed under intersection, union, difference and complement, so every
 construction in the package stays inside it.  Values are immutable and
 hashable, operations are pure, and nothing here touches global state.
 
-A value is stored as ``(cofinite, mask)``: bit *i* of the int ``mask`` is
-set exactly when *i* is in ``S``.  Every boolean operation is one or two
-int operations on the masks.  Elements named by a constructor are bounded
-by :data:`MAX_ELEMENT`, so a literal cannot ask for a huge mask.
+A value is stored as one signed int: the mask of ``S`` (bit *i* set when
+*i* is in ``S``) for ``FIN(S)``, ``~mask`` for ``COFIN(S)``.  Every boolean
+operation is one or two int operations on it, the same for both kinds.
+Elements named by a constructor are bounded by :data:`MAX_ELEMENT`, so a
+literal cannot ask for a huge mask.
 """
 
 from __future__ import annotations
@@ -58,15 +59,17 @@ def _elements(mask: int) -> list[int]:
 class NSet:
     """A finite or cofinite subset of the naturals.
 
-    ``mask`` holds the members (finite) or the excluded members (cofinite),
-    so equality and hashing are structural, and ``support`` (the sorted
-    tuple of mask bits) is derived from it.  Values come only from
-    :meth:`fin`, :meth:`cofin` and :meth:`from_json_dict`.
+    ``_s`` is the signed mask: the members' mask for a finite set, ``~holes``
+    for a cofinite one.  Python ints are infinite two's complement, so
+    ``&``, ``|`` and ``~`` on it are intersection, union and complement,
+    and ``_s < 0`` says the set is cofinite.  Equality and hashing are
+    structural; ``cofinite``, ``mask`` and ``support`` (the sorted tuple of
+    mask bits) are derived from it.  Values come only from :meth:`fin`,
+    :meth:`cofin` and :meth:`from_json_dict`.
     """
 
-    __slots__ = ("cofinite", "mask")
-    cofinite: bool
-    mask: int
+    __slots__ = ("_s",)
+    _s: int
 
     def __new__(cls, *args: object, **kwargs: object) -> "NSet":
         raise TypeError("build an NSet with NSet.fin, NSet.cofin or NSet.from_json_dict")
@@ -74,12 +77,12 @@ class NSet:
     @classmethod
     def fin(cls, elems: Iterable[int] = ()) -> "NSet":
         """The finite set with exactly these elements."""
-        return _make(False, _mask_of(elems))
+        return _make(_mask_of(elems))
 
     @classmethod
     def cofin(cls, excluded: Iterable[int] = ()) -> "NSet":
         """The set of all naturals except these."""
-        return _make(True, _mask_of(excluded))
+        return _make(~_mask_of(excluded))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"NSet is immutable: cannot set {name!r}")
@@ -87,21 +90,30 @@ class NSet:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"NSet is immutable: cannot delete {name!r}")
 
-    def __reduce__(self) -> tuple[object, tuple[bool, int]]:
-        return _make, (self.cofinite, self.mask)
+    def __reduce__(self) -> tuple[object, tuple[int]]:
+        return _make, (self._s,)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not NSet:
             return NotImplemented
-        return self.mask == other.mask and self.cofinite is other.cofinite
+        return self._s == other._s
 
     def __hash__(self) -> int:
-        # the mask itself, or for a cofinite set a value below -1 (Python
-        # reserves -1): narrow masks never collide, and no tuple is built
-        return -2 - self.mask if self.cofinite else self.mask
+        # the mask itself, or for a cofinite set ``-2 - holes``, below -1
+        # (Python reserves -1): narrow masks never collide
+        return self._s if self._s >= 0 else self._s - 1
 
     def __repr__(self) -> str:
         return f"NSet.{'cofin' if self.cofinite else 'fin'}({list(self.support)})"
+
+    @property
+    def cofinite(self) -> bool:
+        return self._s < 0
+
+    @property
+    def mask(self) -> int:
+        """The members (finite) or the holes (cofinite), as a mask."""
+        return ~self._s if self._s < 0 else self._s
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -111,12 +123,12 @@ class NSet:
     # -- membership -------------------------------------------------------
 
     def __contains__(self, n: int) -> bool:
-        return n >= 0 and (bool(self.mask >> n & 1) is not self.cofinite)
+        return n >= 0 and bool(self._s >> n & 1)
 
     def smallest(self) -> int | None:
         """Least element, or ``None`` for the empty set."""
-        m = self.mask
-        low = ~m & (m + 1) if self.cofinite else m & -m  # lowest member bit
+        s = self._s
+        low = s & -s  # the lowest member bit
         return low.bit_length() - 1 if low else None
 
     def drop_least(self) -> "NSet":
@@ -125,53 +137,39 @@ class NSet:
         Raises ``ValueError`` when that element is above :data:`MAX_ELEMENT`,
         since the result could not be written back as a literal.
         """
-        m = self.mask
-        if self.cofinite:
-            low = ~m & (m + 1)  # the least member becomes a hole
-            if low >> MAX_ELEMENT > 1:
-                least = low.bit_length() - 1
-                raise ValueError(f"least element {least} exceeds MAX_ELEMENT = {MAX_ELEMENT}")
-            return _make(True, m | low)
-        if not m:
+        s = self._s
+        if not s:
             raise ValueError("the empty set has no element to drop")
-        return _make(False, m & (m - 1))
+        low = s & -s
+        if low >> MAX_ELEMENT > 1:
+            least = low.bit_length() - 1
+            raise ValueError(f"least element {least} exceeds MAX_ELEMENT = {MAX_ELEMENT}")
+        return _make(s ^ low)
 
     # -- boolean algebra --------------------------------------------------
 
     def complement(self) -> "NSet":
-        return _make(not self.cofinite, self.mask)
+        return _make(~self._s)
 
     __invert__ = complement
 
     def intersect(self, other: "NSet") -> "NSet":
-        a, b = self.mask, other.mask
-        if self.cofinite:
-            return _make(True, a | b) if other.cofinite else _make(False, b & ~a)
-        return _make(False, a & ~b if other.cofinite else a & b)
+        return _make(self._s & other._s)
 
     __and__ = intersect
 
     def union(self, other: "NSet") -> "NSet":
-        a, b = self.mask, other.mask
-        if self.cofinite:
-            return _make(True, a & b if other.cofinite else a & ~b)
-        return _make(True, b & ~a) if other.cofinite else _make(False, a | b)
+        return _make(self._s | other._s)
 
     __or__ = union
 
     def difference(self, other: "NSet") -> "NSet":
-        a, b = self.mask, other.mask
-        if self.cofinite:
-            return _make(False, b & ~a) if other.cofinite else _make(True, a | b)
-        return _make(False, a & b if other.cofinite else a & ~b)
+        return _make(self._s & ~other._s)
 
     __sub__ = difference
 
     def is_subset(self, other: "NSet") -> bool:
-        a, b = self.mask, other.mask
-        if self.cofinite:
-            return other.cofinite and not b & ~a
-        return not (a & b if other.cofinite else a & ~b)
+        return not self._s & ~other._s
 
     __le__ = is_subset
 
@@ -189,7 +187,8 @@ class NSet:
         key, value = next(iter(data.items()))
         if key not in ("fin", "cofin") or not isinstance(value, (list, tuple)):
             raise ValueError(f"bad set literal: {data!r}")
-        return _make(key == "cofin", _mask_of(value))
+        mask = _mask_of(value)
+        return _make(~mask if key == "cofin" else mask)
 
     def __str__(self) -> str:
         body = "{" + ",".join(str(e) for e in _elements(self.mask)) + "}"
@@ -199,16 +198,14 @@ class NSet:
 
 
 _new = object.__new__
-_set_cofinite = NSet.cofinite.__set__  # type: ignore[attr-defined]
-_set_mask = NSet.mask.__set__  # type: ignore[attr-defined]
+_set_s = NSet._s.__set__  # type: ignore[attr-defined]
 
 
-def _make(cofinite: bool, mask: int) -> NSet:
-    """Build a value from a mask already known to be valid, unchecked."""
-    s = _new(NSet)
-    _set_cofinite(s, cofinite)
-    _set_mask(s, mask)
-    return s
+def _make(s: int) -> NSet:
+    """The value whose signed mask is ``s``, built unchecked."""
+    v = _new(NSet)
+    _set_s(v, s)
+    return v
 
 
 EMPTY = NSet.fin()

@@ -39,9 +39,8 @@ from .kernel import (
     LabelVerdict,
     Obj,
     SizeGuardError,
-    _canonical,
+    _from_maximal,
     _maximal,
-    _signed,
     arrow_exists,
     label_verdict,
     product,
@@ -217,7 +216,7 @@ def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
     for m in B, up to dominated ones, so it holds exactly when every
     ``s & m`` lies in some member of C.  No product is built.
     """
-    return _maps_into_exp((_signed(s),), b, c)
+    return _maps_into_exp((s._s,), b, c)
 
 
 def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
@@ -317,7 +316,7 @@ def exp_explicit(b: Obj, c: Obj) -> Obj:
             raise SizeGuardError(
                 f"the exponential passed MAX_PARTIALS = {MAX_PARTIALS} partial intersections"
             )
-    return _canonical(partials)
+    return _from_maximal(partials)
 
 
 def exp_slice(a: Obj, b: Obj, c: Obj) -> Obj:

@@ -29,9 +29,7 @@ from famcat.kernel import (
     _canonical,
     _in_order,
     _maximal,
-    _member,
     _member_sort_key,
-    _signed,
     arrow_exists,
     coproduct,
     fibration_condition,
@@ -45,7 +43,8 @@ from famcat.kernel import (
     product,
     star_arrow,
 )
-from famcat.nset import EMPTY, FULL, MAX_ELEMENT, NSet
+from famcat.nset import EMPTY, FULL, MAX_ELEMENT, NSet, _make
+from famcat.vobj import exp_explicit
 
 fin = NSet.fin
 cofin = NSet.cofin
@@ -97,13 +96,13 @@ family_strategy = st.lists(member_strategy, max_size=8)
 
 @given(member_strategy, member_strategy)
 def test_signed_masks_are_the_set_algebra(s, t):
-    a, b = _signed(s), _signed(t)
-    assert _member(a) == s
+    a, b = s._s, t._s
+    assert _make(a) == s
     assert (a < 0) == s.cofinite
-    assert _member(a & b) == s.intersect(t)
-    assert _member(a | b) == s.union(t)
-    assert _member(~a) == s.complement()
-    assert _member(a | ~b) == s.union(t.complement())
+    assert _make(a & b) == s.intersect(t)
+    assert _make(a | b) == s.union(t)
+    assert _make(~a) == s.complement()
+    assert _make(a | ~b) == s.union(t.complement())
     assert (not a & ~b) == s.is_subset(t)
 
 
@@ -134,14 +133,14 @@ def nset_normalize(members) -> Obj:
 def test_mask_canonicalizer_is_the_nset_normalize(ms, repeat):
     ms = ms + ms[:repeat]  # duplicates
     want = nset_normalize(ms)
-    for got in (_canonical([_signed(m) for m in ms]), normalize(ms), normalize(iter(ms))):
+    for got in (_canonical([m._s for m in ms]), normalize(ms), normalize(iter(ms))):
         assert got == want and got.members == want.members
         assert got._signed == want._signed
 
 
 @given(member_strategy, member_strategy)
 def test_mask_order_is_the_sort_key_order(s, t):
-    a, b = _signed(s), _signed(t)
+    a, b = s._s, t._s
     assert _in_order(a, b) == (_member_sort_key(a) < _member_sort_key(b))
     assert _in_order(a, b) == ((s.cofinite, s.mask.bit_count(), s.support)
                                < (t.cofinite, t.mask.bit_count(), t.support))
@@ -153,9 +152,9 @@ def test_normalize_matches_the_quadratic_filter(ms, repeat):
     canon = normalize(ms)
     assert canon.members == quadratic_normalize(ms)
     assert Obj(canon.members) == canon
-    kept, pool = _maximal(map(_signed, ms)), set(ms) - {EMPTY}
+    kept, pool = _maximal(m._s for m in ms), set(ms) - {EMPTY}
     assert len(kept) == len(set(kept))
-    assert set(kept) == {_signed(m) for m in pool if not any(m != o and m <= o for o in pool)}
+    assert set(kept) == {m._s for m in pool if not any(m != o and m <= o for o in pool)}
 
 
 def test_normalize_keeps_mutual_arrows_with_the_input():
@@ -195,7 +194,7 @@ def test_obj_order_check_keeps_its_messages():
     for ms in unsorted:
         with pytest.raises(ValueError, match="^members must be sorted and duplicate-free$"):
             Obj(ms)
-        assert Obj(tuple(sorted(ms, key=lambda m: _member_sort_key(_signed(m))))).members != ms
+        assert Obj(tuple(sorted(ms, key=lambda m: _member_sort_key(m._s)))).members != ms
     for ms in [(EMPTY, EMPTY), (EMPTY, fin([0]), fin([0])), (EMPTY, FULL, FULL)]:
         with pytest.raises(ValueError, match="^members must be sorted and duplicate-free$"):
             Obj(ms)
@@ -218,6 +217,34 @@ def test_obj_holds_the_masks_of_its_members():
     assert [f.name for f in dataclasses.fields(Obj) if f.init] == ["members"]
     # one mask layout only
     assert [f.name for f in dataclasses.fields(Obj)] == ["members", "_signed"]
+
+
+def assert_checked_form(ob: Obj) -> None:
+    """``ob`` passes every check of ``Obj(...)`` and holds the masks it computes."""
+    assert Obj(ob.members)._signed == ob._signed
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        Universe(window=2, include_cofinite=True),
+        Universe(window=3, include_cofinite=True, samples=250, seed=0),
+        Universe(window=3, include_cofinite=True, samples=250, seed=1),
+    ],
+    ids=["C2", "C3-250-seed0", "C3-250-seed1"],
+)
+def test_unchecked_builds_pass_the_checked_constructor(u):
+    # the sampled draw, normalize, product, coproduct and exp_explicit build
+    # objects without Obj's checks; each must be what those checks accept
+    objs = list(dict.fromkeys(universe_objects(u)))
+    for x in objs:
+        assert_checked_form(x)
+    for x, y in itertools.product(objs, repeat=2):
+        assert_checked_form(normalize(m & n for m in x for n in y))
+        assert_checked_form(normalize(x.members + y.members))
+        assert_checked_form(product(x, y))
+        assert_checked_form(coproduct(x, y))
+        assert_checked_form(exp_explicit(x, y))
 
 
 def once(x):

@@ -105,8 +105,32 @@ def test_values_are_immutable():
         assert pickle.loads(pickle.dumps(t)) == t
 
 
+def test_one_slot_holds_the_signed_mask():
+    assert NSet.__slots__ == ("_s",)
+    assert NSet.fin([0, 2])._s == 0b101 and NSet.cofin([1])._s == ~0b10
+    for s in (EMPTY, FULL, NSet.fin([300]), NSet.cofin([0, 300])):
+        assert not hasattr(s, "__dict__")
+        # the kind and the mask are derived, read-only views of the slot
+        for name in ("cofinite", "mask"):
+            with pytest.raises(AttributeError):
+                object.__setattr__(s, name, 0)
+            with pytest.raises(AttributeError):
+                object.__delattr__(s, name)
+            with pytest.raises(AttributeError):
+                getattr(NSet, name).__set__(s, 0)
+            with pytest.raises(AttributeError):
+                getattr(NSet, name).__delete__(s)
+
+
+@given(nsets)
+def test_hash_is_the_mask_or_minus_two_minus_the_holes(s):
+    bits, tail = model(s)
+    mask = sum(1 << n for n in range(W) if (n in bits) is not tail)
+    assert hash(s) == (-2 - mask if tail else mask)
+
+
 def test_direct_construction_raises_type_error():
-    # a value must come with both slots set; only the named builders do that
+    # a value must come with its slot set; only the named builders do that
     for args in ((), ("fin", [1]), (False, 0)):
         with pytest.raises(TypeError, match="NSet.fin, NSet.cofin or NSet.from_json_dict"):
             NSet(*args)
@@ -117,6 +141,7 @@ def test_named_constants():
     assert FULL == NSet.cofin()
     assert not EMPTY.cofinite and EMPTY.mask.bit_count() == 0
     assert FULL.cofinite and not FULL.mask
+    assert hash(EMPTY) == 0 and hash(FULL) == -2 and hash(NSet.cofin([0])) == -3
 
 
 # -- membership, size, order ----------------------------------------------------
