@@ -126,21 +126,21 @@ def enumerate_objects(u: Universe) -> list[Obj]:
     ``include_cofinite``, every cofinite set whose holes lie in the window.
     """
     _guard(u)
-    subsets = [
-        combo
+    masks = [
+        sum(1 << e for e in combo)
         for size in range(u.window + 1)
         for combo in itertools.combinations(range(u.window), size)
     ]
-    ground = [NSet.fin(combo) for combo in subsets[1:]]
+    ground = masks[1:]  # signed masks: the non-empty finite ones, then ~holes
     if u.include_cofinite:
-        ground += [NSet.cofin(holes) for holes in subsets]
+        ground += [~holes for holes in masks]
     out: list[Obj] = []
 
-    def extend(prefix: list[NSet], start: int) -> None:
-        out.append(normalize(prefix))
+    def extend(prefix: list[int], start: int) -> None:
+        out.append(_from_maximal(prefix))
         for i in range(start, len(ground)):
             g = ground[i]
-            if any(g.is_subset(p) or p.is_subset(g) for p in prefix):
+            if any(not g & ~p or not p & ~g for p in prefix):
                 continue
             prefix.append(g)
             extend(prefix, i + 1)

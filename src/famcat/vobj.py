@@ -18,8 +18,9 @@ forms proved once and tested against the explicit kernel:
 * ``WEXP(A, B, C)`` - the weak-equivalence classifier of the slice over A;
   queried member by member through :func:`wexp_member`.
 
-The member oracles and :func:`exp_explicit` work on the signed member masks
-that :class:`~famcat.kernel.Obj` holds and build no product.
+Every oracle, the factorization check and :func:`exp_explicit` read the
+signed member masks that :class:`~famcat.kernel.Obj` holds and build no NSet
+and no product.
 
 :func:`decide` is the one dispatch for a label on an ordered pair with
 explicit or virtual endpoints.  Arrow queries that no documented rule covers
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .kernel import (
     INITIAL,
@@ -39,14 +40,16 @@ from .kernel import (
     LabelVerdict,
     Obj,
     SizeGuardError,
+    _arrow,
     _from_maximal,
     _maximal,
+    _star,
     arrow_exists,
     label_verdict,
     product,
     star_arrow,
 )
-from .nset import EMPTY, NSet
+from .nset import NSet, _elements
 
 
 # exp_explicit holds at most this many partial intersections.  The claim
@@ -174,17 +177,18 @@ def _wc_parts(v: VObj) -> tuple[Obj, Obj]:
 # -- membership oracles ------------------------------------------------------
 
 
-def wc_covers(v: VObj, s: NSet) -> bool:
-    """Does some member of the WC-shaped family contain ``s``?
-
-    A member is ``x | b`` with b finite and inside some bound member, so s
-    is covered exactly when ``s - x`` is finite (s is finite or x cofinite)
-    and fits inside a bound member for some x.
-    """
-    xs, ys = _wc_parts(v)
+def _covers(xs: Sequence[int], ys: Sequence[int], s: int) -> bool:
+    """Does a member of the WC-shaped family with source masks ``xs`` and
+    bound masks ``ys`` contain ``s``?  A member is ``x | b`` with b finite
+    and inside some bound member, so s is covered exactly when, for some x,
+    ``s - x`` is finite (``s >= 0 or x < 0``) and fits inside a bound member
+    y (``not (s & ~x) & ~y``)."""
     for x in xs:
-        if (not s.cofinite or x.cofinite) and any((s - x).is_subset(y) for y in ys):
-            return True
+        if s >= 0 or x < 0:
+            rest = s & ~x
+            for y in ys:
+                if not rest & ~y:
+                    return True
     return False
 
 
@@ -261,9 +265,10 @@ def arrow_into_vobj(z: Obj, v: VObj) -> bool:
     and B has none, so the arrow into ``WEXP`` is ``z -> A`` and
     :func:`wexp_member` for every member.
     """
-    if v.kind in _WC_SHAPED:
-        return all(wc_covers(v, m) for m in z)
     zs = z._signed
+    if v.kind in _WC_SHAPED:
+        xs, ys = _wc_parts(v)
+        return all(_covers(xs._signed, ys._signed, s) for s in zs)
     if v.kind is VKind.EXP:
         return _maps_into_exp(zs, v.b, v.c)
     if v.kind is VKind.EXP_SLICE:
@@ -289,7 +294,7 @@ def arrow_from_vobj(v: VObj, t: Obj) -> bool:
     if v.kind not in _WC_SHAPED:
         raise UndecidedPairError(f"no arrow rule out of {v.describe()}")
     xs, ys = _wc_parts(v)
-    return all(any((x | y).is_subset(m) for m in t) for x in xs for y in ys)
+    return _arrow([x | y for x in xs._signed for y in ys._signed], t._signed)
 
 
 # -- exponentials ------------------------------------------------------------
@@ -328,21 +333,17 @@ def exp_slice(a: Obj, b: Obj, c: Obj) -> Obj:
 # -- the factorization middle ------------------------------------------------
 
 
-def _finite_subsets(m: NSet, margin: int) -> list[NSet]:
-    """A deterministic spread of finite subsets of ``m`` for spot checks."""
-    if m.cofinite:
-        elems = tuple(i for i in range(margin + 1) if i in m)[:4]
+def _finite_subsets(m: int, margin: int) -> list[int]:
+    """A deterministic spread of finite subsets of ``m`` for spot checks, as
+    masks: {}, singletons of its least members, and their union if new."""
+    if m < 0:
+        elems = [i for i in range(margin + 1) if m >> i & 1][:4]
     else:
-        elems = m.support[:5]
-    subs = [EMPTY]
-    subs.extend(NSet.fin((e,)) for e in elems)
+        elems = _elements(m)[:5]
+    subs = [0, *(1 << e for e in elems)]
     if len(elems) > 1:
-        subs.append(NSet.fin(elems))
-    out: list[NSet] = []
-    for s in subs:
-        if s not in out:
-            out.append(s)
-    return out
+        subs.append(sum(subs))
+    return subs
 
 
 @dataclass(frozen=True)
@@ -390,28 +391,27 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     they are decided once per distinct generator, and a repeated generator
     repeats their outcome; ``instances`` still counts every generator.
     """
-    v = VObj.wc(x, y)
-    margin = 2 + max(
-        (e for m in tuple(x) + tuple(y) for e in m.support), default=0
-    )
-    arrow_into = all(wc_covers(v, m) for m in x)
+    xs, ys = x._signed, y._signed
+    # two past the largest element of any member, read off the mask widths
+    margin = 1 + max(1, *((~s if s < 0 else s).bit_length() for s in xs + ys))
+    covers = functools.cache(functools.partial(_covers, xs, ys))  # witnesses repeat
+    arrow_into = all(map(covers, xs))
 
-    bounds = [(ym, _finite_subsets(ym, margin)) for ym in y]
-    generators = [(xm, b0) for xm in x for _, subs in bounds for b0 in subs]
+    bounds = [(ym, _finite_subsets(ym, margin)) for ym in ys]
+    generators = [(xm, b0) for xm in xs for _, subs in bounds for b0 in subs]
     distinct = [(xm, b0, xm | b0) for xm, b0 in dict.fromkeys(generators)]
-    star_back = star_arrow([u for _, _, u in distinct], x)
+    star_back = _star([u for _, _, u in distinct], xs)
 
     fib_ok = True
-    covers = functools.cache(functools.partial(wc_covers, v))  # witnesses repeat
     for xm, b0, u in distinct:
         for ym, subs in bounds:
             # (xm | (b0 & ym)) | b is the witness xm | ((b0 & ym) | b)
             meet, base = u & ym, xm | (b0 & ym)
             for b in subs:
                 need, witness = meet | b, base | b
-                # wc_covers is downward closed: need inside a covered witness
+                # coverage is downward closed: need inside a covered witness
                 # is covered too, so it is not asked separately
-                if not need.is_subset(witness) or not covers(witness):
+                if need & ~witness or not covers(witness):
                     fib_ok = False
     return FactorizationCheck(
         x=x,

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import famcat
-from famcat import harness, kernel, nset
+from famcat import harness, kernel, nset, vobj
 from famcat.kernel import GapWitness, Obj
 from famcat.nset import NSet
 from famcat.univalence import Fibration
@@ -18,10 +18,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # One spelling per fact: each of these restated a fact another name states.
 REMOVED = {
-    famcat: ("Cardinality", "Kind", "initial", "terminal", "sample_objects", "StarTemplate"),
+    famcat: (
+        "Cardinality", "Kind", "initial", "terminal", "sample_objects", "StarTemplate", "wc_covers"
+    ),
     harness: ("sample_objects",),
     nset: ("Cardinality", "INFINITE", "Kind"),
     kernel: ("initial", "terminal", "StarTemplate"),
+    vobj: ("wc_covers",),
     NSet: ("cardinality", "is_finite", "kind"),
     Obj: ("has_full",),
     GapWitness: ("to_json_dict",),

@@ -227,15 +227,17 @@ def assert_checked_form(ob: Obj) -> None:
 @pytest.mark.parametrize(
     "u",
     [
+        Universe(window=3),
         Universe(window=2, include_cofinite=True),
         Universe(window=3, include_cofinite=True, samples=250, seed=0),
         Universe(window=3, include_cofinite=True, samples=250, seed=1),
     ],
-    ids=["C2", "C3-250-seed0", "C3-250-seed1"],
+    ids=["W3", "C2", "C3-250-seed0", "C3-250-seed1"],
 )
 def test_unchecked_builds_pass_the_checked_constructor(u):
-    # the sampled draw, normalize, product, coproduct and exp_explicit build
-    # objects without Obj's checks; each must be what those checks accept
+    # the enumeration, the sampled draw, normalize, product, coproduct and
+    # exp_explicit build objects without Obj's checks; each must be what
+    # those checks accept
     objs = list(dict.fromkeys(universe_objects(u)))
     for x in objs:
         assert_checked_form(x)

@@ -1,9 +1,10 @@
 """Virtual objects: closed-form oracles against brute-force ground truth.
 
 The exponential construction is compared against an unpruned in-test oracle
-that enumerates every choice function.  The WC-shaped oracles are pinned by
-hand-derived membership facts, and the documented undecidable queries are
-asserted to refuse rather than guess.
+that enumerates every choice function.  The WC-shaped oracles, which read
+signed masks, are compared against an NSet coverage formula kept here
+(:func:`wc_covers`) and pinned by hand-derived membership facts, and the
+documented undecidable queries are asserted to refuse rather than guess.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from hypothesis import given
 from test_kernel import family_strategy
 
 import famcat
-from famcat import vobj
+from famcat import nset, vobj
 from famcat.harness import Universe, enumerate_objects, universe_objects
 from famcat.kernel import (
     INITIAL,
@@ -43,7 +44,6 @@ from famcat.vobj import (
     exp_member,
     exp_slice,
     is_iso_virtual,
-    wc_covers,
     wexp_member,
 )
 
@@ -57,6 +57,39 @@ NEAR_FULL = Obj.of(cofin([0]))
 
 W2 = enumerate_objects(Universe(window=2))
 C2 = enumerate_objects(Universe(window=2, include_cofinite=True))
+
+# the finite and cofinite sets with support inside range(3)
+POOL = [
+    k(sup) for k in (fin, cofin) for r in range(4) for sup in itertools.combinations(range(3), r)
+]
+
+
+def wc_parts(v: VObj) -> tuple[Obj, Obj]:
+    """Source and bound families of a WC-shaped family, by definition."""
+    return {
+        VKind.WC: (v.x, v.y),
+        VKind.UNIVERSE: (INITIAL, TERMINAL),
+        VKind.UPROD: (INITIAL, v.x),
+    }[v.kind]
+
+
+def wc_covers(v: VObj, s: NSet) -> bool:
+    """Oracle: does some member of the WC-shaped family contain ``s``?
+
+    A member is ``x | b`` with b finite and inside some bound member, so s
+    is covered exactly when ``s - x`` is finite (s is finite or x cofinite)
+    and fits inside a bound member for some x.
+    """
+    xs, ys = wc_parts(v)
+    for x in xs:
+        if (not s.cofinite or x.cofinite) and any((s - x).is_subset(y) for y in ys):
+            return True
+    return False
+
+
+def covered(v: VObj, s: NSet) -> bool:
+    """Coverage through the one dispatch: the arrow from ``{{}, s}`` into v."""
+    return decide(normalize([s]), v, "arrow")[0]
 
 
 # -- construction and serialization -----------------------------------------------
@@ -128,17 +161,17 @@ def test_json_rejects_keys_the_kind_does_not_use():
 def test_universe_contains_exactly_the_finite_sets():
     ut = VObj.universe()
     for s in (EMPTY, fin([0]), fin([3, 7, 100])):
-        assert wc_covers(ut, s)
+        assert covered(ut, s) and wc_covers(ut, s)
     for s in (FULL, cofin([0, 1])):
-        assert not wc_covers(ut, s)
+        assert not covered(ut, s) and not wc_covers(ut, s)
 
 
 def test_wc_membership_examples():
     v = VObj.wc(NEAR_FULL, A)  # members: x | b with b inside {} or {0}
-    assert wc_covers(v, cofin([0]))  # x itself
-    assert wc_covers(v, FULL)  # (N-{0}) | {0}
-    assert wc_covers(v, fin([5]))  # {} | subset handled by the empty x
-    assert not wc_covers(VObj.wc(A, A), cofin([9]))  # no cofinite member
+    assert covered(v, cofin([0]))  # x itself
+    assert covered(v, FULL)  # (N-{0}) | {0}
+    assert covered(v, fin([5]))  # {} | subset handled by the empty x
+    assert not covered(VObj.wc(A, A), cofin([9]))  # no cofinite member
 
 
 def test_uprod_is_wc_over_the_initial_object():
@@ -146,16 +179,49 @@ def test_uprod_is_wc_over_the_initial_object():
         v, w = VObj.uprod(x), VObj.wc(INITIAL, x)
         probes = [EMPTY, fin([0]), fin([0, 1]), fin([2, 5]), FULL, cofin([1])]
         for s in probes:
-            assert wc_covers(v, s) == wc_covers(w, s)
+            assert covered(v, s) == covered(w, s)
 
 
 def test_universe_is_uprod_of_the_terminal_object():
     ut, up = VObj.universe(), VObj.uprod(TERMINAL)
     for s in (EMPTY, fin([4]), fin([0, 2]), FULL):
-        assert wc_covers(ut, s) == wc_covers(up, s)
+        assert covered(ut, s) == covered(up, s)
     for t in W2 + [TERMINAL]:
         assert arrow_from_vobj(ut, t) == arrow_from_vobj(up, t)
         assert arrow_into_vobj(t, ut) == arrow_into_vobj(t, up)
+
+
+def test_mask_oracles_match_the_nset_formulas_on_every_c2_pair():
+    # coverage and the arrow out, decided on signed masks, against the NSet
+    # formulas: every WC(x, y), UPROD(x) and the universe over C2
+    vs = [VObj.wc(x, y) for x, y in itertools.product(C2, repeat=2)]
+    vs += [VObj.uprod(x) for x in C2] + [VObj.universe()]
+    covered_count = arrows = 0
+    for v in vs:
+        xs, ys = wc_parts(v)
+        for s in POOL:
+            holds = arrow_into_vobj(normalize([s]), v)
+            assert holds == wc_covers(v, s), (v, s)
+            covered_count += holds
+        for t in C2:
+            holds = arrow_from_vobj(v, t)
+            assert holds == all(any((x | y) <= m for m in t) for x in xs for y in ys), (v, t)
+            arrows += holds
+    assert (len(vs), covered_count, arrows) == (381, 4344, 1078)
+
+
+def test_wc_oracles_build_no_nset(monkeypatch):
+    # coverage, both arrows and the factorization check read member masks
+    made = []
+    build = nset._new
+    monkeypatch.setattr(nset, "_new", lambda cls: made.append(cls) or build(cls))
+    for x, y in itertools.product(C2, repeat=2):
+        v = VObj.wc(x, y)
+        check_factorization(x, y)
+        arrow_into_vobj(x, v)
+        arrow_from_vobj(v, y)
+    assert made == []
+    assert fin([0]) and made == [NSet]  # the counter sees every NSet built
 
 
 # -- arrows to and from virtual objects ---------------------------------------------
@@ -183,7 +249,7 @@ def test_arrow_from_wc_counterexample_is_pinned():
     v = VObj.wc(A, C)
     assert arrow_exists(A, C)
     assert not arrow_from_vobj(v, C)
-    assert wc_covers(v, fin([0, 1]))
+    assert covered(v, fin([0, 1]))
     assert not any(fin([0, 1]).is_subset(m) for m in C)
 
 
@@ -485,32 +551,41 @@ def test_factorization_facts_are_independent_of_the_missing_arrow():
 
 
 def test_wc_covers_is_downward_closed():
-    # check_factorization asks wc_covers of each witness but not of the
+    # check_factorization asks coverage of each witness but not of the
     # smaller set the witness contains; this lemma is why that is enough
-    pool = [
-        k(sup)
-        for k in (fin, cofin)
-        for r in range(4)
-        for sup in itertools.combinations(range(3), r)
-    ]
-    pairs = [(s, t) for s in pool for t in pool if s.is_subset(t)]
-    covered = 0
+    pairs = [(s, t) for s in POOL for t in POOL if s.is_subset(t)]
+    count = 0
     for x, y in itertools.product(C2, repeat=2):
         v = VObj.wc(x, y)
         for s, t in pairs:
-            if wc_covers(v, t):
-                covered += 1
-                assert wc_covers(v, s), (x, y, s, t)
-    assert (len(C2), len(pairs), covered) == (19, 81, 18801)
+            if covered(v, t):
+                count += 1
+                assert covered(v, s), (x, y, s, t)
+    assert (len(C2), len(pairs), count) == (19, 81, 18801)
+
+
+def _spread(m: NSet, margin: int) -> list[NSet]:
+    """The spot-check spread of finite subsets of ``m``, in NSet algebra:
+    the empty set, singletons of its least members (found below ``margin``
+    when m is cofinite), and their union, each once."""
+    if m.cofinite:
+        elems = tuple(i for i in range(margin + 1) if i in m)[:4]
+    else:
+        elems = m.support[:5]
+    subs = [EMPTY, *(fin([e]) for e in elems), fin(elems)]
+    return list(dict.fromkeys(subs))
 
 
 def _factorization_per_instance(x, y, covers=wc_covers):
-    """check_factorization with ``covers`` asked afresh at every instance of
-    every generator, repeats included, and the distinct witnesses it asks
-    about."""
+    """check_factorization in NSet algebra, with ``covers`` asked afresh at
+    every instance of every generator, repeats included, and the distinct
+    witnesses it asks about.  Its spread of finite subsets must be the one
+    check_factorization builds on masks."""
     v = VObj.wc(x, y)
     margin = 2 + max((e for m in x.members + y.members for e in m.support), default=0)
-    bounds = [(ym, _finite_subsets(ym, margin)) for ym in y]
+    bounds = [(ym, _spread(ym, margin)) for ym in y]
+    for ym, subs in bounds:
+        assert _finite_subsets(ym._s, margin) == [s._s for s in subs], (ym, margin)
     generators = [(xm, b0, xm | b0) for xm in x for _, subs in bounds for b0 in subs]
     fib_ok, instances, witnesses = True, 0, set()
     for xm, b0, u in generators:
@@ -545,17 +620,18 @@ def _count_decisions(monkeypatch, objs):
     asserting each distinct witness is decided once; return the number of
     pairs and of pairs whose generators repeat a witness."""
     asked = []
+    mask_covers = vobj._covers
 
-    def counted(v, s):
+    def counted(xs, ys, s):
         asked.append(s)
-        return wc_covers(v, s)
+        return mask_covers(xs, ys, s)
 
     pairs = [(x, y) for x, y in itertools.product(objs, repeat=2) if arrow_exists(x, y)]
     repeated = 0
     for x, y in pairs:
         expected, witnesses = _factorization_per_instance(x, y)
         asked.clear()
-        monkeypatch.setattr(vobj, "wc_covers", counted)
+        monkeypatch.setattr(vobj, "_covers", counted)
         assert check_factorization(x, y) == expected, (x, y)
         monkeypatch.undo()
         # the members of x, then each distinct witness once
@@ -584,13 +660,10 @@ def test_factorization_decides_each_witness_once_on_wider_sets(monkeypatch, objs
 def test_factorization_fails_on_a_repeated_generator(monkeypatch):
     # ({}, {}) is a generator once for each member of B, and {} | {1} is one
     # of its witnesses: a middle that misses {1} fails those instances
-    def weak(v, s):
-        return s != fin([1])
-
     x, y = A, B
-    expected, witnesses = _factorization_per_instance(x, y, weak)
+    expected, witnesses = _factorization_per_instance(x, y, lambda v, s: s != fin([1]))
     assert fin([1]) in witnesses
-    monkeypatch.setattr(vobj, "wc_covers", weak)
+    monkeypatch.setattr(vobj, "_covers", lambda xs, ys, s: s != 0b10)
     fc = check_factorization(x, y)
     assert fc == expected
     assert (fc.instances, fc.arrow_into_middle, fc.fibration_instances_ok) == (50, True, False)
@@ -601,9 +674,7 @@ def test_factorization_reports_a_failing_fibration_fact(monkeypatch):
     # fibration instances: the members of x and the star back are untouched
     x, y = A, Obj.of(fin([0, 1, 2]))
     assert check_factorization(x, y).ok
-    monkeypatch.setattr(
-        vobj, "wc_covers", lambda v, s: not s.cofinite and len(s.support) <= 1
-    )
+    monkeypatch.setattr(vobj, "_covers", lambda xs, ys, s: s >= 0 and s.bit_count() <= 1)
     fc = check_factorization(x, y)
     assert fc.arrow_into_middle and fc.star_back_to_source
     assert not fc.fibration_instances_ok and not fc.ok
