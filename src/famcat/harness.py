@@ -57,7 +57,7 @@ from .kernel import (
     normalize,
     product,
 )
-from .nset import EMPTY, MAX_ELEMENT, NSet
+from .nset import MAX_ELEMENT, NSet
 from .vobj import VObj, arrow_into_vobj, check_factorization, exp_explicit, wexp_member
 
 MAX_RECORDED_VIOLATIONS = 25
@@ -288,7 +288,7 @@ Predicate = Callable[[tuple[Obj, ...]], "str | None"]
 
 
 def _shrink_candidates(ob: Obj) -> Iterator[Obj]:
-    nonempty = [m for m in ob.members if m != EMPTY]
+    nonempty = ob.members[1:]  # EMPTY comes first in an Obj
     for m in nonempty:  # drop a member
         yield normalize(mm for mm in ob.members if mm != m)
     for m in nonempty:  # shrink a support
@@ -435,9 +435,9 @@ def _premise_cobase_change(
 def iso_presentations(x: Obj) -> list[tuple[NSet, ...]]:
     """Non-canonical families with mutual arrows to ``x``."""
     out: list[tuple[NSet, ...]] = []
-    nonempty = [m for m in x.members if m != EMPTY]
+    nonempty = x.members[1:]  # EMPTY comes first in an Obj
     if nonempty:
-        out.append(tuple(nonempty))  # drop the empty member
+        out.append(nonempty)  # drop the empty member
         out.append(x.members + (nonempty[-1].drop_least(),))  # add a dominated member
     out.append(x.members + (x.members[-1],))  # duplicate a member
     return out

@@ -42,6 +42,12 @@ from .nset import EMPTY, FULL, NSet, _make
 Family = Iterable[NSet]
 _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subsets b per member
 
+# product and the exponential of famcat.vobj canonicalize at most this many
+# intersections; the claim suites' exponentials peak at 4.  Past the limit
+# the maximal-member filter, quadratic in the count, runs for seconds and
+# then minutes.
+MAX_PARTIALS = 1024
+
 
 class SizeGuardError(ValueError):
     """A request too large to enumerate, draw or construct."""
@@ -56,30 +62,12 @@ def _member_sort_key(s: int) -> tuple[bool, int, str]:
     Supports of one size first differ at an element of the earlier one.
     Spelled least bit first, a set bit as ``0``, masks of one size are not
     prefixes of each other, and they first differ at that same element.
-    Only :func:`_from_maximal` sorts by it; :func:`_in_order` checks the same
-    order on two neighbours without building a key.
+    Distinct masks have distinct keys.  :func:`_from_maximal` sorts by it,
+    and ``Obj(members)`` checks that the keys of neighbours strictly
+    increase.
     """
     mask = ~s if s < 0 else s
     return (s < 0, mask.bit_count(), bin(mask)[:1:-1].translate(_LOW_BIT_FIRST))
-
-
-def _in_order(s: int, t: int) -> bool:
-    """Whether ``s`` comes strictly before ``t`` in :func:`_member_sort_key` order.
-
-    Finite comes before cofinite, then fewer mask bits first.  Two distinct
-    masks of one kind and size first differ at the lowest bit of their
-    xor, and the key puts first the mask that has that bit set.  Equal
-    members are not in order.
-    """
-    if (s < 0) is not (t < 0):
-        return t < 0
-    if s < 0:
-        s, t = ~s, ~t
-    na, nb = s.bit_count(), t.bit_count()
-    if na != nb:
-        return na < nb
-    d = s ^ t
-    return d & -d & s != 0
 
 
 def _superset_first_key(s: int) -> tuple[bool, int]:
@@ -143,8 +131,10 @@ class Obj:
         signed = tuple(_signed_masks(ms))
         if 0 not in signed:
             raise ValueError("a canonical family contains the empty set")
-        # the order is strict, so neighbours in order mean sorted and duplicate-free
-        if not all(map(_in_order, signed, signed[1:])):
+        # distinct masks have distinct keys, so strictly increasing keys
+        # mean sorted and duplicate-free
+        keys = [_member_sort_key(s) for s in signed]
+        if not all(a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("members must be sorted and duplicate-free")
         object.__setattr__(self, "_signed", signed)
         # EMPTY has the least key, so it comes first; the rest is
@@ -386,13 +376,22 @@ def product(x: Obj, y: Obj) -> Obj:
     intersection lies in a member of x: the product is isomorphic to x.
     Canonical objects that are isomorphic are equal, because their
     non-empty members form an antichain, so the product is x itself.
+
+    An incomparable pair has up to ``|x| * |y|`` distinct intersections.
+    Past ``MAX_PARTIALS`` of them the construction stops with
+    :class:`SizeGuardError` before it canonicalizes any.
     """
     xs, ys = x._signed, y._signed
     if _arrow(xs, ys):
         return x
     if _arrow(ys, xs):
         return y
-    return _canonical({a & b for a in xs for b in ys})
+    meets = {a & b for a in xs for b in ys}
+    if len(meets) > MAX_PARTIALS:
+        raise SizeGuardError(
+            f"the product passed MAX_PARTIALS = {MAX_PARTIALS} distinct intersections"
+        )
+    return _canonical(meets)
 
 
 def coproduct(x: Family, y: Family) -> Obj:

@@ -36,6 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .kernel import (
     INITIAL,
+    MAX_PARTIALS,
     TERMINAL,
     LabelVerdict,
     Obj,
@@ -50,12 +51,6 @@ from .kernel import (
     star_arrow,
 )
 from .nset import NSet, _elements
-
-
-# exp_explicit holds at most this many partial intersections.  The claim
-# suites peak at 4; past the limit the maximal-member filter, quadratic in
-# the count, runs for seconds and then minutes.
-MAX_PARTIALS = 1024
 
 
 class UndecidedPairError(Exception):
@@ -111,19 +106,13 @@ class VObj:
         return cls(VKind.WEXP, a=a, b=b, c=c)
 
     def describe(self) -> str:
-        parts = [
-            f"{f}={getattr(self, f)}"
-            for f in ("x", "y", "a", "b", "c")
-            if getattr(self, f) is not None
-        ]
+        parts = [f"{f}={getattr(self, f)}" for f in _FIELDS[self.kind]]
         return f"{self.kind.value}({', '.join(parts)})"
 
     def to_json_dict(self) -> dict[str, object]:
         out: dict[str, object] = {"vkind": self.kind.value}
-        for f in ("x", "y", "a", "b", "c"):
-            v = getattr(self, f)
-            if v is not None:
-                out[f] = v.to_json_dict()
+        for f in _FIELDS[self.kind]:
+            out[f] = getattr(self, f).to_json_dict()
         return out
 
     @classmethod
@@ -194,22 +183,8 @@ def _covers(xs: Sequence[int], ys: Sequence[int], s: int) -> bool:
 
 def _maps_into_exp(zs: Iterable[int], b: Obj, c: Obj) -> bool:
     """Whether every ``s & m``, for ``s`` in the signed masks ``zs`` and
-    ``m`` a member of B, lies in some member ``n`` of C: ``not (s & m) & ~n``."""
-    cs = c._signed
-    for s in zs:
-        for m in b._signed:
-            sm = s & m
-            for n in cs:
-                if not sm & ~n:
-                    break
-            else:
-                return False
-    return True
-
-
-def _kinds_allow(b: Obj, c: Obj) -> bool:
-    """B has a cofinite member or C has none; cofinite members sort last."""
-    return b._signed[-1] < 0 or c._signed[-1] >= 0
+    ``m`` a member of B, lies in some member of C."""
+    return _arrow([s & m for s in zs for m in b._signed], c._signed)
 
 
 def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
@@ -241,9 +216,10 @@ def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
       when s and m are, and only a cofinite member contains a cofinite
       one, so ``z x B`` has a cofinite member exactly when s is cofinite
       and B has one, and the same holds for C.  The near-inclusion is
-      therefore: s is finite, or B has a cofinite member, or C has none.
+      therefore: s is finite, or B has a cofinite member, or C has none,
+      which is the kernel's near-inclusion ``C ~> B`` of the members.
     """
-    return exp_member(b, c, s) and (not s.cofinite or _kinds_allow(b, c))
+    return exp_member(b, c, s) and (not s.cofinite or _star(c._signed, b._signed))
 
 
 # -- arrow oracles -----------------------------------------------------------
@@ -262,7 +238,8 @@ def arrow_into_vobj(z: Obj, v: VObj) -> bool:
     ``s & m`` lies in some ``s' & n``, it lies in n and in s, so in
     ``s & n``: ``z x B -> z x C`` is the same condition.  Its
     near-inclusion back fails exactly when z and C have a cofinite member
-    and B has none, so the arrow into ``WEXP`` is ``z -> A`` and
+    and B has none, that is when z has a cofinite member and ``C ~> B``
+    fails, so the arrow into ``WEXP`` is ``z -> A`` and
     :func:`wexp_member` for every member.
     """
     zs = z._signed
@@ -278,7 +255,7 @@ def arrow_into_vobj(z: Obj, v: VObj) -> bool:
         return (
             arrow_exists(z, v.a)
             and _maps_into_exp(zs, v.b, v.c)
-            and (zs[-1] >= 0 or _kinds_allow(v.b, v.c))
+            and (zs[-1] >= 0 or _star(v.c._signed, v.b._signed))
         )
     raise UndecidedPairError(f"no arrow rule into {v.describe()}")
 

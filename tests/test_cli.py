@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import famcat
+from famcat import kernel
 from famcat.cli import load_input, main
 from famcat.harness import MAX_SAMPLES
 from famcat.kernel import Obj
@@ -442,6 +443,27 @@ def test_exponential_size_guard_exits_4(capsys):
     assert "MAX_PARTIALS" in capsys.readouterr().err
     exp_lit = json.dumps({"vkind": "exp", "b": json.loads(b), "c": json.loads(c)})
     assert run("decide", "--from", A_LIT, "--to", exp_lit) == 4
+
+
+def test_product_size_guard_exits_4(capsys, monkeypatch):
+    # the rows of an n-by-n grid against its columns meet in n*n distinct
+    # singletons; at n = 120 the unguarded product runs for minutes
+    def grid(n):
+        rows = [{"fin": list(range(i * n, (i + 1) * n))} for i in range(n)]
+        cols = [{"fin": list(range(j, n * n, n))} for j in range(n)]
+        return json.dumps({"members": rows}), json.dumps({"members": cols})
+
+    rows, cols = grid(120)
+    assert run("product", "--x", rows, "--y", cols) == 4
+    assert "MAX_PARTIALS" in capsys.readouterr().err
+    # 3 rows against 3 columns meet in 9 singletons and the empty set
+    rows, cols = grid(3)
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 10)
+    assert run("product", "--x", rows, "--y", cols) == 0
+    assert len(json.loads(capsys.readouterr().out)["members"]) == 10
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 9)
+    assert run("product", "--x", rows, "--y", cols) == 4
+    assert "MAX_PARTIALS" in capsys.readouterr().err
 
 
 def test_claims_pass(capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from famcat import kernel
 from famcat.harness import (
     Universe,
     _literal_star,
@@ -26,8 +27,8 @@ from famcat.kernel import (
     INITIAL,
     TERMINAL,
     Obj,
+    SizeGuardError,
     _canonical,
-    _in_order,
     _maximal,
     _member_sort_key,
     arrow_exists,
@@ -140,10 +141,12 @@ def test_mask_canonicalizer_is_the_nset_normalize(ms, repeat):
 
 @given(member_strategy, member_strategy)
 def test_mask_order_is_the_sort_key_order(s, t):
-    a, b = s._s, t._s
-    assert _in_order(a, b) == (_member_sort_key(a) < _member_sort_key(b))
-    assert _in_order(a, b) == ((s.cofinite, s.mask.bit_count(), s.support)
-                               < (t.cofinite, t.mask.bit_count(), t.support))
+    # the NSet reference order of members; distinct members never tie
+    key_s, key_t = _member_sort_key(s._s), _member_sort_key(t._s)
+    ref_s = (s.cofinite, s.mask.bit_count(), s.support)
+    ref_t = (t.cofinite, t.mask.bit_count(), t.support)
+    assert (key_s < key_t) == (ref_s < ref_t)
+    assert (key_s == key_t) == (s == t)
 
 
 @given(family_strategy, st.integers(0, 8))
@@ -564,6 +567,22 @@ def test_product_closed_form_matches_the_construction():
             assert p == normalize(a & b for a in x for b in y), (x, y)
             if arrow_exists(x, y):
                 assert p is x, (x, y)
+
+
+def test_product_stops_past_max_partials(monkeypatch):
+    # the 3 rows of a 3-by-3 grid against its 3 columns meet in 9
+    # singletons and the empty set
+    rows = normalize(fin(range(3 * i, 3 * i + 3)) for i in range(3))
+    cols = normalize(fin(range(j, 9, 3)) for j in range(3))
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 10)
+    assert product(rows, cols) == normalize(a & b for a in rows for b in cols)
+    assert len(product(rows, cols).members) == 10
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 9)
+    with pytest.raises(SizeGuardError, match="MAX_PARTIALS"):
+        product(rows, cols)
+    # a comparable pair returns before anything is built
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 0)
+    assert product(rows, TERMINAL) is rows and product(TERMINAL, cols) is cols
 
 
 def test_coproduct_examples():
