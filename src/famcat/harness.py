@@ -36,7 +36,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .kernel import (
     Family,
@@ -54,10 +54,9 @@ from .kernel import (
     label_f,
     label_verdict,
     label_w,
-    normalize,
     product,
 )
-from .nset import MAX_ELEMENT, NSet
+from .nset import MAX_ELEMENT, NSet, _elements
 from .vobj import VObj, arrow_into_vobj, check_factorization, exp_explicit, wexp_member
 
 MAX_RECORDED_VIOLATIONS = 25
@@ -288,13 +287,13 @@ Predicate = Callable[[tuple[Obj, ...]], "str | None"]
 
 
 def _shrink_candidates(ob: Obj) -> Iterator[Obj]:
-    nonempty = ob.members[1:]  # EMPTY comes first in an Obj
-    for m in nonempty:  # drop a member
-        yield normalize(mm for mm in ob.members if mm != m)
-    for m in nonempty:  # shrink a support
-        for e in m.support:
-            slim = (NSet.cofin if m.cofinite else NSet.fin)(s for s in m.support if s != e)
-            yield normalize(slim if mm == m else mm for mm in ob.members)
+    rest = ob._signed[1:]  # the empty member comes first in an Obj
+    for s in rest:  # drop a member
+        yield _from_maximal([t for t in rest if t != s])
+    for s in rest:  # shrink a support: flipping bit e drops element or hole e
+        others = [t for t in rest if t != s]
+        for e in _elements(~s if s < 0 else s):
+            yield _canonical([*others, s ^ 1 << e])
 
 
 def shrink_tuple(objs: tuple[Obj, ...], violates: Predicate) -> tuple[Obj, ...]:
@@ -448,8 +447,9 @@ def _iso_invariance_detail(
 ) -> str | None:
     x, y = pair
     base = verdict(x, y)
+    pys = [y.members, *iso_presentations(y)]
     for px in [x.members, *iso_presentations(x)]:
-        for py in [y.members, *iso_presentations(y)]:
+        for py in pys:
             got = verdict(px, py)
             if got != base:
                 return (
@@ -563,10 +563,6 @@ def _pred_wcf_reverse(t: tuple[Obj, ...]) -> str | None:
     return None
 
 
-def _fin_only(fams: Iterable[Family]) -> bool:
-    return not any(m.cofinite for fam in fams for m in fam)
-
-
 def _pred_f_reduction(t: tuple[Obj, ...]) -> str | None:
     x, y = t
     gap = fibration_gap(x, y)
@@ -575,9 +571,8 @@ def _pred_f_reduction(t: tuple[Obj, ...]) -> str | None:
         return "definitional and reduced fibration deciders disagree"
     if gap is not None and not gap.defeats(x):
         return "gap witness does not defeat the source family"
-    if _fin_only((x, y)):
-        if fibration_condition_enumerated(x, y) != reduced:
-            return "enumerating decider disagrees on a finite-only pair"
+    if min(x._signed + y._signed) >= 0 and fibration_condition_enumerated(x, y) != reduced:
+        return "enumerating decider disagrees on a finite-only pair"
     return None
 
 

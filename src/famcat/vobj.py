@@ -12,8 +12,8 @@ forms proved once and tested against the explicit kernel:
 * ``UPROD(X)`` - the product of the universe object with X; definitionally
   ``WC(initial, X)``.
 * ``EXP(B, C)`` - the exponential; reducible to the explicit object computed
-  by :func:`exp_explicit`, and queried member by member through
-  :func:`exp_member`.
+  by :func:`exp_explicit`.  A set s is a member exactly when
+  ``arrow_into_vobj(normalize([s]), VObj.exp(B, C))``.
 * ``EXP_SLICE(A, B, C)`` - the exponential pulled into the slice over A.
 * ``WEXP(A, B, C)`` - the weak-equivalence classifier of the slice over A;
   queried member by member through :func:`wexp_member`.
@@ -23,8 +23,9 @@ signed member masks that :class:`~famcat.kernel.Obj` holds and build no NSet
 and no product.
 
 :func:`decide` is the one dispatch for a label on an ordered pair with
-explicit or virtual endpoints.  Arrow queries that no documented rule covers
-raise :class:`UndecidedPairError` rather than guessing.
+explicit or virtual endpoints, and each virtual verdict it gives is a
+closed form.  Arrow queries that no documented rule covers raise
+:class:`UndecidedPairError` rather than guessing.
 """
 
 from __future__ import annotations
@@ -187,17 +188,6 @@ def _maps_into_exp(zs: Iterable[int], b: Obj, c: Obj) -> bool:
     return _arrow([s & m for s in zs for m in b._signed], c._signed)
 
 
-def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
-    """Is ``s`` a member of the exponential of C by B?
-
-    That is the arrow from ``{{}, s}`` into ``EXP(B, C)``, which is the arrow
-    ``{{}, s} x B -> C``.  The members of that product are the ``s & m``
-    for m in B, up to dominated ones, so it holds exactly when every
-    ``s & m`` lies in some member of C.  No product is built.
-    """
-    return _maps_into_exp((s._s,), b, c)
-
-
 def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
     """Is ``s`` a member of the weak-equivalence classifier over (B, C)?
 
@@ -209,7 +199,8 @@ def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
     * The members of ``z x B`` are the ``s & m`` for m in B, and those of
       ``z x C`` the ``s & n`` for n in C.  ``s & m`` lies in ``s & n``
       exactly when it lies in n, since it lies in s, so the arrow is
-      :func:`exp_member`.
+      ``z x B -> C``: every ``s & m`` lies in some member of C, which is
+      membership of s in ``EXP(B, C)``.
     * The near-inclusion ``z x C ~> z x B`` fails exactly when ``z x C``
       has a cofinite member and ``z x B`` has none
       (:func:`~famcat.kernel.star_arrow`).  ``s & m`` is cofinite exactly
@@ -219,7 +210,7 @@ def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
       therefore: s is finite, or B has a cofinite member, or C has none,
       which is the kernel's near-inclusion ``C ~> B`` of the members.
     """
-    return exp_member(b, c, s) and (not s.cofinite or _star(c._signed, b._signed))
+    return _maps_into_exp((s._s,), b, c) and (not s.cofinite or _star(c._signed, b._signed))
 
 
 # -- arrow oracles -----------------------------------------------------------
@@ -234,7 +225,8 @@ def arrow_into_vobj(z: Obj, v: VObj) -> bool:
     weak equivalence ``z x B -> z x C``.  Each hom condition splits member
     by member of z, so it is decided on the signed masks z holds, with no
     product.  The members of ``z x B`` are the ``s & m`` for s in z and m
-    in B, so ``z x B -> C`` is :func:`exp_member` for every member.  If
+    in B, so ``z x B -> C`` asks that every ``s & m`` lie in some member
+    of C, which is :func:`_maps_into_exp` on the masks of z.  If
     ``s & m`` lies in some ``s' & n``, it lies in n and in s, so in
     ``s & n``: ``z x B -> z x C`` is the same condition.  Its
     near-inclusion back fails exactly when z and C have a cofinite member
@@ -309,6 +301,10 @@ def exp_slice(a: Obj, b: Obj, c: Obj) -> Obj:
 
 # -- the factorization middle ------------------------------------------------
 
+# check_factorization decides at most this many instances, which grow as
+# |x| * |y|**2; the 167-object universes need 5,488 at most.
+MAX_FACTOR_INSTANCES = 1_000_000
+
 
 def _finite_subsets(m: int, margin: int) -> list[int]:
     """A deterministic spread of finite subsets of ``m`` for spot checks, as
@@ -336,11 +332,7 @@ class FactorizationCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.arrow_into_middle
-            and self.star_back_to_source
-            and self.fibration_instances_ok
-        )
+        return self.arrow_into_middle and self.star_back_to_source and self.fibration_instances_ok
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -367,14 +359,22 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     arises from each of them).  Its instances are a function of the generator alone, so
     they are decided once per distinct generator, and a repeated generator
     repeats their outcome; ``instances`` still counts every generator.
+    Past ``MAX_FACTOR_INSTANCES`` instances (``|x| * S**2`` for S subsets
+    spread over y) it stops with :class:`SizeGuardError` before deciding any.
     """
     xs, ys = x._signed, y._signed
     # two past the largest element of any member, read off the mask widths
     margin = 1 + max(1, *((~s if s < 0 else s).bit_length() for s in xs + ys))
+    bounds = [(ym, _finite_subsets(ym, margin)) for ym in ys]
+    spread = sum(len(subs) for _, subs in bounds)
+    instances = len(xs) * spread * spread
+    if instances > MAX_FACTOR_INSTANCES:
+        raise SizeGuardError(
+            f"the factorization check would decide {instances} instances,"
+            f" past MAX_FACTOR_INSTANCES = {MAX_FACTOR_INSTANCES}"
+        )
     covers = functools.cache(functools.partial(_covers, xs, ys))  # witnesses repeat
     arrow_into = all(map(covers, xs))
-
-    bounds = [(ym, _finite_subsets(ym, margin)) for ym in ys]
     generators = [(xm, b0) for xm in xs for _, subs in bounds for b0 in subs]
     distinct = [(xm, b0, xm | b0) for xm, b0 in dict.fromkeys(generators)]
     star_back = _star([u for _, _, u in distinct], xs)
@@ -396,7 +396,7 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
         arrow_into_middle=arrow_into,
         star_back_to_source=star_back,
         fibration_instances_ok=fib_ok,
-        instances=len(generators) * sum(len(subs) for _, subs in bounds),
+        instances=instances,
     )
 
 
@@ -420,12 +420,19 @@ def decide(
     decided by the kernel, and its whole :class:`LabelVerdict` comes back
     with the answer.  A pair with one virtual end goes through the closed
     forms: arrow and c both ways, w both ways, and f only from a WC-shaped
-    family to its own bound family, where the verified factorization facts
-    apply.  The near-inclusion half of w only reads the explicit source
-    part of a WC-shaped family, because ``(x | b) - t`` is finite iff
-    ``x - t`` is; it is asked after the arrow, so a pair with no arrow is
-    false even when the virtual end is not WC-shaped.  Every other query
-    raises :class:`UndecidedPairError`.
+    family to its own bound family.  The near-inclusion half of w only
+    reads the explicit source part of a WC-shaped family, because
+    ``(x | b) - t`` is finite iff ``x - t`` is; it is asked after the
+    arrow, so a pair with no arrow is false even when the virtual end is
+    not WC-shaped.  Every other query raises :class:`UndecidedPairError`.
+
+    ``WC(x, y) -> y`` carries f exactly when the arrow exists, because the
+    three facts of ``check_factorization(x, y)`` hold by construction: each
+    ``xm`` in x is covered as ``xm | {}``; a middle member ``xm | b0`` is
+    cofinite only when ``xm`` is (b0 is finite), so the star back holds;
+    and each witness ``xm | ((b0 & y') | b)`` contains its ``need``
+    ``((xm | b0) & y') | b`` and is covered through ``y'``, since
+    :func:`_finite_subsets` returns subsets of ``y'``.
     """
     src, dst = _reduce_exponentials(src), _reduce_exponentials(dst)
     if isinstance(src, Obj) and isinstance(dst, Obj):
@@ -445,10 +452,8 @@ def decide(
             return arrow_from_vobj(src, dst), None
         if label == "w":
             return arrow_from_vobj(src, dst) and star_arrow(dst, _wc_parts(src)[0]), None
-        if label == "f":
-            xs, ys = _wc_parts(src)
-            if ys == dst:
-                return arrow_from_vobj(src, dst) and check_factorization(xs, ys).ok, None
+        if label == "f" and _wc_parts(src)[1] == dst:
+            return arrow_from_vobj(src, dst), None
         raise UndecidedPairError(
             f"label {label!r} has no rule for {src.describe()} -> explicit"
         )

@@ -19,12 +19,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # One spelling per fact: each of these restated a fact another name states.
 REMOVED = {
     famcat: (
-        "Cardinality", "Kind", "initial", "terminal", "sample_objects", "StarTemplate", "wc_covers"
+        "Cardinality", "Kind", "initial", "terminal", "sample_objects", "StarTemplate",
+        "wc_covers", "exp_member",
     ),
     harness: ("sample_objects",),
     nset: ("Cardinality", "INFINITE", "Kind"),
     kernel: ("initial", "terminal", "StarTemplate"),
-    vobj: ("wc_covers",),
+    vobj: ("wc_covers", "exp_member"),
     NSet: ("cardinality", "is_finite", "kind"),
     Obj: ("has_full",),
     GapWitness: ("to_json_dict",),

@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_vobj import factor_pair
 
 import famcat
-from famcat import kernel
+from famcat import kernel, vobj
 from famcat.cli import load_input, main
 from famcat.harness import MAX_SAMPLES
 from famcat.kernel import Obj
@@ -327,6 +328,20 @@ def test_factorize_machine_format(capsys):
 
 def test_factorize_fails_without_an_arrow(capsys):
     assert run("factorize", "--from", TERMINAL_LIT, "--to", A_LIT) == 1
+
+
+def test_factorize_size_guard_exits_4(capsys, monkeypatch):
+    # 44,582,329 instances at n = 120; the unguarded check runs for minutes
+    x, y = (json.dumps(o.to_json_dict()) for o in factor_pair(120))
+    assert run("factorize", "--from", x, "--to", y) == 4
+    assert "MAX_FACTOR_INSTANCES" in capsys.readouterr().err
+    # A -> B decides 50 instances
+    monkeypatch.setattr(vobj, "MAX_FACTOR_INSTANCES", 50)
+    assert run("factorize", "--from", A_LIT, "--to", B_LIT) == 0
+    assert "(50 instances)" in capsys.readouterr().out
+    monkeypatch.setattr(vobj, "MAX_FACTOR_INSTANCES", 49)
+    assert run("factorize", "--from", A_LIT, "--to", B_LIT) == 4
+    assert "MAX_FACTOR_INSTANCES = 49" in capsys.readouterr().err
 
 
 # -- suites -----------------------------------------------------------------------

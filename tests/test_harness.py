@@ -682,6 +682,24 @@ def test_shrinking_preserves_the_violation_and_shrinks():
     assert shrink_tuple(big, has_cofinite) == (normalize([FULL]),)
 
 
+def _nset_shrink_candidates(ob):
+    """Reference: the shrink candidates built from NSets, in the shrinker's
+    order: drop each member, then drop each element or hole of each one."""
+    nonempty = ob.members[1:]
+    for m in nonempty:
+        yield normalize(mm for mm in ob.members if mm != m)
+    for m in nonempty:
+        for e in m.support:
+            slim = (NSet.cofin if m.cofinite else NSet.fin)(s for s in m.support if s != e)
+            yield normalize(slim if mm == m else mm for mm in ob.members)
+
+
+@pytest.mark.parametrize("u", [C2, W3], ids=["C2", "W3"])
+def test_shrink_candidates_match_the_nset_reference(u):
+    for ob in enumerate_objects(u):
+        assert list(harness._shrink_candidates(ob)) == list(_nset_shrink_candidates(ob)), ob
+
+
 def test_recorded_violations_are_shrunk():
     universe = Universe(window=3, include_cofinite=True, samples=300, seed=42)
     literal = check_axiom("ISO_INVARIANCE", universe, literal_star=True)

@@ -1,7 +1,8 @@
 """Virtual objects: closed-form oracles against brute-force ground truth.
 
 The exponential construction is compared against an unpruned in-test oracle
-that enumerates every choice function.  The WC-shaped oracles, which read
+that enumerates every choice function, and membership in it against an NSet
+formula kept here (:func:`exp_member`).  The WC-shaped oracles, which read
 signed masks, are compared against an NSet coverage formula kept here
 (:func:`wc_covers`) and pinned by hand-derived membership facts, and the
 documented undecidable queries are asserted to refuse rather than guess.
@@ -41,7 +42,6 @@ from famcat.vobj import (
     check_factorization,
     decide,
     exp_explicit,
-    exp_member,
     exp_slice,
     is_iso_virtual,
     wexp_member,
@@ -56,6 +56,7 @@ C = Obj.of(fin([0]), fin([1]))
 NEAR_FULL = Obj.of(cofin([0]))
 
 W2 = enumerate_objects(Universe(window=2))
+W3 = enumerate_objects(Universe(window=3))
 C2 = enumerate_objects(Universe(window=2, include_cofinite=True))
 
 # the finite and cofinite sets with support inside range(3)
@@ -90,6 +91,17 @@ def wc_covers(v: VObj, s: NSet) -> bool:
 def covered(v: VObj, s: NSet) -> bool:
     """Coverage through the one dispatch: the arrow from ``{{}, s}`` into v."""
     return decide(normalize([s]), v, "arrow")[0]
+
+
+def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
+    """Oracle: is ``s`` a member of the exponential of C by B?
+
+    That is the arrow ``{{}, s} x B -> C``.  The members of that product
+    are the ``s & m`` for m in B, up to dominated ones, so it holds exactly
+    when every ``s & m`` lies in some member of C.  The library asks it as
+    the arrow from ``normalize([s])`` into ``EXP(B, C)``.
+    """
+    return all(any((s & m).is_subset(n) for n in c) for m in b)
 
 
 # -- construction and serialization -----------------------------------------------
@@ -353,7 +365,7 @@ def test_decide_virtual_into_explicit():
             arrow = arrow_from_vobj(v, t)
             assert decide(v, t, "arrow") == decide(v, t, "c") == (arrow, None)
             assert decide(v, t, "w") == (arrow and star_arrow(t, source_part), None)
-    # f only into the bound family, through the factorization facts
+    # f only into the bound family, where it is the arrow
     assert decide(VObj.wc(INITIAL, TERMINAL), TERMINAL, "f") == (True, None)
     assert decide(VObj.wc(A, C), C, "f") == (False, None)  # no arrow onto C
     assert decide(VObj.wc(A, B), B, "f") == (True, None)
@@ -487,8 +499,10 @@ def test_exp_member_is_the_singleton_hom_criterion(ms):
         z = normalize([s])
         for b, c in itertools.product((A, C, NEAR_FULL, TERMINAL, Obj.of(cofin([1]), fin([0]))),
                                       repeat=2):
-            assert exp_member(b, c, s) == arrow_exists(product(z, b), c)
-            assert exp_member(b, c, s) == arrow_exists(z, exp_explicit(b, c))
+            member = exp_member(b, c, s)
+            assert arrow_into_vobj(z, VObj.exp(b, c)) == member
+            assert member == arrow_exists(product(z, b), c)
+            assert member == arrow_exists(z, exp_explicit(b, c))
 
 
 def test_arrows_into_exponentials_and_classifiers_split_by_member():
@@ -540,6 +554,45 @@ def test_factorization_facts_hold_when_the_arrow_does():
         fc = check_factorization(x, y)
         assert fc.ok, (x, y, fc.to_json_dict())
         assert fc.instances > 0
+
+
+@pytest.mark.parametrize("objs", [C2, W3], ids=["C2", "W3"])
+def test_factorization_facts_hold_on_every_pair(objs):
+    # the proof in decide's docstring: the facts hold with or without an arrow
+    for x, y in itertools.product(objs, repeat=2):
+        assert check_factorization(x, y).ok, (x, y)
+
+
+def test_f_into_the_bound_family_is_the_arrow_on_every_c2_pair(monkeypatch):
+    # decide runs no spot check: f is the arrow out of the middle, which
+    # the facts checked on every pair above make the same verdict
+    def refuse(x, y):
+        raise AssertionError("decide ran the factorization spot check")
+
+    monkeypatch.setattr(vobj, "check_factorization", refuse)
+    for x, y in itertools.product(C2, repeat=2):
+        v = VObj.wc(x, y)
+        assert decide(v, y, "f") == (arrow_from_vobj(v, y), None), (x, y)
+
+
+def factor_pair(n: int) -> tuple[Obj, Obj]:
+    """n two-element members against n three-element ones and a cofinite
+    member: ``(n + 1) * (5n + 7)**2`` factorization instances."""
+    x = normalize(fin([2 * i, 2 * i + 1]) for i in range(n))
+    y = normalize([*(fin([2 * i, 2 * i + 1, 2 * n + i]) for i in range(n)),
+                   cofin(range(2 * n, 3 * n))])
+    return x, y
+
+
+def test_factorization_stops_past_max_factor_instances(monkeypatch):
+    assert check_factorization(*factor_pair(20)).instances == 240_429
+    with pytest.raises(SizeGuardError, match="MAX_FACTOR_INSTANCES"):
+        check_factorization(*factor_pair(40))  # 1,756,809 instances
+    monkeypatch.setattr(vobj, "MAX_FACTOR_INSTANCES", 50)
+    assert check_factorization(A, B).instances == 50
+    monkeypatch.setattr(vobj, "MAX_FACTOR_INSTANCES", 49)
+    with pytest.raises(SizeGuardError, match="MAX_FACTOR_INSTANCES = 49"):
+        check_factorization(A, B)
 
 
 def test_factorization_facts_are_independent_of_the_missing_arrow():
@@ -647,7 +700,7 @@ def test_factorization_decides_each_witness_once(monkeypatch):
 @pytest.mark.parametrize(
     "objs, pinned",
     [
-        (enumerate_objects(Universe(window=3)), (148, 147)),
+        (W3, (148, 147)),
         (_sampled_objects(0), (760, 759)),
         (_sampled_objects(1), (809, 808)),
     ],
