@@ -8,10 +8,9 @@ fails, 2 on parse errors (a ``--window``, ``--samples`` or ``--seed`` that is
 not ``0`` or ASCII digits with no leading zero among them), 3 on an
 undecided virtual-object pair, 4 when a size guard rejects the request
 (an exhaustive ``--window`` past its limit, a ``--window`` that would draw
-elements above ``MAX_ELEMENT``, ``--samples`` above ``MAX_SAMPLES``, an
-exponential with more than ``MAX_PARTIALS`` partial intersections, a
-product of an incomparable pair with more than ``MAX_PARTIALS`` distinct
-intersections, or a factorization check of more than
+elements above ``MAX_ELEMENT``, ``--samples`` above ``MAX_SAMPLES``, a
+product, or an exponential step, that meets more than ``MAX_PARTIALS``
+distinct sets, or a factorization check of more than
 ``MAX_FACTOR_INSTANCES`` instances), and 141
 (128 + SIGPIPE), with no message, when the reader of stdout goes away
 before the output is written.

@@ -43,6 +43,7 @@ from .kernel import (
     LabelVerdict,
     Obj,
     SizeGuardError,
+    _MAX_ENUMERATED_SUPPORT,
     _canonical,
     _from_maximal,
     _maximal,
@@ -571,7 +572,9 @@ def _pred_f_reduction(t: tuple[Obj, ...]) -> str | None:
         return "definitional and reduced fibration deciders disagree"
     if gap is not None and not gap.defeats(x):
         return "gap witness does not defeat the source family"
-    if min(x._signed + y._signed) >= 0 and fibration_condition_enumerated(x, y) != reduced:
+    masks = x._signed + y._signed
+    enumerable = min(masks) >= 0 and max(map(int.bit_count, masks)) <= _MAX_ENUMERATED_SUPPORT
+    if enumerable and fibration_condition_enumerated(x, y) != reduced:
         return "enumerating decider disagrees on a finite-only pair"
     return None
 

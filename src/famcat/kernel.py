@@ -37,15 +37,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .nset import EMPTY, FULL, NSet, _make
+from .nset import EMPTY, FULL, NSet, _elements, _make
 
 Family = Iterable[NSet]
 _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subsets b per member
 
-# product and the exponential of famcat.vobj canonicalize at most this many
-# intersections; the claim suites' exponentials peak at 4.  Past the limit
-# the maximal-member filter, quadratic in the count, runs for seconds and
-# then minutes.
+# _meets builds at most this many intersections for product and each step
+# of the exponential of famcat.vobj; the claim suites' exponentials peak at
+# 4.  Past it the maximal-member filter, quadratic in the count, runs for
+# seconds and then minutes.
 MAX_PARTIALS = 1024
 
 
@@ -53,21 +53,13 @@ class SizeGuardError(ValueError):
     """A request too large to enumerate, draw or construct."""
 
 
-_LOW_BIT_FIRST = str.maketrans("01", "10")
-
-
-def _member_sort_key(s: int) -> tuple[bool, int, str]:
-    """Orders signed masks as ``(cofinite, mask size, support)`` orders members.
-
-    Supports of one size first differ at an element of the earlier one.
-    Spelled least bit first, a set bit as ``0``, masks of one size are not
-    prefixes of each other, and they first differ at that same element.
-    Distinct masks have distinct keys.  :func:`_from_maximal` sorts by it,
-    and ``Obj(members)`` checks that the keys of neighbours strictly
-    increase.
-    """
+def _member_sort_key(s: int) -> tuple[bool, int, list[int]]:
+    """The member order by its definition, ``(cofinite, mask size, support)``,
+    with the support ascending.  Distinct masks have distinct keys.
+    :func:`_from_maximal` sorts by it, and ``Obj(members)`` checks that the
+    keys of neighbours strictly increase."""
     mask = ~s if s < 0 else s
-    return (s < 0, mask.bit_count(), bin(mask)[:1:-1].translate(_LOW_BIT_FIRST))
+    return (s < 0, mask.bit_count(), _elements(mask))
 
 
 def _superset_first_key(s: int) -> tuple[bool, int]:
@@ -311,7 +303,7 @@ def fibration_condition_enumerated(source: Family, target: Family) -> bool:
         if m.cofinite:
             raise ValueError("the enumerating decider needs finite members")
         if m.mask.bit_count() > _MAX_ENUMERATED_SUPPORT:
-            raise ValueError("support too large to enumerate")
+            raise SizeGuardError("support too large to enumerate")
     for x in src if EMPTY in src else src + (EMPTY,):
         for y in tgt:
             for size in range(len(y.support) + 1):
@@ -365,6 +357,17 @@ def label_verdict(source: Family, target: Family) -> LabelVerdict:
 # -- limits ----------------------------------------------------------------
 
 
+def _meets(xs: Iterable[int], ys: Collection[int], what: str) -> set[int]:
+    """The distinct ``a & b`` for a in xs and b in ys: the one size guard of
+    :func:`product` and each exponential step, which raises
+    :class:`SizeGuardError` naming ``what`` past ``MAX_PARTIALS`` of them,
+    before any is pruned."""
+    meets = {a & b for a in xs for b in ys}
+    if len(meets) > MAX_PARTIALS:
+        raise SizeGuardError(f"{what} passed MAX_PARTIALS = {MAX_PARTIALS} distinct intersections")
+    return meets
+
+
 def product(x: Obj, y: Obj) -> Obj:
     """Binary product of canonical objects: pointwise intersections, canonicalized.
 
@@ -377,21 +380,15 @@ def product(x: Obj, y: Obj) -> Obj:
     Canonical objects that are isomorphic are equal, because their
     non-empty members form an antichain, so the product is x itself.
 
-    An incomparable pair has up to ``|x| * |y|`` distinct intersections.
-    Past ``MAX_PARTIALS`` of them the construction stops with
-    :class:`SizeGuardError` before it canonicalizes any.
+    An incomparable pair has up to ``|x| * |y|`` distinct intersections,
+    built by :func:`_meets` under its size guard.
     """
     xs, ys = x._signed, y._signed
     if _arrow(xs, ys):
         return x
     if _arrow(ys, xs):
         return y
-    meets = {a & b for a in xs for b in ys}
-    if len(meets) > MAX_PARTIALS:
-        raise SizeGuardError(
-            f"the product passed MAX_PARTIALS = {MAX_PARTIALS} distinct intersections"
-        )
-    return _canonical(meets)
+    return _canonical(_meets(xs, ys, "the product"))
 
 
 def coproduct(x: Family, y: Family) -> Obj:

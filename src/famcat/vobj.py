@@ -37,7 +37,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .kernel import (
     INITIAL,
-    MAX_PARTIALS,
     TERMINAL,
     LabelVerdict,
     Obj,
@@ -45,6 +44,7 @@ from .kernel import (
     _arrow,
     _from_maximal,
     _maximal,
+    _meets,
     _star,
     arrow_exists,
     label_verdict,
@@ -272,24 +272,23 @@ def arrow_from_vobj(v: VObj, t: Obj) -> bool:
 def exp_explicit(b: Obj, c: Obj) -> Obj:
     """The exponential of C by B as an explicit object.
 
-    A set s maps against every member of B into C exactly when s is inside
-    the intersection of ``choice(m) | ~m`` over members m of B, for some
-    choice of targets in C.  The maximal such intersections are the members;
-    they are computed on signed masks, and dominated partial intersections
-    are pruned at every step, which keeps
-    the choice-function blowup collapsed.  Pruning cannot always collapse
-    it: k disjoint two-element members of B against their 2k singletons in
-    C leave 2**k partials.  Past ``MAX_PARTIALS`` of them the construction
-    stops with :class:`SizeGuardError`.
+    It is ``TERMINAL`` exactly when ``b -> c``, and then nothing is built:
+    each ``s & m``, for m in B, lies in m and so in a member of C, so N is a
+    member; conversely ``B = TERMINAL x B -> C``.  Otherwise a set s is a
+    member exactly when it lies in the intersection of ``choice(m) | ~m``
+    over the members m of B, for some choice of targets in C.  Each step
+    meets the partials with the maximal terms ``t | ~m`` (a dominated term
+    yields only dominated meets) through :func:`~famcat.kernel._meets`, the
+    guard of :func:`~famcat.kernel.product`, and keeps the maximal meets.
+    Pruning cannot always collapse the choice blowup: k disjoint pairs in B
+    against their 2k singletons in C leave 2**k partials.
     """
+    if _arrow(b._signed, c._signed):
+        return TERMINAL
     partials = [-1]  # the signed mask of N
     for m in b._signed:
-        terms = {t | ~m for t in c._signed}
-        partials = _maximal({p & t for p in partials for t in terms})
-        if len(partials) > MAX_PARTIALS:
-            raise SizeGuardError(
-                f"the exponential passed MAX_PARTIALS = {MAX_PARTIALS} partial intersections"
-            )
+        terms = _maximal([t | ~m for t in c._signed])
+        partials = _maximal(_meets(partials, terms, "an exponential step"))
     return _from_maximal(partials)
 
 

@@ -458,6 +458,14 @@ def test_exponential_size_guard_exits_4(capsys):
     assert "MAX_PARTIALS" in capsys.readouterr().err
     exp_lit = json.dumps({"vkind": "exp", "b": json.loads(b), "c": json.loads(c)})
     assert run("decide", "--from", A_LIT, "--to", exp_lit) == 4
+    # two n-element members against their 2n singletons: the second step
+    # meets n * n distinct sets; at n = 150 pruning them unguarded takes
+    # half a minute
+    n = 150
+    b = json.dumps({"members": [{"fin": list(range(n))}, {"fin": list(range(n, 2 * n))}]})
+    c = json.dumps({"members": [{"fin": [j]} for j in range(2 * n)]})
+    assert run("exp", "--b", b, "--c", c) == 4
+    assert "an exponential step passed MAX_PARTIALS" in capsys.readouterr().err
 
 
 def test_product_size_guard_exits_4(capsys, monkeypatch):
@@ -479,6 +487,13 @@ def test_product_size_guard_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(kernel, "MAX_PARTIALS", 9)
     assert run("product", "--x", rows, "--y", cols) == 4
     assert "MAX_PARTIALS" in capsys.readouterr().err
+
+
+def test_claims_pass_on_wide_sampled_windows(capsys):
+    # some sampled pairs have members too wide for the enumerating decider
+    assert run("claims", "--window", "14", "--samples", "200", "--seed", "1") == 0
+    assert run("claims", "--window", "20", "--samples", "50") == 0
+    assert "result: PASS" in capsys.readouterr().out
 
 
 def test_claims_pass(capsys):

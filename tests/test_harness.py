@@ -493,6 +493,15 @@ def test_a_product_or_coproduct_outside_the_universe_is_yielded(monkeypatch):
     assert all(found for _, _, found in got)
 
 
+def test_f_reduction_still_asks_the_enumerating_decider(monkeypatch):
+    # every W3 member fits the enumerating decider, so a wrong one is caught
+    monkeypatch.setattr(harness, "fibration_condition_enumerated", lambda x, y: True)
+    (check,) = run_claims(W3, ["F_REDUCTION"]).checks
+    assert check.violations and all(
+        v.detail == "enumerating decider disagrees on a finite-only pair" for v in check.violations
+    )
+
+
 def test_sampled_suites_match_brute_force_on_a_weakened_decider(monkeypatch):
     deciders, broken = WEAKENED["w-small-target"]
     for attr, fake in deciders.items():

@@ -15,13 +15,15 @@ from hypothesis import given
 from test_kernel import family_strategy
 
 import famcat
-from famcat import nset, vobj
+from famcat import kernel, nset, vobj
 from famcat.harness import Universe, enumerate_objects, universe_objects
 from famcat.kernel import (
     INITIAL,
     TERMINAL,
     Obj,
     SizeGuardError,
+    _from_maximal,
+    _maximal,
     arrow_exists,
     is_iso,
     label_verdict,
@@ -422,17 +424,62 @@ def test_exp_identities():
     assert exp_explicit(TERMINAL, A) == A  # evaluating at N picks members
 
 
+def step_loop_exp(b: Obj, c: Obj) -> Obj:
+    """The exponential's step loop with neither the closed form nor a guard:
+    meet the partials with every term ``t | ~m``, keep the maximal meets."""
+    partials = [-1]
+    for m in b._signed:
+        terms = {t | ~m for t in c._signed}
+        partials = _maximal({p & t for p in partials for t in terms})
+    return _from_maximal(partials)
+
+
+@pytest.mark.parametrize("objs", [C2, W3], ids=["C2", "W3"])
+def test_exp_is_the_step_loop_and_terminal_exactly_on_arrows(objs):
+    for b, c in itertools.product(objs, repeat=2):
+        e, want = exp_explicit(b, c), step_loop_exp(b, c)
+        assert e == want and e._signed == want._signed, (b, c)
+        assert (e == TERMINAL) == arrow_exists(b, c), (b, c)
+
+
 def test_exp_stops_past_max_partials(monkeypatch):
     # k disjoint pairs against their 2k singletons keep 2**k partials
     k = 3
     b = normalize(fin([2 * i, 2 * i + 1]) for i in range(k))
     c = normalize(fin([j]) for j in range(2 * k))
-    monkeypatch.setattr(vobj, "MAX_PARTIALS", 2**k)
     assert len(exp_explicit(b, c).members) == 2**k + 1
-    monkeypatch.setattr(vobj, "MAX_PARTIALS", 2**k - 1)
+    # the kernel's bound is the one guard, of product and of this step
+    assert not hasattr(vobj, "MAX_PARTIALS")
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 2**k)
+    assert len(exp_explicit(b, c).members) == 2**k + 1
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 2**k - 1)
     with pytest.raises(SizeGuardError, match="MAX_PARTIALS"):
         exp_explicit(b, c)
+    monkeypatch.undo()
+    k = 10
+    b = normalize(fin([2 * i, 2 * i + 1]) for i in range(k))
+    c = normalize(fin([j]) for j in range(2 * k))
+    assert len(exp_explicit(b, c).members) == 2**k + 1 == kernel.MAX_PARTIALS + 1
     assert SizeGuardError is famcat.SizeGuardError is famcat.harness.SizeGuardError
+
+
+def test_exp_step_stops_before_pruning_its_meets(monkeypatch):
+    # B = two n-element members, C = their 2n singletons: the second step
+    # meets n partials with n terms, n * n distinct sets
+    n = 150
+    b = normalize([fin(range(n)), fin(range(n, 2 * n))])
+    c = normalize(fin([j]) for j in range(2 * n))
+    pruned = []
+
+    def counting(masks):
+        masks = list(masks)
+        pruned.append(len(masks))
+        return _maximal(masks)
+
+    monkeypatch.setattr(vobj, "_maximal", counting)
+    with pytest.raises(SizeGuardError, match="an exponential step passed MAX_PARTIALS"):
+        exp_explicit(b, c)
+    assert pruned and max(pruned) <= kernel.MAX_PARTIALS
 
 
 def test_exp_representability_on_examples():
