@@ -357,14 +357,21 @@ def label_verdict(source: Family, target: Family) -> LabelVerdict:
 # -- limits ----------------------------------------------------------------
 
 
-def _meets(xs: Iterable[int], ys: Collection[int], what: str) -> set[int]:
+def _meets(xs: Collection[int], ys: Collection[int], what: str) -> set[int]:
     """The distinct ``a & b`` for a in xs and b in ys: the one size guard of
     :func:`product` and each exponential step, which raises
     :class:`SizeGuardError` naming ``what`` past ``MAX_PARTIALS`` of them,
-    before any is pruned."""
-    meets = {a & b for a in xs for b in ys}
-    if len(meets) > MAX_PARTIALS:
-        raise SizeGuardError(f"{what} passed MAX_PARTIALS = {MAX_PARTIALS} distinct intersections")
+    before any is pruned.  A grid of more cells than that is built row by
+    row, so at most ``MAX_PARTIALS + len(ys)`` meets are built."""
+    if len(xs) * len(ys) <= MAX_PARTIALS:
+        return {a & b for a in xs for b in ys}
+    meets: set[int] = set()
+    for a in xs:
+        meets.update([a & b for b in ys])
+        if len(meets) > MAX_PARTIALS:
+            raise SizeGuardError(
+                f"{what} passed MAX_PARTIALS = {MAX_PARTIALS} distinct intersections"
+            )
     return meets
 
 

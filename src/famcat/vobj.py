@@ -150,18 +150,17 @@ def _require_slice(a: Obj, b: Obj, c: Obj) -> None:
         raise ValueError("slice construction needs arrows from both b and c into a")
 
 
-_WC_SHAPED = (VKind.WC, VKind.UNIVERSE, VKind.UPROD)
-
-
-def _wc_parts(v: VObj) -> tuple[Obj, Obj]:
-    """Source and bound families of a WC-shaped virtual object."""
+def _wc_parts(v: Obj | VObj) -> tuple[Obj, Obj]:
+    """Source and bound families of a WC-shaped end; an explicit x is ``WC(x, initial)``."""
+    if isinstance(v, Obj):
+        return v, INITIAL
     if v.kind is VKind.WC:
         return v.x, v.y  # type: ignore[return-value]
     if v.kind is VKind.UNIVERSE:
         return INITIAL, TERMINAL
     if v.kind is VKind.UPROD:
         return INITIAL, v.x  # type: ignore[return-value]
-    raise UndecidedPairError(f"{v.describe()} is not WC-shaped")
+    raise UndecidedPairError(f"{v.kind.value} is not WC-shaped")
 
 
 # -- membership oracles ------------------------------------------------------
@@ -188,6 +187,11 @@ def _maps_into_exp(zs: Iterable[int], b: Obj, c: Obj) -> bool:
     return _arrow([s & m for s in zs for m in b._signed], c._signed)
 
 
+def _in_wexp(zs: Sequence[int], b: Obj, c: Obj) -> bool:
+    """The classifier's member criterion, proved at :func:`wexp_member`, for all of ``zs``."""
+    return _maps_into_exp(zs, b, c) and (min(zs) >= 0 or _star(c._signed, b._signed))
+
+
 def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
     """Is ``s`` a member of the weak-equivalence classifier over (B, C)?
 
@@ -210,7 +214,7 @@ def wexp_member(b: Obj, c: Obj, s: NSet) -> bool:
       therefore: s is finite, or B has a cofinite member, or C has none,
       which is the kernel's near-inclusion ``C ~> B`` of the members.
     """
-    return _maps_into_exp((s._s,), b, c) and (not s.cofinite or _star(c._signed, b._signed))
+    return _in_wexp((s._s,), b, c)
 
 
 # -- arrow oracles -----------------------------------------------------------
@@ -235,21 +239,14 @@ def arrow_into_vobj(z: Obj, v: VObj) -> bool:
     :func:`wexp_member` for every member.
     """
     zs = z._signed
-    if v.kind in _WC_SHAPED:
-        xs, ys = _wc_parts(v)
-        return all(_covers(xs._signed, ys._signed, s) for s in zs)
     if v.kind is VKind.EXP:
         return _maps_into_exp(zs, v.b, v.c)
     if v.kind is VKind.EXP_SLICE:
         return arrow_exists(z, v.a) and _maps_into_exp(zs, v.b, v.c)
     if v.kind is VKind.WEXP:
-        # z has no cofinite member exactly when its last member is finite
-        return (
-            arrow_exists(z, v.a)
-            and _maps_into_exp(zs, v.b, v.c)
-            and (zs[-1] >= 0 or _star(v.c._signed, v.b._signed))
-        )
-    raise UndecidedPairError(f"no arrow rule into {v.describe()}")
+        return arrow_exists(z, v.a) and _in_wexp(zs, v.b, v.c)
+    xs, ys = _wc_parts(v)
+    return all(_covers(xs._signed, ys._signed, s) for s in zs)
 
 
 def arrow_from_vobj(v: VObj, t: Obj) -> bool:
@@ -260,8 +257,6 @@ def arrow_from_vobj(v: VObj, t: Obj) -> bool:
     missing point per candidate target member assembles a finite b that
     defeats them all.
     """
-    if v.kind not in _WC_SHAPED:
-        raise UndecidedPairError(f"no arrow rule out of {v.describe()}")
     xs, ys = _wc_parts(v)
     return _arrow([x | y for x in xs._signed for y in ys._signed], t._signed)
 
@@ -417,13 +412,16 @@ def decide(
 
     Exponentials are first reduced to explicit objects.  An explicit pair is
     decided by the kernel, and its whole :class:`LabelVerdict` comes back
-    with the answer.  A pair with one virtual end goes through the closed
-    forms: arrow and c both ways, w both ways, and f only from a WC-shaped
-    family to its own bound family.  The near-inclusion half of w only
-    reads the explicit source part of a WC-shaped family, because
-    ``(x | b) - t`` is finite iff ``x - t`` is; it is asked after the
-    arrow, so a pair with no arrow is false even when the virtual end is
-    not WC-shaped.  Every other query raises :class:`UndecidedPairError`.
+    with the answer.  A pair with one virtual end has one rule per kind, its
+    arrow (:func:`arrow_into_vobj` or :func:`arrow_from_vobj`), and each
+    label is composed from it once for both directions: arrow and c are the
+    arrow; w is the arrow and the near-inclusion from the part of dst to the
+    part of src, an explicit end being its own part; f is the arrow from a
+    WC-shaped family to its own bound family.  The near-inclusion reads only
+    the source part x of a WC-shaped end, because ``(x | b) - t`` is finite
+    iff ``x - t`` is; it is asked after the arrow, so a pair with no arrow
+    is false even when the virtual end is not WC-shaped.  Every other query
+    raises :class:`UndecidedPairError`.
 
     ``WC(x, y) -> y`` carries f exactly when the arrow exists, because the
     three facts of ``check_factorization(x, y)`` hold by construction: each
@@ -437,26 +435,20 @@ def decide(
     if isinstance(src, Obj) and isinstance(dst, Obj):
         verdict = label_verdict(src, dst)
         return getattr(verdict, label), verdict
-    if isinstance(src, Obj):  # explicit -> virtual
-        assert isinstance(dst, VObj)
-        if label in ("arrow", "c"):
-            return arrow_into_vobj(src, dst), None
-        if label == "w":
-            return arrow_into_vobj(src, dst) and star_arrow(_wc_parts(dst)[0], src), None
-        raise UndecidedPairError(
-            f"label {label!r} has no rule for explicit -> {dst.describe()}"
-        )
-    if isinstance(dst, Obj):  # virtual -> explicit
-        if label in ("arrow", "c"):
-            return arrow_from_vobj(src, dst), None
-        if label == "w":
-            return arrow_from_vobj(src, dst) and star_arrow(dst, _wc_parts(src)[0]), None
-        if label == "f" and _wc_parts(src)[1] == dst:
-            return arrow_from_vobj(src, dst), None
-        raise UndecidedPairError(
-            f"label {label!r} has no rule for {src.describe()} -> explicit"
-        )
-    raise UndecidedPairError(f"no rule for {src.describe()} -> {dst.describe()}")
+    if isinstance(src, Obj):
+        arrow = arrow_into_vobj(src, dst)  # type: ignore[arg-type]
+    elif isinstance(dst, Obj):
+        arrow = arrow_from_vobj(src, dst)
+    else:
+        raise UndecidedPairError(f"no rule for {src.kind.value} -> {dst.kind.value}")
+    if label in ("arrow", "c"):
+        return arrow, None
+    if label == "w":
+        return arrow and star_arrow(_wc_parts(dst)[0], _wc_parts(src)[0]), None
+    if label == "f" and _wc_parts(src)[1] == dst:
+        return arrow, None
+    ends = [e.kind.value if isinstance(e, VObj) else "explicit" for e in (src, dst)]
+    raise UndecidedPairError(f"label {label!r} has no rule for {ends[0]} -> {ends[1]}")
 
 
 def is_iso_virtual(v: VObj, t: Obj) -> bool:

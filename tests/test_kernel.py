@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from famcat import kernel
+from famcat import harness, kernel
 from famcat.harness import (
     Universe,
     _literal_star,
@@ -600,6 +600,44 @@ def test_product_stops_past_max_partials(monkeypatch):
     assert product(rows, TERMINAL) is rows and product(TERMINAL, cols) is cols
 
 
+def test_meets_stops_at_the_first_row_past_max_partials(monkeypatch):
+    made = []
+
+    class CountingMask(int):
+        """A signed mask that records each meet it takes part in."""
+
+        def __and__(self, other):
+            made.append(1)
+            return int.__and__(self, other)
+
+    # a_i = {i} | {20..39} and b_j = {0..19} | {20 + j} meet in {i, 20 + j}:
+    # all 400 meets are distinct
+    n = 20
+    low, high = (1 << n) - 1, ((1 << n) - 1) << n
+    xs = [CountingMask(1 << i | high) for i in range(n)]
+    ys = [low | 1 << (n + j) for j in range(n)]
+    grid = {int.__and__(a, b) for a in xs for b in ys}
+    assert len(grid) == n * n
+    for cap in (10, 45, n * n - 1):
+        monkeypatch.setattr(kernel, "MAX_PARTIALS", cap)
+        made.clear()
+        with pytest.raises(SizeGuardError, match="the test passed MAX_PARTIALS"):
+            kernel._meets(xs, ys, "the test")
+        assert 0 < len(made) <= cap + len(ys)
+    # the same inputs pass exactly when their distinct meets fit
+    for cap in (n * n, n * n + 1, 10**6):
+        monkeypatch.setattr(kernel, "MAX_PARTIALS", cap)
+        assert kernel._meets(xs, ys, "the test") == grid
+    # repeated meets count once, on either side of the grid-size test
+    rows = [0b0011, 0b0110, 0b1100]
+    for cap in (4, 9):
+        monkeypatch.setattr(kernel, "MAX_PARTIALS", cap)
+        assert kernel._meets(rows, [0b0001, 0b0010, 0b1000], "the test") == {0, 1, 2, 8}
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 3)
+    with pytest.raises(SizeGuardError):
+        kernel._meets(rows, [0b0001, 0b0010, 0b1000], "the test")
+
+
 def test_coproduct_examples():
     assert coproduct(A, B) == B  # {0} is dominated by {0,1}
     assert coproduct(A, Obj.of(fin([1]))) == C
@@ -638,3 +676,62 @@ def test_two_of_three_for_w_on_the_small_universe():
         if arrow_exists(x, y) and arrow_exists(y, z):
             flags = (label_w(x, y), label_w(y, z), label_w(x, z))
             assert sum(flags) != 2, (x, y, z)
+
+
+# -- the cofinite universe is the finite one a window up ------------------------------
+
+
+def relabel(x: Obj, window: int) -> frozenset[int]:
+    """phi on the signed masks of x: a finite member stays; a cofinite one
+    with holes h, all inside ``range(window)``, becomes
+    ``(range(window) - h) | {window}``, the new point standing for its
+    infinite part.  phi keeps and reflects inclusion of members, so it maps
+    a canonical family onto the members of a canonical one."""
+    top = 1 << window
+    return frozenset(s if s >= 0 else s & (top - 1) | top for s in x._signed)
+
+
+def has_cofinite(x: Obj) -> bool:
+    return min(x._signed) < 0
+
+
+def assert_relabelling_keeps_pairs(cofinite, finite, window):
+    """phi is a bijection from ``cofinite`` onto ``finite`` that keeps
+    arrows, products and coproducts, and w differs from its image exactly on
+    the arrows into an object with a cofinite member from one with none,
+    where w on finite objects is the arrow.  Returns phi and that count."""
+    images = {frozenset(y._signed): y for y in finite}
+    phi = {x: images[relabel(x, window)] for x in cofinite}
+    assert len(set(phi.values())) == len(cofinite) == len(finite)
+    differ = 0
+    for x, y in itertools.product(cofinite, repeat=2):
+        fx, fy = phi[x], phi[y]
+        arrow = arrow_exists(x, y)
+        assert arrow == arrow_exists(fx, fy), (x, y)
+        assert relabel(product(x, y), window) == frozenset(product(fx, fy)._signed), (x, y)
+        assert relabel(coproduct(x, y), window) == frozenset(coproduct(fx, fy)._signed), (x, y)
+        assert label_w(fx, fy) == arrow, (x, y)
+        lost = arrow and has_cofinite(y) and not has_cofinite(x)
+        assert label_w(x, y) == (arrow and not lost), (x, y)
+        differ += lost
+    return phi, differ
+
+
+def test_cofinite_window_2_is_the_finite_window_3():
+    phi, differ = assert_relabelling_keeps_pairs(C2, W3, 2)
+    assert differ == 50
+    # exponentials differ, their down-sets do not: d -> exp(b, c) iff
+    # phi d -> exp(phi b, phi c), on all 6,859 triples
+    for b, c in itertools.product(C2, repeat=2):
+        e, fe = exp_explicit(b, c), exp_explicit(phi[b], phi[c])
+        for d in C2:
+            assert arrow_exists(d, e) == arrow_exists(phi[d], fe), (d, b, c)
+
+
+def test_cofinite_window_3_is_the_finite_window_4(monkeypatch):
+    with monkeypatch.context() as m:  # both universes have 167 objects
+        m.setattr(harness, "_guard", lambda u: None)
+        c3 = enumerate_objects(Universe(window=3, include_cofinite=True))
+        w4 = enumerate_objects(Universe(window=4))
+    _, differ = assert_relabelling_keeps_pairs(c3, w4, 3)
+    assert differ == 1692

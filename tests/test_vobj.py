@@ -342,6 +342,67 @@ def test_decide_reduces_exponentials_to_explicit_objects():
     assert verdict == label_verdict(exp_slice(B, A, B), B)
 
 
+LABELS = ("arrow", "w", "f", "c")
+# every WC-shaped family over C2, and the classifier of every C2 slice
+C2_WC_SHAPED = [VObj.wc(x, y) for x, y in itertools.product(C2, repeat=2)]
+C2_WC_SHAPED += [VObj.universe()] + [VObj.uprod(x) for x in C2]
+C2_CLASSIFIERS = [
+    VObj.wexp(a, b, c)
+    for a in C2
+    for b in C2
+    if arrow_exists(b, a)
+    for c in C2
+    if arrow_exists(c, a)
+]
+
+
+def if_chain_decide(src, dst, label):
+    """The label dispatch written as one if-chain per direction, each label
+    rule spelled out again in each: the oracle of ``decide``'s one
+    composition on pairs with one virtual end."""
+
+    def parts(v):
+        if v.kind not in (VKind.WC, VKind.UNIVERSE, VKind.UPROD):
+            raise UndecidedPairError(v.kind)
+        return wc_parts(v)
+
+    if isinstance(src, Obj):  # explicit -> virtual
+        if label in ("arrow", "c"):
+            return arrow_into_vobj(src, dst), None
+        if label == "w":
+            return arrow_into_vobj(src, dst) and star_arrow(parts(dst)[0], src), None
+        raise UndecidedPairError(label)
+    if isinstance(dst, Obj):  # virtual -> explicit
+        if label in ("arrow", "c"):
+            return arrow_from_vobj(src, dst), None
+        if label == "w":
+            return arrow_from_vobj(src, dst) and star_arrow(dst, parts(src)[0]), None
+        if label == "f" and parts(src)[1] == dst:
+            return arrow_from_vobj(src, dst), None
+        raise UndecidedPairError(label)
+    raise UndecidedPairError(label)
+
+
+def outcome(decider, src, dst, label):
+    """The answer of a decider, or the type of the exception it raises."""
+    try:
+        return decider(src, dst, label)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_decide_is_the_if_chain(pairs):
+    """``decide`` and the if-chain agree on every label of every pair, and
+    the tally of their outcomes is returned."""
+    seen = {}
+    for src, dst in pairs:
+        for label in LABELS:
+            got = outcome(decide, src, dst, label)
+            assert got == outcome(if_chain_decide, src, dst, label), (src, dst, label)
+            seen[got] = seen.get(got, 0) + 1
+    return seen
+
+
 def test_decide_explicit_into_virtual():
     for v in (VObj.universe(), VObj.uprod(B), VObj.wc(A, C), VObj.wexp(B, A, B)):
         for z in W2 + [NEAR_FULL, TERMINAL]:
@@ -353,6 +414,11 @@ def test_decide_explicit_into_virtual():
             assert decide(z, v, "w") == (w, None)
     with pytest.raises(UndecidedPairError):
         decide(A, VObj.universe(), "f")
+    # every C2 object into every WC-shaped family and classifier over C2
+    seen = assert_decide_is_the_if_chain(
+        (z, v) for z in C2 for v in C2_WC_SHAPED + C2_CLASSIFIERS
+    )
+    assert seen[True, None] and seen[False, None] and seen[UndecidedPairError]
 
 
 def test_decide_virtual_into_explicit():
@@ -371,6 +437,12 @@ def test_decide_virtual_into_explicit():
     assert decide(VObj.wc(INITIAL, TERMINAL), TERMINAL, "f") == (True, None)
     assert decide(VObj.wc(A, C), C, "f") == (False, None)  # no arrow onto C
     assert decide(VObj.wc(A, B), B, "f") == (True, None)
+    # every WC-shaped family over C2 into every C2 object; a classifier is
+    # not WC-shaped, so each of its queries is refused
+    seen = assert_decide_is_the_if_chain((v, t) for v in C2_WC_SHAPED for t in C2)
+    assert seen[True, None] and seen[False, None] and seen[UndecidedPairError]
+    refused = assert_decide_is_the_if_chain((v, t) for v in C2_CLASSIFIERS for t in C2)
+    assert refused == {UndecidedPairError: len(LABELS) * len(C2_CLASSIFIERS) * len(C2)}
 
 
 def test_decide_refuses_pairs_without_a_rule():
@@ -382,6 +454,12 @@ def test_decide_refuses_pairs_without_a_rule():
         decide(VObj.wexp(B, A, B), B, "arrow")
     with pytest.raises(UndecidedPairError):
         decide(VObj.universe(), VObj.uprod(A), "arrow")
+    # no pair of virtual ends has a rule: each family over C2 against the
+    # next one, both ways round
+    ends = C2_WC_SHAPED + C2_CLASSIFIERS
+    pairs = list(zip(ends, ends[1:] + ends[:1]))
+    refused = assert_decide_is_the_if_chain(pairs + [(v, u) for u, v in pairs])
+    assert refused == {UndecidedPairError: len(LABELS) * 2 * len(ends)}
 
 
 # -- exponentials -------------------------------------------------------------------
