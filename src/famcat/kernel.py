@@ -361,10 +361,10 @@ def _meets(xs: Collection[int], ys: Collection[int], what: str) -> set[int]:
     """The distinct ``a & b`` for a in xs and b in ys: the one size guard of
     :func:`product` and each exponential step, which raises
     :class:`SizeGuardError` naming ``what`` past ``MAX_PARTIALS`` of them,
-    before any is pruned.  A grid of more cells than that is built row by
-    row, so at most ``MAX_PARTIALS + len(ys)`` meets are built."""
-    if len(xs) * len(ys) <= MAX_PARTIALS:
-        return {a & b for a in xs for b in ys}
+    before any is pruned.  The meets are gathered row by row and the guard
+    is checked after each row, so at most ``MAX_PARTIALS + len(ys)``
+    distinct meets are ever held; a row whose meets repeat earlier ones
+    adds none, so the ``&`` work is bounded only by the grid."""
     meets: set[int] = set()
     for a in xs:
         meets.update([a & b for b in ys])

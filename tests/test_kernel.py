@@ -628,7 +628,7 @@ def test_meets_stops_at_the_first_row_past_max_partials(monkeypatch):
     for cap in (n * n, n * n + 1, 10**6):
         monkeypatch.setattr(kernel, "MAX_PARTIALS", cap)
         assert kernel._meets(xs, ys, "the test") == grid
-    # repeated meets count once, on either side of the grid-size test
+    # repeated meets count once
     rows = [0b0011, 0b0110, 0b1100]
     for cap in (4, 9):
         monkeypatch.setattr(kernel, "MAX_PARTIALS", cap)
@@ -636,6 +636,18 @@ def test_meets_stops_at_the_first_row_past_max_partials(monkeypatch):
     monkeypatch.setattr(kernel, "MAX_PARTIALS", 3)
     with pytest.raises(SizeGuardError):
         kernel._meets(rows, [0b0001, 0b0010, 0b1000], "the test")
+    # what is bounded is the set held, not the work: rows that repeat the
+    # first row's n meets add none, and only the last row's n new meets
+    # pass the guard, so every cell of the grid is met first
+    ys = [1 << j | 1 << (n + j) for j in range(n)]
+    xs = [CountingMask(low)] * (3 * n) + [CountingMask(high)]
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", n)
+    made.clear()
+    with pytest.raises(SizeGuardError, match="the test passed MAX_PARTIALS"):
+        kernel._meets(xs, ys, "the test")
+    assert len(made) == len(xs) * len(ys)
+    monkeypatch.setattr(kernel, "MAX_PARTIALS", 2 * n)
+    assert len(kernel._meets(xs, ys, "the test")) == 2 * n
 
 
 def test_coproduct_examples():
