@@ -330,6 +330,8 @@ class LabelVerdict:
 
     ``w`` and ``f`` imply ``arrow``; ``c`` coincides with it.  ``star`` is
     the near-inclusion in the queried direction (source into target).
+    :func:`label_verdict` returns one of ten verdicts built once at import,
+    shared by every caller; they are frozen, so sharing them is safe.
     """
 
     arrow: bool
@@ -342,16 +344,22 @@ class LabelVerdict:
         return {"arrow": self.arrow, "star": self.star, "w": self.w, "f": self.f, "c": self.c}
 
 
+# The ten verdicts: without the arrow by star, with it by star, w and f.
+_BOOLS = (False, True)
+_WITHOUT_ARROW = tuple(LabelVerdict(False, star, False, False, False) for star in _BOOLS)
+_WITH_ARROW = tuple(
+    tuple(tuple(LabelVerdict(True, star, w, f, True) for f in _BOOLS) for w in _BOOLS)
+    for star in _BOOLS
+)
+
+
 def label_verdict(source: Family, target: Family) -> LabelVerdict:
+    """Every label fact for ``source -> target``; ``w`` and ``f`` are asked only with the arrow."""
     src, tgt = _signed_masks(source), _signed_masks(target)
-    arrow = _arrow(src, tgt)
-    return LabelVerdict(
-        arrow=arrow,
-        star=_star(src, tgt),
-        w=arrow and _star(tgt, src),
-        f=arrow and _arrow(tgt, src),
-        c=arrow,
-    )
+    star = _star(src, tgt)
+    if not _arrow(src, tgt):
+        return _WITHOUT_ARROW[star]
+    return _WITH_ARROW[star][_star(tgt, src)][_arrow(tgt, src)]
 
 
 # -- limits ----------------------------------------------------------------

@@ -551,6 +551,26 @@ def test_verdict_invariants(ms, ns):
             assert got.f == label_f(px, py), (px, py)
 
 
+def test_label_verdict_matches_each_fact_decider_on_c2_presentations():
+    # every ordered pair of C2 objects and of the presentations ISO_INVARIANCE
+    # hands over; each field of the shared verdict against its own decider
+    families = [p for x in C2 for p in [x.members, *iso_presentations(x)]]
+    seen = set()
+    for px, py in itertools.product(families, repeat=2):
+        v = label_verdict(px, py)
+        expected = (
+            arrow_exists(px, py),
+            star_arrow(px, py),
+            label_w(px, py),
+            label_f(px, py),
+            arrow_exists(px, py),
+        )
+        assert (v.arrow, v.star, v.w, v.f, v.c) == expected, (px, py)
+        seen.add(expected)
+    # arrow implies star, and f implies w, so five verdicts are reached
+    assert len(seen) == 5
+
+
 @given(members_strategy)
 def test_identities_carry_every_label(ms):
     x = normalize(ms)

@@ -51,6 +51,8 @@ MUTANTS = (
         "_star(c._signed, b._signed))",
         "_star(b._signed, c._signed))",
         (
+            "tests/test_vobj.py::test_wexp_membership_criterion_matches_whole_family_w",
+            "tests/test_vobj.py::test_arrow_into_wexp_is_the_hom_criterion",
             "tests/test_vobj.py::test_arrows_into_exponentials_and_classifiers_split_by_member",
             "tests/test_harness.py::test_claim_passes_exhaustively_and_sampled[CLAIM5]",
         ),
@@ -151,6 +153,64 @@ MUTANTS = (
         'if label == "f" and _wc_parts(src)[1] == dst:',
         'if label == "f":',
         ("tests/test_vobj.py::test_decide_refuses_pairs_without_a_rule",),
+    ),
+    Mutant(
+        "verdict-table-star-and-w-swapped",
+        "src/famcat/kernel.py",
+        "LabelVerdict(True, star, w, f, True)",
+        "LabelVerdict(True, w, star, f, True)",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "verdict-f-read-as-the-arrow",
+        "src/famcat/kernel.py",
+        "[_star(tgt, src)][_arrow(tgt, src)]",
+        "[_star(tgt, src)][_arrow(src, tgt)]",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "verdict-table-c-without-the-arrow",
+        "src/famcat/kernel.py",
+        "LabelVerdict(False, star, False, False, False)",
+        "LabelVerdict(False, star, False, False, True)",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "m5-premise-masks-swapped",
+        "src/famcat/harness.py",
+        "W[y] ^ W[x] if W[x] >> y & 1 else W[y] & W[x]",
+        "W[y] & W[x] if W[x] >> y & 1 else W[y] ^ W[x]",
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[w-small-target-W2]",
+        ),
+    ),
+    Mutant(
+        "cobase-premise-miss-not-yielded",
+        "src/famcat/harness.py",
+        "if c is None or not W[y] >> c & 1:",
+        "if c is not None and not W[y] >> c & 1:",
+        ("tests/test_harness.py::test_a_product_or_coproduct_outside_the_universe_is_yielded",),
+    ),
+    Mutant(
+        "base-change-skip-inverted",
+        "src/famcat/harness.py",
+        "if p is not None and F[p] >> x & 1:",
+        "if p is not None and not F[p] >> x & 1:",
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[f-small-target-W2]",
+        ),
+    ),
+    Mutant(
+        "relation-tables-without-their-diagonal",
+        "src/famcat/harness.py",
+        "for j in range(i, len(objs)):",
+        "for j in range(i + 1, len(objs)):",
+        (
+            "tests/test_harness.py::"
+            "test_conclusion_reading_premises_yield_nothing_on_canonical_objects[W3]",
+        ),
     ),
 )
 
