@@ -28,7 +28,7 @@ from pathlib import Path
 from .harness import MAX_SAMPLES, Report, SizeGuardError, Universe, run_axioms, run_claims
 from .kernel import Obj, arrow_exists, coproduct, product
 from .univalence import Fibration, is_p_small, is_small, is_univalent, sample_fibrations
-from .vobj import UndecidedPairError, VObj, check_factorization, decide, exp_explicit
+from .vobj import _LABELS, UndecidedPairError, VObj, check_factorization, decide, exp_explicit
 
 
 def _machine(data: object) -> str:
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decide", help="evaluate a label on an ordered pair")
     sp.add_argument("--from", dest="src", required=True)
     sp.add_argument("--to", dest="dst", required=True)
-    sp.add_argument("--label", choices=("arrow", "w", "f", "c"), default="arrow")
+    sp.add_argument("--label", choices=_LABELS, default="arrow")
     _add_format(sp)
     sp.set_defaults(func=cmd_decide)
 

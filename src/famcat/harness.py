@@ -16,12 +16,12 @@ product, cobase change the w fact into the coproduct.  A
 sampled universe is drawn once per call, as one seeded stream held as
 indices into its distinct objects, and each check decides a tuple it meets
 again once; a draw with too many distinct objects to hold is drawn afresh
-by each check instead.  A sampled stream draws its members as signed masks
-and builds each distinct object once, through a dict of at most
-``MAX_HELD`` objects keyed by the maximal drawn masks, that lives only as
-long as the stream; no cache outlives a call.  Identical
-universe and seed always produce the identical report, and the machine
-serialization is byte-stable.
+by each check instead.  Every sampled object is drawn in a stream, which
+draws its members as signed masks and builds each distinct object once,
+through a dict of at most ``MAX_HELD`` objects keyed by the maximal drawn
+masks, that lives only as long as the stream; no cache outlives a call.
+Identical universe and seed always produce the identical report, and the
+machine serialization is byte-stable.
 
 Checks are pure and independent, so they are safe to run concurrently;
 the built-in runner is sequential to keep reports trivially reproducible.
@@ -163,22 +163,17 @@ def _draw_mask(rng: random.Random, u: Universe) -> int:
     return mask
 
 
-def _draw_object(
-    rng: random.Random, u: Universe, canon: dict[frozenset[int], Obj] | None = None
-) -> Obj:
+def _draw_object(rng: random.Random, u: Universe, canon: dict[frozenset[int], Obj]) -> Obj:
     """One sampled object: a geometric number of drawn members, canonicalized.
 
-    With ``canon``, the object is looked up by the frozenset of its maximal
+    The object is looked up in ``canon`` by the frozenset of its maximal
     drawn masks, which names its non-empty members, and only a new one is
     built; it is kept while ``canon`` holds fewer than ``MAX_HELD`` objects.
-    The draw itself is the same either way.
     """
     count = 1  # geometric with mean 2
     while rng.random() < 0.5:
         count += 1
     drawn = [_draw_mask(rng, u) for _ in range(count)]
-    if canon is None:
-        return _canonical(drawn)
     key = frozenset(_maximal(drawn))
     ob = canon.get(key)
     if ob is None:
@@ -288,6 +283,7 @@ Predicate = Callable[[tuple[Obj, ...]], "str | None"]
 
 
 def _shrink_candidates(ob: Obj) -> Iterator[Obj]:
+    """None equals ``ob``: each candidate lacks one of its non-empty members."""
     rest = ob._signed[1:]  # the empty member comes first in an Obj
     for s in rest:  # drop a member
         yield _from_maximal([t for t in rest if t != s])
@@ -304,8 +300,6 @@ def shrink_tuple(objs: tuple[Obj, ...], violates: Predicate) -> tuple[Obj, ...]:
     for _ in range(100):
         for i, ob in enumerate(cur):
             for cand in _shrink_candidates(ob):
-                if cand == ob:
-                    continue
                 trial = cur[:i] + [cand] + cur[i + 1 :]
                 if violates(tuple(trial)) is not None:
                     cur = trial

@@ -330,8 +330,8 @@ class LabelVerdict:
 
     ``w`` and ``f`` imply ``arrow``; ``c`` coincides with it.  ``star`` is
     the near-inclusion in the queried direction (source into target).
-    :func:`label_verdict` returns one of ten verdicts built once at import,
-    shared by every caller; they are frozen, so sharing them is safe.
+    :func:`label_verdict` returns one of the five verdicts that can occur,
+    built once at import and shared; they are frozen, so sharing is safe.
     """
 
     arrow: bool
@@ -344,22 +344,26 @@ class LabelVerdict:
         return {"arrow": self.arrow, "star": self.star, "w": self.w, "f": self.f, "c": self.c}
 
 
-# The ten verdicts: without the arrow by star, with it by star, w and f.
-_BOOLS = (False, True)
-_WITHOUT_ARROW = tuple(LabelVerdict(False, star, False, False, False) for star in _BOOLS)
-_WITH_ARROW = tuple(
-    tuple(tuple(LabelVerdict(True, star, w, f, True) for f in _BOOLS) for w in _BOOLS)
-    for star in _BOOLS
-)
+_NO_ARROW = LabelVerdict(False, False, False, False, False)
+_NO_ARROW_STAR = LabelVerdict(False, True, False, False, False)
+_ARROW = LabelVerdict(True, True, False, False, True)
+_ARROW_W = LabelVerdict(True, True, True, False, True)
+_ISO = LabelVerdict(True, True, True, True, True)
 
 
 def label_verdict(source: Family, target: Family) -> LabelVerdict:
-    """Every label fact for ``source -> target``; ``w`` and ``f`` are asked only with the arrow."""
+    """Every label fact for ``source -> target``, from at most three mask facts.
+
+    The arrow implies ``star``: a cofinite source member lies only in a
+    cofinite target member, and an empty target takes only an empty source.
+    So mutual arrows, which are ``f``, imply the reverse ``star`` and so ``w``.
+    """
     src, tgt = _signed_masks(source), _signed_masks(target)
-    star = _star(src, tgt)
     if not _arrow(src, tgt):
-        return _WITHOUT_ARROW[star]
-    return _WITH_ARROW[star][_star(tgt, src)][_arrow(tgt, src)]
+        return _NO_ARROW_STAR if _star(src, tgt) else _NO_ARROW
+    if _arrow(tgt, src):
+        return _ISO
+    return _ARROW_W if _star(tgt, src) else _ARROW
 
 
 # -- limits ----------------------------------------------------------------

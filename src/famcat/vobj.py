@@ -53,6 +53,8 @@ from .kernel import (
 )
 from .nset import NSet, _elements
 
+_LABELS = ("arrow", "w", "f", "c")  # the labels decide answers
+
 
 class UndecidedPairError(Exception):
     """An arrow query between virtual objects with no documented rule."""
@@ -105,10 +107,6 @@ class VObj:
     def wexp(cls, a: Obj, b: Obj, c: Obj) -> "VObj":
         _require_slice(a, b, c)
         return cls(VKind.WEXP, a=a, b=b, c=c)
-
-    def describe(self) -> str:
-        parts = [f"{f}={getattr(self, f)}" for f in _FIELDS[self.kind]]
-        return f"{self.kind.value}({', '.join(parts)})"
 
     def to_json_dict(self) -> dict[str, object]:
         out: dict[str, object] = {"vkind": self.kind.value}
@@ -410,6 +408,7 @@ def decide(
 ) -> tuple[bool, LabelVerdict | None]:
     """Decide ``label`` (arrow, w, f or c) on an ordered pair of endpoints.
 
+    A label outside those four raises :class:`ValueError` before any work.
     Exponentials are first reduced to explicit objects.  An explicit pair is
     decided by the kernel, and its whole :class:`LabelVerdict` comes back
     with the answer.  A pair with one virtual end has one rule per kind, its
@@ -431,6 +430,8 @@ def decide(
     ``((xm | b0) & y') | b`` and is covered through ``y'``, since
     :func:`_finite_subsets` returns subsets of ``y'``.
     """
+    if label not in _LABELS:
+        raise ValueError(f"unknown label {label!r}; expected one of {list(_LABELS)}")
     src, dst = _reduce_exponentials(src), _reduce_exponentials(dst)
     if isinstance(src, Obj) and isinstance(dst, Obj):
         verdict = label_verdict(src, dst)

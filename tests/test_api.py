@@ -13,6 +13,7 @@ from famcat import harness, kernel, nset, vobj
 from famcat.kernel import GapWitness, Obj
 from famcat.nset import NSet
 from famcat.univalence import Fibration
+from famcat.vobj import VObj
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +31,7 @@ REMOVED = {
     Obj: ("has_full",),
     GapWitness: ("to_json_dict",),
     Fibration: ("to_json_dict",),
+    VObj: ("describe",),
 }
 
 

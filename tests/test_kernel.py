@@ -553,9 +553,10 @@ def test_verdict_invariants(ms, ns):
 
 def test_label_verdict_matches_each_fact_decider_on_c2_presentations():
     # every ordered pair of C2 objects and of the presentations ISO_INVARIANCE
-    # hands over; each field of the shared verdict against its own decider
-    families = [p for x in C2 for p in [x.members, *iso_presentations(x)]]
-    seen = set()
+    # hands over, and the empty family, where an empty target takes only an
+    # empty source; each field of the shared verdict against its own decider
+    families = [p for x in C2 for p in [x.members, *iso_presentations(x)]] + [()]
+    seen, shared = set(), {}
     for px, py in itertools.product(families, repeat=2):
         v = label_verdict(px, py)
         expected = (
@@ -567,8 +568,11 @@ def test_label_verdict_matches_each_fact_decider_on_c2_presentations():
         )
         assert (v.arrow, v.star, v.w, v.f, v.c) == expected, (px, py)
         seen.add(expected)
-    # arrow implies star, and f implies w, so five verdicts are reached
+        shared[id(v)] = v
+    # arrow implies star, and f implies w, so five verdicts are reached, and
+    # each is one shared object
     assert len(seen) == 5
+    assert len(shared) == 5
 
 
 @given(members_strategy)

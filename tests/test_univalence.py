@@ -25,6 +25,7 @@ from famcat.univalence import (
     verify_universal,
 )
 from famcat.vobj import exp_explicit
+from test_harness import nset_draw
 
 fin = NSet.fin
 cofin = NSet.cofin
@@ -172,7 +173,7 @@ def replayed_objects(u):
     if u.is_exhaustive:
         return enumerate_objects(u)
     rng = random.Random(u.seed)
-    return [harness._draw_object(rng, u) for _ in range(u.samples)]
+    return [nset_draw(rng, u) for _ in range(u.samples)]
 
 
 @pytest.mark.parametrize(

@@ -112,7 +112,6 @@ def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
 def test_constructors_and_describe():
     v = VObj.wc(A, B)
     assert v.kind is VKind.WC and v.x == A and v.y == B
-    assert "wc" in v.describe()
     assert VObj.universe().kind is VKind.UNIVERSE
     assert VObj.uprod(C).x == C
 
@@ -332,6 +331,23 @@ def test_decide_explicit_pairs_return_the_whole_verdict():
             holds, verdict = decide(x, y, label)
             assert verdict == label_verdict(x, y)
             assert holds == getattr(verdict, label)
+
+
+def test_decide_refuses_a_label_it_has_no_rule_for():
+    # a verdict field that is no label, a method name and the empty string
+    # are refused alike on an explicit pair and into the universe object
+    for dst in (B, VObj.universe()):
+        for label in ("star", "to_json_dict", ""):
+            with pytest.raises(ValueError, match="unknown label"):
+                decide(A, dst, label)
+    # the four labels answer as before
+    verdict = label_verdict(A, B)
+    for label in ("arrow", "w", "f", "c"):
+        assert decide(A, B, label) == (getattr(verdict, label), verdict)
+    for label in ("arrow", "w", "c"):
+        assert decide(A, VObj.universe(), label) == (True, None)
+    with pytest.raises(UndecidedPairError):
+        decide(A, VObj.universe(), "f")
 
 
 def test_decide_reduces_exponentials_to_explicit_objects():

@@ -155,24 +155,45 @@ MUTANTS = (
         ("tests/test_vobj.py::test_decide_refuses_pairs_without_a_rule",),
     ),
     Mutant(
-        "verdict-table-star-and-w-swapped",
+        "verdict-arrow-alone-star-and-w-swapped",
         "src/famcat/kernel.py",
-        "LabelVerdict(True, star, w, f, True)",
-        "LabelVerdict(True, w, star, f, True)",
+        "_ARROW = LabelVerdict(True, True, False, False, True)",
+        "_ARROW = LabelVerdict(True, False, True, False, True)",
         ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
     ),
     Mutant(
         "verdict-f-read-as-the-arrow",
         "src/famcat/kernel.py",
-        "[_star(tgt, src)][_arrow(tgt, src)]",
-        "[_star(tgt, src)][_arrow(src, tgt)]",
+        "if _arrow(tgt, src):",
+        "if _arrow(src, tgt):",
         ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
     ),
     Mutant(
-        "verdict-table-c-without-the-arrow",
+        "verdict-c-without-the-arrow",
         "src/famcat/kernel.py",
-        "LabelVerdict(False, star, False, False, False)",
-        "LabelVerdict(False, star, False, False, True)",
+        "_NO_ARROW_STAR = LabelVerdict(False, True, False, False, False)",
+        "_NO_ARROW_STAR = LabelVerdict(False, True, False, False, True)",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "verdict-iso-read-as-w",
+        "src/famcat/kernel.py",
+        "        return _ISO\n",
+        "        return _ARROW_W\n",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "verdict-no-arrow-star-reversed",
+        "src/famcat/kernel.py",
+        "_NO_ARROW_STAR if _star(src, tgt)",
+        "_NO_ARROW_STAR if _star(tgt, src)",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "verdict-w-star-forward",
+        "src/famcat/kernel.py",
+        "_ARROW_W if _star(tgt, src)",
+        "_ARROW_W if _star(src, tgt)",
         ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
     ),
     Mutant(
@@ -210,6 +231,61 @@ MUTANTS = (
         (
             "tests/test_harness.py::"
             "test_conclusion_reading_premises_yield_nothing_on_canonical_objects[W3]",
+        ),
+    ),
+    Mutant(
+        "draw-key-not-maximal",
+        "src/famcat/harness.py",
+        "key = frozenset(_maximal(drawn))",
+        "key = frozenset(m for m in drawn if m)",
+        ("tests/test_harness.py::test_mask_draw_is_the_nset_draw",),
+    ),
+    Mutant(
+        "draw-never-dropped",
+        "src/famcat/harness.py",
+        "if i == MAX_HELD:",
+        "if False:",
+        ("tests/test_harness.py::test_a_draw_with_no_repeats_is_not_held",),
+    ),
+    Mutant(
+        "stream-interns-without-bound",
+        "src/famcat/harness.py",
+        "if len(canon) < MAX_HELD:",
+        "if True:",
+        ("tests/test_harness.py::test_a_stream_interns_at_most_max_held_objects",),
+    ),
+    Mutant(
+        "no-memo",
+        "src/famcat/harness.py",
+        "memo = functools.lru_cache(MAX_HELD)(lambda t: decide(at(t)))",
+        "memo = lambda t: decide(at(t))",
+        ("tests/test_harness.py::test_each_distinct_sampled_tuple_is_decided_once_per_call",),
+    ),
+    Mutant(
+        "memo-outlives-the-call",
+        "src/famcat/harness.py",
+        "memo = functools.lru_cache(MAX_HELD)(lambda t: decide(at(t)))",
+        (
+            "memo = run_suite.__dict__.setdefault("
+            "pred, functools.lru_cache(MAX_HELD)(lambda t: decide(at(t))))"
+        ),
+        ("tests/test_harness.py::test_each_distinct_sampled_tuple_is_decided_once_per_call",),
+    ),
+    Mutant(
+        "dropped-draw-reads-half-its-stream",
+        "src/famcat/harness.py",
+        "found = map(decide, instance_tuples(u, arity))",
+        "found = map(decide, itertools.islice(instance_tuples(u, arity), u.samples // 2))",
+        ("tests/test_harness.py::test_sampled_suites_past_max_held_match_brute_force",),
+    ),
+    Mutant(
+        "repeated-violation-recorded-once",
+        "src/famcat/harness.py",
+        "if v is not None:",
+        "if v is not None and v not in violations:",
+        (
+            "tests/test_harness.py::"
+            "test_a_repeated_violating_tuple_is_recorded_at_each_occurrence",
         ),
     ),
 )
