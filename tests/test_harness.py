@@ -220,7 +220,7 @@ def replayed_tuples(u, arity):
     ],
     ids=["window-3", "window-16"],
 )
-def test_interned_stream_is_the_plain_draw(u):
+def test_instance_tuples_are_the_nset_draw_replay_also_past_max_held(u):
     if u.window == 16:
         draws = [x for t in replayed_tuples(u, 4) for x in t]
         assert len(set(draws)) > MAX_HELD

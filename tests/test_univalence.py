@@ -1,22 +1,26 @@
 """Fibrations, univalence certificates, and the two smallness notions.
 
-Certificates are checked step by step on pinned fibrations; smallness and
+Certificates are checked step by step on pinned fibrations, and byte for
+byte against a reference that builds every fact by its own call; smallness and
 p-smallness are compared against first-principles recomputation; the
 universal-fibration check must report what a hand replay of its universe
 reports, also under a deliberately weakened ``is_p_small``; and the
 universal-fibration facts are asserted through the virtual-object oracles.
 """
 
+import json
 import random
 
 import pytest
 
 from famcat import harness, univalence
 from famcat.harness import MAX_RECORDED_VIOLATIONS, Universe, enumerate_objects, shrink_tuple
-from famcat.kernel import INITIAL, TERMINAL, Obj, is_iso, label_w, product
-from famcat.nset import NSet
+from famcat.kernel import INITIAL, TERMINAL, Obj, arrow_exists, is_iso, label_w, product
+from famcat.nset import FULL, NSet
 from famcat.univalence import (
+    CertificateStep,
     Fibration,
+    UnivalenceCertificate,
     is_p_small,
     is_small,
     is_univalent,
@@ -24,7 +28,7 @@ from famcat.univalence import (
     universe_object_facts,
     verify_universal,
 )
-from famcat.vobj import exp_explicit
+from famcat.vobj import VObj, decide, exp_explicit, wexp_member
 from test_harness import nset_draw
 
 fin = NSet.fin
@@ -36,6 +40,8 @@ C = Obj.of(fin([0]), fin([1]))
 NEAR_FULL = Obj.of(cofin([0]))
 
 W2 = enumerate_objects(Universe(window=2))
+W3 = enumerate_objects(Universe(window=3))
+C2 = enumerate_objects(Universe(window=2, include_cofinite=True))
 
 STEP_NAMES = (
     "product_collapse",
@@ -94,6 +100,74 @@ def test_certificate_json_round_shape():
     d = cert.to_json_dict()
     assert d["valid"] is True
     assert [s["name"] for s in d["steps"]] == list(STEP_NAMES)
+
+
+def reference_certificate(q):
+    """The certificate with every fact built by its own call: each object's
+    JSON, the classifier's JSON and step 6's own ``decide``."""
+    e, b = q.total, q.base
+    bb = product(b, b)
+    s1 = CertificateStep(
+        "product_collapse",
+        is_iso(bb, b),
+        {"square": bb.to_json_dict(), "base": b.to_json_dict()},
+    )
+    diagonal = arrow_exists(b, bb)
+    s2 = CertificateStep("diagonal_into_square", diagonal, {"diagonal_exists": diagonal})
+    eb, be = product(e, b), product(b, e)
+    s3 = CertificateStep(
+        "product_symmetry", eb == be, {"left": eb.to_json_dict(), "right": be.to_json_dict()}
+    )
+    selfexp = exp_explicit(eb, eb)
+    s4 = CertificateStep(
+        "self_exponential_is_terminal",
+        is_iso(selfexp, TERMINAL),
+        {"exponential": selfexp.to_json_dict()},
+    )
+    classifier = VObj.wexp(bb, eb, eb)
+    top_member = wexp_member(eb, eb, FULL)
+    maps_in, _ = decide(bb, classifier, "arrow")
+    s5 = CertificateStep(
+        "weq_classifier_is_slice_terminal",
+        maps_in and top_member,
+        {
+            "classifier": classifier.to_json_dict(),
+            "slice_terminal_maps_in": maps_in,
+            "full_set_is_member": top_member,
+        },
+    )
+    comparison, _ = decide(b, classifier, "arrow")
+    prior = all(s.passed for s in (s1, s2, s3, s4, s5))
+    s6 = CertificateStep(
+        "comparison_map_is_iso",
+        prior and comparison,
+        {
+            "comparison_exists": comparison,
+            "interval_argument": "the map is sandwiched between isomorphic endpoints",
+        },
+    )
+    return UnivalenceCertificate(total=e, base=b, steps=(s1, s2, s3, s4, s5, s6))
+
+
+def _certificate_bytes(cert):
+    return json.dumps(cert.to_json_dict(), sort_keys=True)
+
+
+def test_certificate_matches_the_reference_on_identity_fibrations():
+    for x in C2 + W3:
+        q = Fibration.verified(x, x)
+        assert _certificate_bytes(is_univalent(q)) == _certificate_bytes(reference_certificate(q))
+
+
+def test_certificate_matches_the_reference_on_every_cofinite_w2_pair():
+    # the only inputs whose square, products and classifier parts are
+    # distinct objects; every ordered pair certifies, fibration or not
+    for x in C2:
+        for y in C2:
+            q = Fibration(x, y)
+            cert = is_univalent(q)
+            assert cert.valid, (x, y)
+            assert _certificate_bytes(cert) == _certificate_bytes(reference_certificate(q)), (x, y)
 
 
 def test_self_exponential_is_terminal_for_every_small_object():

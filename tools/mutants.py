@@ -288,6 +288,30 @@ MUTANTS = (
             "test_a_repeated_violating_tuple_is_recorded_at_each_occurrence",
         ),
     ),
+    Mutant(
+        "certificate-json-memo-keyed-by-a-constant",
+        "src/famcat/univalence.py",
+        "        if id(x) not in built:\n"
+        "            built[id(x)] = x.to_json_dict()\n"
+        "        return built[id(x)]",
+        "        if 0 not in built:\n            built[0] = x.to_json_dict()\n        return built[0]",
+        (
+            "tests/test_univalence.py::"
+            "test_certificate_matches_the_reference_on_identity_fibrations",
+            "tests/test_univalence.py::"
+            "test_certificate_matches_the_reference_on_every_cofinite_w2_pair",
+        ),
+    ),
+    Mutant(
+        "classifier-json-a-and-b-swapped",
+        "src/famcat/univalence.py",
+        '"a": as_json(bb),\n                "b": as_json(eb),',
+        '"a": as_json(eb),\n                "b": as_json(bb),',
+        (
+            "tests/test_univalence.py::"
+            "test_certificate_matches_the_reference_on_every_cofinite_w2_pair",
+        ),
+    ),
 )
 
 
