@@ -14,6 +14,12 @@ distinct sets, or a factorization check of more than
 ``MAX_FACTOR_INSTANCES`` instances), and 141
 (128 + SIGPIPE), with no message, when the reader of stdout goes away
 before the output is written.
+
+The module imports only ``kernel`` and ``vobj`` (and through them
+``nset``).  The check suites of ``harness`` and the certificates of
+``univalence`` are imported by the verbs that run them, so a ``decide``,
+``product``, ``coproduct``, ``exp``, ``wexp`` or ``factorize`` call never
+loads them.
 """
 
 from __future__ import annotations
@@ -24,11 +30,13 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .harness import MAX_SAMPLES, Report, SizeGuardError, Universe, run_axioms, run_claims
-from .kernel import Obj, arrow_exists, coproduct, product
-from .univalence import Fibration, is_p_small, is_small, is_univalent, sample_fibrations
+from .kernel import MAX_SAMPLES, Obj, SizeGuardError, arrow_exists, coproduct, product
 from .vobj import _LABELS, UndecidedPairError, VObj, check_factorization, decide, exp_explicit
+
+if TYPE_CHECKING:
+    from .harness import Report, Universe
 
 
 def _machine(data: object) -> str:
@@ -62,6 +70,8 @@ def load_input(text: str) -> Obj | VObj:
 
 def _universe(args: argparse.Namespace) -> Universe:
     """The universe named by the ``--window/--cofinite/--samples/--seed`` options."""
+    from .harness import Universe
+
     return Universe(
         window=args.window,
         include_cofinite=args.cofinite,
@@ -148,6 +158,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_univalence(args: argparse.Namespace) -> int:
+    from .univalence import Fibration, is_univalent, sample_fibrations
+
     if (args.total is None) != (args.base is None):
         raise ValueError("--total and --base go together")
     if args.total is not None:
@@ -167,6 +179,8 @@ def cmd_univalence(args: argparse.Namespace) -> int:
 
 
 def cmd_psmall(args: argparse.Namespace) -> int:
+    from .univalence import Fibration, is_p_small, is_small
+
     q = Fibration(_load_obj(args.total), _load_obj(args.base))
     facts = {
         "is_fibration": q.is_fibration(),
@@ -198,6 +212,8 @@ def _parse_checks(raw: str | None) -> list[str] | None:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
+    from .harness import run_axioms
+
     u = _universe(args)
     names = _parse_checks(args.checks)
     report = run_axioms(u, names, literal_star=args.diagnostic_literal_star)
@@ -205,6 +221,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
+    from .harness import run_claims
+
     u = _universe(args)
     return _emit_report(run_claims(u, _parse_checks(args.checks)), args)
 

@@ -41,6 +41,7 @@ from typing import Callable, Iterator, Sequence
 from .kernel import (
     Family,
     LabelVerdict,
+    MAX_SAMPLES,
     Obj,
     SizeGuardError,
     _MAX_ENUMERATED_SUPPORT,
@@ -61,9 +62,6 @@ from .nset import MAX_ELEMENT, NSet, _elements
 from .vobj import VObj, arrow_into_vobj, check_factorization, exp_explicit, wexp_member
 
 MAX_RECORDED_VIOLATIONS = 25
-# A sampled universe draws this many tuples per check at most; the largest
-# pinned scale (the acceptance gate's) draws 10,000.
-MAX_SAMPLES = 1_000_000
 # A suite call on a sampled universe holds its draw of width x samples
 # objects (width the largest picked arity, 4 at most) as two bytes per draw,
 # indexing at most MAX_HELD distinct objects; a draw with more is dropped

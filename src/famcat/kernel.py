@@ -47,6 +47,9 @@ _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subset
 # 4.  Past it the maximal-member filter, quadratic in the count, runs for
 # seconds and then minutes.
 MAX_PARTIALS = 1024
+# A sampled universe of famcat.harness draws this many tuples per check at
+# most; the largest pinned scale (the acceptance gate's) draws 10,000.
+MAX_SAMPLES = 1_000_000
 
 
 class SizeGuardError(ValueError):

@@ -7,7 +7,9 @@ member is finite; it is *p-small* when its total object matches the
 product of the universe object with its base, compared through the
 WC-shaped oracles in both directions.  ``verify_universal`` machine-checks
 that the two notions agree on a whole universe of fibrations, as a
-one-check run of the harness's suite runner.
+one-check run of the harness's suite runner.  Only it and
+``sample_fibrations`` import :mod:`famcat.harness`, so the smallness
+deciders load without the suites.
 
 ``is_univalent`` builds a six-step certificate for a fibration; every step
 is an explicitly computed fact that can be re-checked through the kernel
@@ -19,8 +21,8 @@ the square of the base is the base object itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .harness import CheckResult, Universe, run_suite, universe_objects
 from .kernel import (
     INITIAL,
     TERMINAL,
@@ -33,6 +35,9 @@ from .kernel import (
 )
 from .nset import FULL
 from .vobj import VObj, decide, exp_explicit, is_iso_virtual, wexp_member
+
+if TYPE_CHECKING:
+    from .harness import CheckResult, Universe
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,8 @@ def sample_fibrations(u: Universe) -> list[Fibration]:
     arrows, so canonically every explicit fibration is an identity; the
     non-identity fibrations of interest live on the virtual side.
     """
+    from .harness import universe_objects
+
     return [Fibration.verified(x, x) for x in universe_objects(u)]
 
 
@@ -212,6 +219,8 @@ def _pred_universal(t: tuple[Obj, ...]) -> str | None:
 def verify_universal(u: Universe) -> CheckResult:
     """Check ``is_small == is_p_small`` on the identity fibration of each
     object of a universe: a one-check suite, with violations shrunk."""
+    from .harness import run_suite
+
     return run_suite(u, {"UNIVERSAL_FIBRATION": (1, _pred_universal, None)}, None).checks[0]
 
 

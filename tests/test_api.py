@@ -8,6 +8,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import famcat
 from famcat import harness, kernel, nset, vobj
 from famcat.kernel import GapWitness, Obj
@@ -38,6 +40,13 @@ REMOVED = {
 def test_every_exported_name_resolves():
     assert len(set(famcat.__all__)) == len(famcat.__all__)
     assert [n for n in famcat.__all__ if not hasattr(famcat, n)] == []
+    star: dict[str, object] = {}
+    exec("from famcat import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(famcat.__all__)
+    assert [n for n in famcat.__all__ if star[n] is not getattr(famcat, n)] == []
+    assert set(famcat.__all__) <= set(dir(famcat))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        famcat.no_such_name
 
 
 def test_removed_names_stay_gone():

@@ -312,6 +312,13 @@ MUTANTS = (
             "test_certificate_matches_the_reference_on_every_cofinite_w2_pair",
         ),
     ),
+    Mutant(
+        "cli-imports-the-harness-eagerly",
+        "src/famcat/cli.py",
+        "from .kernel import MAX_SAMPLES,",
+        "from .harness import run_axioms\nfrom .kernel import MAX_SAMPLES,",
+        ("tests/test_cli.py::test_light_verbs_load_neither_the_harness_nor_univalence",),
+    ),
 )
 
 
