@@ -48,6 +48,8 @@ from .kernel import (
     _canonical,
     _from_maximal,
     _maximal,
+    _signed_masks,
+    _star,
     arrow_exists,
     coproduct,
     fibration_condition,
@@ -530,11 +532,9 @@ def _pred_iso(t: tuple[Obj, ...]) -> str | None:
 def _literal_star(source: Family, target: Family) -> bool:
     """The diagnostic near-inclusion, measured target minus source: ``t - s`` is
     finite iff t is finite or s is cofinite.  An empty target admits only an
-    empty source."""
-    src, tgt = tuple(source), tuple(target)
-    if not tgt:
-        return not src
-    return not all(t.cofinite for t in tgt) or all(s.cofinite for s in src)
+    empty source.  That is the kernel's near-inclusion on the complemented
+    members, since ``~`` swaps finite and cofinite."""
+    return _star([~m for m in _signed_masks(source)], [~m for m in _signed_masks(target)])
 
 
 def _literal_verdict(s: Family, t: Family) -> LabelVerdict:

@@ -111,15 +111,15 @@ class Obj:
     """A canonical family: contains the empty set, plus an antichain.
 
     An object holds ``_signed``, the signed masks of the members in member
-    order, which the deciders read instead of converting the members
-    again.  It takes no part in equality, hashing or ``repr``, and
-    :func:`dataclasses.replace` builds it afresh.  ``Obj(members)`` checks
-    the canonical form; the kernel's builders, the exponential and the
-    sampled draw skip it in :func:`_from_maximal`, whose input has it.
+    order, which the deciders, equality and hashing read; canonical members
+    and masks determine each other.  ``repr`` shows only the members, and
+    :func:`dataclasses.replace` builds ``_signed`` afresh.  ``Obj(members)``
+    checks the canonical form; the kernel's builders, the exponential and
+    the sampled draw skip it in :func:`_from_maximal`, whose input has it.
     """
 
-    members: tuple[NSet, ...]
-    _signed: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    members: tuple[NSet, ...] = field(compare=False)
+    _signed: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ms = self.members

@@ -128,9 +128,7 @@ class VObj:
                 f"vkind {kind.value!r} takes exactly the fields {list(names)}: {data!r}"
             )
         fields = {f: Obj.from_json_dict(data[f]) for f in names}  # type: ignore[arg-type]
-        if kind in (VKind.EXP_SLICE, VKind.WEXP):
-            _require_slice(**fields)
-        return cls(kind, **fields)
+        return getattr(cls, kind.name.lower())(**fields)
 
 
 _FIELDS = {

@@ -455,6 +455,9 @@ def test_premises_admit_every_tuple_their_predicate_fires_on(monkeypatch, univer
 @pytest.mark.parametrize("universe", [W3, C2], ids=["W3", "C2"])
 def test_conclusion_reading_premises_yield_nothing_on_canonical_objects(universe):
     relations = harness._relations(enumerate_objects(universe))
+    # an exhaustive universe is closed under product and coproduct
+    P, C = relations[3:]
+    assert all(k is not None for table in (P, C) for row in table for k in row)
     for premise in (
         harness._premise_m1,
         harness._premise_m5,

@@ -26,6 +26,7 @@ from famcat.harness import (
 from famcat.kernel import (
     INITIAL,
     TERMINAL,
+    GapWitness,
     Obj,
     SizeGuardError,
     _canonical,
@@ -228,7 +229,7 @@ def test_obj_holds_the_masks_of_its_members():
                   dataclasses.replace(x), dataclasses.replace(x, members=x.members)):
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
             assert y._signed == held
-    # the masks are not part of the value
+    # the masks are the value's identity, but only the members are shown
     assert repr(C) == f"Obj(members={C.members!r})"
     assert Obj.from_json_dict(C.to_json_dict())._signed == C._signed
     assert [f.name for f in dataclasses.fields(Obj) if f.init] == ["members"]
@@ -466,6 +467,17 @@ def test_gap_witness_example_is_replayable():
     # the recorded blocker really is a finite subset of the target member
     assert not w.blocker.cofinite and w.blocker.is_subset(w.y)
     assert fibration_gap(B, A) is None
+    # the need is the meet plus the blocker: {0} & {1} is empty, which {0} holds
+    assert not GapWitness(x=fin([0]), y=fin([1]), blocker=fin([])).defeats((fin([0]),))
+
+
+def test_the_empty_source_family_is_no_fibration():
+    # with no source member x still ranges over the empty set, and nothing covers it
+    T = Obj.of(fin([0]))
+    assert not fibration_condition((), T)
+    w = fibration_gap((), T)
+    assert w is not None and w.defeats(())
+    assert fibration_condition_enumerated((), T) is False
 
 
 def test_gap_witness_with_cofinite_members():

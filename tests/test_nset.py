@@ -36,10 +36,6 @@ def model(s: NSet) -> tuple[frozenset[int], bool]:
     return bits, s.cofinite
 
 
-def from_parts(bits: frozenset[int], tail: bool) -> tuple[frozenset[int], bool]:
-    return bits, tail
-
-
 supports = st.sets(st.integers(min_value=0, max_value=W - 1), max_size=W)
 nsets = st.builds(
     lambda sup, fin: NSet.fin(sup) if fin else NSet.cofin(sup),

@@ -109,7 +109,7 @@ def exp_member(b: Obj, c: Obj, s: NSet) -> bool:
 # -- construction and serialization -----------------------------------------------
 
 
-def test_constructors_and_describe():
+def test_constructors_set_their_kind_and_fields():
     v = VObj.wc(A, B)
     assert v.kind is VKind.WC and v.x == A and v.y == B
     assert VObj.universe().kind is VKind.UNIVERSE

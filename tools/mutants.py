@@ -4,11 +4,16 @@ A mutant is one exact text replaced in one file under ``src/``, and the
 test ids that must catch it.  For each mutant the gate copies ``src/``,
 ``tests/``, ``README.md`` and ``pyproject.toml`` into a temporary directory,
 applies the mutant there and runs ``python -m pytest -x -q`` on its tests.
+Each run is bounded: it is stopped after ``TIMEOUT_S`` seconds, and its
+address space is capped at ``MEMORY_BYTES``, so a mutant that loops or
+allocates without end stops with a ``MemoryError`` or a timeout instead of
+taking the machine's memory.
 The mutant is killed when pytest exits 1, that is when a test failed.  Any
 other exit fails the gate: 0 (the mutant survived), 2 to 5 (pytest could
-not run the tests, or found none).  So does an old text that does not occur
-exactly once, so a change to the library must restate the mutants it
-touches.  The checkout itself is never written.
+not run the tests, or found none), and so does a run that times out.  So
+does an old text that does not occur exactly once, so a change to the
+library must restate the mutants it touches.  The checkout itself is never
+written.
 
 Run it from anywhere, with pytest and hypothesis installed::
 
@@ -16,12 +21,14 @@ Run it from anywhere, with pytest and hypothesis installed::
 
 It runs every mutant, prints one line per mutant and exits 0 when every
 mutant is killed.  It lives outside ``tests/`` so that pytest does not
-collect it, and it uses the standard library only.
+collect it, and it uses the standard library only (``resource`` makes it
+POSIX-only).
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -32,6 +39,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
+TIMEOUT_S = 60  # one run's wall-clock bound; the slowest kill takes about 2 s
+MEMORY_BYTES = 512 << 20  # one run's address-space bound; all of tier-1 maps 64 MiB
 
 
 class Mutant(NamedTuple):
@@ -313,6 +322,62 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "gap-takes-the-empty-x-only-when-held",
+        "src/famcat/kernel.py",
+        "    src = tuple(source)\n    for x in src if EMPTY in src else",
+        "    src = tuple(source)\n    for x in src if EMPTY not in src else",
+        ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
+    ),
+    Mutant(
+        "gap-without-the-empty-x",
+        "src/famcat/kernel.py",
+        "    src = tuple(source)\n    for x in src if EMPTY in src else src + (EMPTY,):",
+        "    src = tuple(source)\n    for x in src if EMPTY in src else src:",
+        ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
+    ),
+    Mutant(
+        "enumerated-takes-the-empty-x-only-when-held",
+        "src/famcat/kernel.py",
+        'raise SizeGuardError("support too large to enumerate")\n'
+        "    for x in src if EMPTY in src else",
+        'raise SizeGuardError("support too large to enumerate")\n'
+        "    for x in src if EMPTY not in src else",
+        ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
+    ),
+    Mutant(
+        "enumerated-without-the-empty-x",
+        "src/famcat/kernel.py",
+        'raise SizeGuardError("support too large to enumerate")\n'
+        "    for x in src if EMPTY in src else src + (EMPTY,):",
+        'raise SizeGuardError("support too large to enumerate")\n'
+        "    for x in src if EMPTY in src else src:",
+        ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
+    ),
+    Mutant(
+        "gap-witness-joins-x-and-y",
+        "src/famcat/kernel.py",
+        "need = (self.x & self.y) | self.blocker",
+        "need = (self.x | self.y) | self.blocker",
+        ("tests/test_kernel.py::test_gap_witness_example_is_replayable",),
+    ),
+    Mutant(
+        "object-identity-compares-the-members",
+        "src/famcat/kernel.py",
+        "members: tuple[NSet, ...] = field(compare=False)",
+        "members: tuple[NSet, ...]",
+        (
+            "tests/test_univalence.py::"
+            "test_object_identity_never_compares_or_hashes_an_nset",
+        ),
+    ),
+    Mutant(
+        "literal-star-source-not-complemented",
+        "src/famcat/harness.py",
+        "_star([~m for m in _signed_masks(source)],",
+        "_star([m for m in _signed_masks(source)],",
+        ("tests/test_kernel.py::test_star_closed_form_matches_the_difference_oracle",),
+    ),
+    Mutant(
         "cli-imports-the-harness-eagerly",
         "src/famcat/cli.py",
         "from .kernel import MAX_SAMPLES,",
@@ -322,12 +387,16 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> tuple[bool, str]:
-    """Apply one mutant in a fresh copy and run its tests: (killed, why)."""
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Apply one mutant in a fresh copy and run its tests: (outcome, why)."""
     source = (ROOT / mutant.path).read_text()
     found = source.count(mutant.old)
     if found != 1:
-        return False, f"its old text occurs {found} times in {mutant.path}"
+        return "SURVIVED", f"its old text occurs {found} times in {mutant.path}"
     with tempfile.TemporaryDirectory(prefix="famcat-mutant-") as tmp:
         for name in COPIED:
             src, dst = ROOT / name, Path(tmp) / name
@@ -337,32 +406,39 @@ def run(mutant: Mutant) -> tuple[bool, str]:
                 shutil.copy2(src, dst)
         (Path(tmp) / mutant.path).write_text(source.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=tmp,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                cwd=tmp,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                timeout=TIMEOUT_S,
+                preexec_fn=_cap_memory,
+            )
+        except subprocess.TimeoutExpired:
+            return "TIMEOUT", f"no result within {TIMEOUT_S} s"
     if proc.returncode == 1:
-        return True, "a test failed"
+        return "killed", "a test failed"
     if proc.returncode == 0:
-        return False, "every named test passed"
+        return "SURVIVED", "every named test passed"
     tail = proc.stdout.strip().splitlines()[-1:] or [""]
-    return False, f"pytest exited {proc.returncode}: {tail[0]}"
+    return "SURVIVED", f"pytest exited {proc.returncode}: {tail[0]}"
 
 
 def main() -> int:
-    survivors = 0
+    killed = 0
+    start = time.perf_counter()
     for mutant in MUTANTS:
-        start = time.perf_counter()
-        killed, why = run(mutant)
-        survivors += not killed
-        mark = "killed  " if killed else "SURVIVED"
-        print(f"{mark} {mutant.name}: {why} ({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
-    return 1 if survivors else 0
+        begun = time.perf_counter()
+        outcome, why = run(mutant)
+        killed += outcome == "killed"
+        took = time.perf_counter() - begun
+        print(f"{outcome:<8} {mutant.name}: {why} ({took:.1f} s)", flush=True)
+    took = time.perf_counter() - start
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {took:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
