@@ -1,0 +1,49 @@
+"""The base of every value class: immutable, slotted, compared by its fields.
+
+A subclass lists its two or more fields in ``__slots__`` and sets each
+exactly once in its own ``__init__``, through :func:`_set`; setting or
+deleting an attribute after that raises ``AttributeError``.  Equality
+compares the fields in slot order and returns ``NotImplemented`` for any
+other class, hashing hashes the same tuple, ``repr`` is
+``Name(field=value, ...)`` over the fields whose names do not start with an
+underscore, and copying and pickling call the constructor on the fields.
+A class whose constructor takes other arguments, or whose equality reads
+other fields or runs on a hot path, overrides those methods: the generic
+key is built by ``attrgetter``, which costs more per call than reading the
+fields inline.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_set = object.__setattr__  # the one way a constructor writes a field
+
+
+class Value:
+    __slots__ = ()
+    _fields: attrgetter[tuple[object, ...]]  # the fields of an instance, in slot order
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        return self.__class__, self._fields(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({shown})"

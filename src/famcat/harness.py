@@ -35,9 +35,9 @@ import json
 import random
 import time
 from array import array
-from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
+from ._value import Value, _set
 from .kernel import (
     Family,
     LabelVerdict,
@@ -74,24 +74,30 @@ MAX_RECORDED_VIOLATIONS = 25
 MAX_HELD = 4096
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Value):
     """An object supply: ``samples == 0`` means exhaustive enumeration."""
 
+    __slots__ = ("window", "include_cofinite", "samples", "seed")
     window: int
-    include_cofinite: bool = False
-    samples: int = 0
-    seed: int = 42
+    include_cofinite: bool
+    samples: int
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.window < 0 or self.samples < 0:
+    def __init__(
+        self, window: int, include_cofinite: bool = False, samples: int = 0, seed: int = 42
+    ) -> None:
+        if window < 0 or samples < 0:
             raise ValueError("window and samples are non-negative")
-        if self.window > MAX_ELEMENT + 1:
+        if window > MAX_ELEMENT + 1:
             raise SizeGuardError(
-                f"window {self.window} would draw elements above MAX_ELEMENT = {MAX_ELEMENT}"
+                f"window {window} would draw elements above MAX_ELEMENT = {MAX_ELEMENT}"
             )
-        if self.samples > MAX_SAMPLES:
-            raise SizeGuardError(f"samples {self.samples} exceed MAX_SAMPLES = {MAX_SAMPLES}")
+        if samples > MAX_SAMPLES:
+            raise SizeGuardError(f"samples {samples} exceed MAX_SAMPLES = {MAX_SAMPLES}")
+        _set(self, "window", window)
+        _set(self, "include_cofinite", include_cofinite)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
 
     @property
     def is_exhaustive(self) -> bool:
@@ -206,10 +212,14 @@ def instance_tuples(u: Universe, arity: int) -> Iterator[tuple[Obj, ...]]:
 # -- results -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
+    __slots__ = ("objects", "detail")
     objects: tuple[Obj, ...]
     detail: str
+
+    def __init__(self, objects: tuple[Obj, ...], detail: str) -> None:
+        _set(self, "objects", objects)
+        _set(self, "detail", detail)
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -218,12 +228,20 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
+    __slots__ = ("name", "instances", "violations", "elapsed")
     name: str
     instances: int
     violations: tuple[Violation, ...]
     elapsed: float
+
+    def __init__(
+        self, name: str, instances: int, violations: tuple[Violation, ...], elapsed: float
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "instances", instances)
+        _set(self, "violations", violations)
+        _set(self, "elapsed", elapsed)
 
     @property
     def passed(self) -> bool:
@@ -239,10 +257,14 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
+    __slots__ = ("universe", "checks")
     universe: Universe
     checks: tuple[CheckResult, ...]
+
+    def __init__(self, universe: Universe, checks: tuple[CheckResult, ...]) -> None:
+        _set(self, "universe", universe)
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -539,7 +561,7 @@ def _literal_star(source: Family, target: Family) -> bool:
 
 def _literal_verdict(s: Family, t: Family) -> LabelVerdict:
     v = label_verdict(s, t)
-    return replace(v, star=_literal_star(s, t), w=v.arrow and _literal_star(t, s))
+    return LabelVerdict(v.arrow, _literal_star(s, t), v.arrow and _literal_star(t, s), v.f, v.c)
 
 
 def _pred_iso_literal_star(t: tuple[Obj, ...]) -> str | None:
@@ -718,7 +740,8 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     for name in picked:
         arity, pred, premise = table[name]
         if pred in done:
-            checks.append(replace(done[pred], name=name, elapsed=0.0))
+            same = done[pred]
+            checks.append(CheckResult(name, same.instances, same.violations, 0.0))
             continue
         start = time.perf_counter()
         decide = functools.partial(_violation, pred)

@@ -34,9 +34,9 @@ immutable and every function is pure, so concurrent use is safe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
+from ._value import Value, _set
 from .nset import EMPTY, FULL, NSet, _elements, _make
 
 Family = Iterable[NSet]
@@ -101,29 +101,28 @@ def _from_maximal(keep: Collection[int]) -> Obj:
     if len(keep) > 1:
         keep = sorted(keep, key=_member_sort_key)
     ob = object.__new__(Obj)
-    object.__setattr__(ob, "members", (EMPTY, *map(_make, keep)))
-    object.__setattr__(ob, "_signed", (0, *keep))
+    _set(ob, "members", (EMPTY, *map(_make, keep)))
+    _set(ob, "_signed", (0, *keep))
     return ob
 
 
-@dataclass(frozen=True)
-class Obj:
+class Obj(Value):
     """A canonical family: contains the empty set, plus an antichain.
 
     An object holds ``_signed``, the signed masks of the members in member
     order, which the deciders, equality and hashing read; canonical members
-    and masks determine each other.  ``repr`` shows only the members, and
-    :func:`dataclasses.replace` builds ``_signed`` afresh.  ``Obj(members)``
-    checks the canonical form; the kernel's builders, the exponential and
-    the sampled draw skip it in :func:`_from_maximal`, whose input has it.
+    and masks determine each other.  ``repr`` shows only the members.
+    ``Obj(members)`` checks the canonical form; the kernel's builders, the
+    exponential and the sampled draw skip it in :func:`_from_maximal`,
+    whose input has it.
     """
 
-    members: tuple[NSet, ...] = field(compare=False)
-    _signed: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ("members", "_signed")
+    members: tuple[NSet, ...]
+    _signed: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ms = self.members
-        signed = tuple(_signed_masks(ms))
+    def __init__(self, members: tuple[NSet, ...]) -> None:
+        signed = tuple(_signed_masks(members))
         if 0 not in signed:
             raise ValueError("a canonical family contains the empty set")
         # distinct masks have distinct keys, so strictly increasing keys
@@ -131,16 +130,28 @@ class Obj:
         keys = [_member_sort_key(s) for s in signed]
         if not all(a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("members must be sorted and duplicate-free")
-        object.__setattr__(self, "_signed", signed)
         # EMPTY has the least key, so it comes first; the rest is
         # duplicate-free, so it is an antichain exactly when _maximal keeps
         # all of it (one member always is)
         rest = signed[1:]
         if len(rest) > 1 and len(_maximal(rest)) < len(rest):
             a, b = next(
-                (a, b) for a, b in itertools.permutations(ms[1:], 2) if a.is_subset(b)
+                (a, b) for a, b in itertools.permutations(members[1:], 2) if a.is_subset(b)
             )
             raise ValueError(f"{a} is dominated by {b}; family is not an antichain")
+        _set(self, "members", members)
+        _set(self, "_signed", signed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Obj:
+            return NotImplemented
+        return self._signed == other._signed
+
+    def __hash__(self) -> int:
+        return hash((self._signed,))
+
+    def __reduce__(self) -> tuple[object, tuple[tuple[NSet, ...]]]:
+        return Obj, (self.members,)
 
     @classmethod
     def of(cls, *members: NSet) -> "Obj":
@@ -256,17 +267,22 @@ def fibration_condition(source: Family, target: Family) -> bool:
     return arrow_exists(target, source)
 
 
-@dataclass(frozen=True)
-class GapWitness:
+class GapWitness(Value):
     """A finite blocker showing the definitional fibration condition fails.
 
     No source member contains ``(x & y) | blocker`` even though ``blocker``
     is a finite subset of ``y``.
     """
 
+    __slots__ = ("x", "y", "blocker")
     x: NSet
     y: NSet
     blocker: NSet
+
+    def __init__(self, x: NSet, y: NSet, blocker: NSet) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "blocker", blocker)
 
     def defeats(self, source: Family) -> bool:
         """Replay the witness: confirm no source member covers it."""
@@ -327,21 +343,41 @@ def label_f(source: Family, target: Family) -> bool:
     return is_iso(source, target)
 
 
-@dataclass(frozen=True)
-class LabelVerdict:
+class LabelVerdict(Value):
     """All label facts for one ordered pair.
 
     ``w`` and ``f`` imply ``arrow``; ``c`` coincides with it.  ``star`` is
     the near-inclusion in the queried direction (source into target).
     :func:`label_verdict` returns one of the five verdicts that can occur,
-    built once at import and shared; they are frozen, so sharing is safe.
+    built once at import and shared; they are immutable, so sharing is safe.
     """
 
+    __slots__ = ("arrow", "star", "w", "f", "c")
     arrow: bool
     star: bool
     w: bool
     f: bool
     c: bool
+
+    def __init__(self, arrow: bool, star: bool, w: bool, f: bool, c: bool) -> None:
+        _set(self, "arrow", arrow)
+        _set(self, "star", star)
+        _set(self, "w", w)
+        _set(self, "f", f)
+        _set(self, "c", c)
+
+    def __eq__(self, other: object) -> bool:
+        # the iso checks compare a verdict with the shared ones on every pair
+        if other is self:
+            return True
+        if other.__class__ is not LabelVerdict:
+            return NotImplemented
+        return (self.arrow, self.star, self.w, self.f, self.c) == (
+            other.arrow, other.star, other.w, other.f, other.c
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.arrow, self.star, self.w, self.f, self.c))
 
     def to_json_dict(self) -> dict[str, bool]:
         return {"arrow": self.arrow, "star": self.star, "w": self.w, "f": self.f, "c": self.c}

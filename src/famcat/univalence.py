@@ -20,9 +20,9 @@ the square of the base is the base object itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._value import Value, _set
 from .kernel import (
     INITIAL,
     TERMINAL,
@@ -40,12 +40,16 @@ if TYPE_CHECKING:
     from .harness import CheckResult, Universe
 
 
-@dataclass(frozen=True)
-class Fibration:
+class Fibration(Value):
     """An arrow labelled (f), recorded by its endpoints."""
 
+    __slots__ = ("total", "base")
     total: Obj
     base: Obj
+
+    def __init__(self, total: Obj, base: Obj) -> None:
+        _set(self, "total", total)
+        _set(self, "base", base)
 
     def is_fibration(self) -> bool:
         return label_f(self.total, self.base)
@@ -58,21 +62,33 @@ class Fibration:
         return q
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(Value):
+    """One step of a certificate; it holds a dict, so it is not hashable."""
+
+    __slots__ = ("name", "passed", "facts")
     name: str
     passed: bool
     facts: dict[str, object]
+
+    def __init__(self, name: str, passed: bool, facts: dict[str, object]) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "facts", facts)
 
     def to_json_dict(self) -> dict[str, object]:
         return {"name": self.name, "passed": self.passed, "facts": self.facts}
 
 
-@dataclass(frozen=True)
-class UnivalenceCertificate:
+class UnivalenceCertificate(Value):
+    __slots__ = ("total", "base", "steps")
     total: Obj
     base: Obj
     steps: tuple[CertificateStep, ...]
+
+    def __init__(self, total: Obj, base: Obj, steps: tuple[CertificateStep, ...]) -> None:
+        _set(self, "total", total)
+        _set(self, "base", base)
+        _set(self, "steps", steps)
 
     @property
     def valid(self) -> bool:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._value import Value, _set
 from .kernel import (
     INITIAL,
     TERMINAL,
@@ -69,16 +69,32 @@ class VKind(enum.Enum):
     WEXP = "wexp"
 
 
-@dataclass(frozen=True)
-class VObj:
+class VObj(Value):
     """A symbolic family, described by its kind and explicit parameters."""
 
+    __slots__ = ("kind", "x", "y", "a", "b", "c")
     kind: VKind
-    x: Obj | None = None
-    y: Obj | None = None
-    a: Obj | None = None
-    b: Obj | None = None
-    c: Obj | None = None
+    x: Obj | None
+    y: Obj | None
+    a: Obj | None
+    b: Obj | None
+    c: Obj | None
+
+    def __init__(
+        self,
+        kind: VKind,
+        x: Obj | None = None,
+        y: Obj | None = None,
+        a: Obj | None = None,
+        b: Obj | None = None,
+        c: Obj | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @classmethod
     def wc(cls, x: Obj, y: Obj) -> "VObj":
@@ -309,16 +325,35 @@ def _finite_subsets(m: int, margin: int) -> list[int]:
     return subs
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
+class FactorizationCheck(Value):
     """Verified facts of the two-step factorization through ``WC(x, y)``."""
 
+    __slots__ = (
+        "x", "y", "arrow_into_middle", "star_back_to_source", "fibration_instances_ok",
+        "instances",
+    )
     x: Obj
     y: Obj
     arrow_into_middle: bool
     star_back_to_source: bool
     fibration_instances_ok: bool
     instances: int
+
+    def __init__(
+        self,
+        x: Obj,
+        y: Obj,
+        arrow_into_middle: bool,
+        star_back_to_source: bool,
+        fibration_instances_ok: bool,
+        instances: int,
+    ) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "arrow_into_middle", arrow_into_middle)
+        _set(self, "star_back_to_source", star_back_to_source)
+        _set(self, "fibration_instances_ok", fibration_instances_ok)
+        _set(self, "instances", instances)
 
     @property
     def ok(self) -> bool:

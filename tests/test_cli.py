@@ -280,53 +280,6 @@ def test_closed_stdout_exits_141_quietly():
     assert err == b""
 
 
-# Runs each argv through main in one fresh interpreter and prints, as JSON,
-# the famcat submodules loaded after `import famcat` and then after each call,
-# with the call's exit code.
-_LOADED_AFTER_EACH_CALL = """\
-import contextlib, io, json, sys
-
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("famcat."))
-
-import famcat
-seen = [[None, loaded()]]
-from famcat.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([main(argv), loaded()])
-print(json.dumps(seen))
-"""
-
-
-def test_light_verbs_load_neither_the_harness_nor_univalence():
-    light = [
-        ["decide", "--from", A_LIT, "--to", B_LIT, "--label", "w"],
-        ["product", "--x", A_LIT, "--y", B_LIT],
-        ["coproduct", "--x", A_LIT, "--y", B_LIT],
-        ["exp", "--b", A_LIT, "--c", B_LIT],
-        ["wexp", "--a", TERMINAL_LIT, "--b", A_LIT, "--c", B_LIT, "--z", A_LIT],
-        ["factorize", "--from", A_LIT, "--to", B_LIT],
-    ]
-    psmall = ["psmall", "--total", A_LIT, "--base", A_LIT]
-    env = dict(os.environ, PYTHONPATH=str(Path(famcat.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER_EACH_CALL, json.dumps([*light, psmall])],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    (_, bare), *after_light, (psmall_code, after_psmall) = json.loads(done.stdout)
-    assert bare == []
-    assert [code for code, _ in after_light] == [0, 0, 0, 0, 0, 0]
-    for _, modules in after_light:
-        assert "famcat.harness" not in modules and "famcat.univalence" not in modules
-    assert psmall_code == 0
-    assert "famcat.univalence" in after_psmall and "famcat.harness" not in after_psmall
-
-
 # -- constructions ------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ exhaustively over the small enumerated universe.
 """
 
 import copy
-import dataclasses
+import inspect
 import itertools
 import pickle
 
@@ -226,15 +226,15 @@ def test_obj_holds_the_masks_of_its_members():
         held = x._signed
         assert held == tuple(~m.mask if m.cofinite else m.mask for m in x.members)
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)),
-                  dataclasses.replace(x), dataclasses.replace(x, members=x.members)):
+                  Obj(x.members)):
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
             assert y._signed == held
     # the masks are the value's identity, but only the members are shown
     assert repr(C) == f"Obj(members={C.members!r})"
     assert Obj.from_json_dict(C.to_json_dict())._signed == C._signed
-    assert [f.name for f in dataclasses.fields(Obj) if f.init] == ["members"]
+    assert list(inspect.signature(Obj).parameters) == ["members"]
     # one mask layout only
-    assert [f.name for f in dataclasses.fields(Obj)] == ["members", "_signed"]
+    assert Obj.__slots__ == ("members", "_signed")
 
 
 def assert_checked_form(ob: Obj) -> None:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
-TIMEOUT_S = 60  # one run's wall-clock bound; the slowest kill takes about 2 s
+TIMEOUT_S = 60  # one run's wall-clock bound; the slowest kill, a runaway, takes about 7 s
 MEMORY_BYTES = 512 << 20  # one run's address-space bound; all of tier-1 maps 64 MiB
 
 
@@ -363,8 +363,12 @@ MUTANTS = (
     Mutant(
         "object-identity-compares-the-members",
         "src/famcat/kernel.py",
-        "members: tuple[NSet, ...] = field(compare=False)",
-        "members: tuple[NSet, ...]",
+        "        return self._signed == other._signed\n\n"
+        "    def __hash__(self) -> int:\n"
+        "        return hash((self._signed,))",
+        "        return self.members == other.members\n\n"
+        "    def __hash__(self) -> int:\n"
+        "        return hash((self.members,))",
         (
             "tests/test_univalence.py::"
             "test_object_identity_never_compares_or_hashes_an_nset",
@@ -382,7 +386,47 @@ MUTANTS = (
         "src/famcat/cli.py",
         "from .kernel import MAX_SAMPLES,",
         "from .harness import run_axioms\nfrom .kernel import MAX_SAMPLES,",
-        ("tests/test_cli.py::test_light_verbs_load_neither_the_harness_nor_univalence",),
+        (
+            "tests/test_cold_imports.py::"
+            "test_light_verbs_load_neither_the_harness_nor_univalence",
+        ),
+    ),
+    Mutant(
+        "kernel-loads-dataclasses",
+        "src/famcat/kernel.py",
+        "import itertools\n",
+        "import dataclasses\nimport itertools\n",
+        (
+            "tests/test_cold_imports.py::"
+            "test_light_verbs_load_neither_the_harness_nor_univalence",
+        ),
+    ),
+    Mutant(
+        # _elements walks a negative mask without end, at the import of the
+        # kernel (INITIAL sorts the empty mask); the test's fresh interpreter
+        # dies with a MemoryError under MEMORY_BYTES, and no collection fails
+        "member-sort-key-runs-away",
+        "src/famcat/kernel.py",
+        "mask = ~s if s < 0 else s",
+        "mask = ~s if s <= 0 else s",
+        (
+            "tests/test_cold_imports.py::"
+            "test_light_verbs_load_neither_the_harness_nor_univalence",
+        ),
+    ),
+    Mutant(
+        "value-equality-ignores-a-field",
+        "src/famcat/_value.py",
+        "return self._fields(self) == self._fields(other)",
+        "return self._fields(self)[1:] == self._fields(other)[1:]",
+        ("tests/test_api.py::test_value_class_contract",),
+    ),
+    Mutant(
+        "value-reduce-drops-a-field",
+        "src/famcat/_value.py",
+        "return self.__class__, self._fields(self)",
+        "return self.__class__, self._fields(self)[:-1]",
+        ("tests/test_api.py::test_value_class_contract",),
     ),
 )
 
