@@ -199,10 +199,10 @@ def cmd_psmall(args: argparse.Namespace) -> int:
 
 
 def _emit_report(report: Report, args: argparse.Namespace) -> int:
-    text = report.machine_json() if args.format == "machine" else report.human_text()
-    print(text)
+    # --out is written first, so that a failed write prints no report
     if args.out:
         Path(args.out).write_text(report.machine_json() + "\n")
+    print(report.machine_json() if args.format == "machine" else report.human_text())
     return 0 if report.passed else 1
 
 

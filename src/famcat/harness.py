@@ -16,10 +16,12 @@ product, cobase change the w fact into the coproduct.  A
 sampled universe is drawn once per call, as one seeded stream held as
 indices into its distinct objects, and each check decides a tuple it meets
 again once; a draw with too many distinct objects to hold is drawn afresh
-by each check instead.  Every sampled object is drawn in a stream, which
-draws its members as signed masks and builds each distinct object once,
-through a dict of at most ``MAX_HELD`` objects keyed by the maximal drawn
-masks, that lives only as long as the stream; no cache outlives a call.
+by each check instead.  Every sampled object is drawn by one seeded loop,
+which draws its members as signed masks and yields its index among the
+stream's distinct objects.  A dict that lives only as long as the stream
+interns the draws by their raw masks, and only masks it has not met are
+canonicalized, so each distinct object is built once and held, up to
+``MAX_HELD`` of them; no cache outlives a call.
 Identical universe and seed always produce the identical report, and the
 machine serialization is byte-stable.
 
@@ -69,8 +71,9 @@ MAX_RECORDED_VIOLATIONS = 25
 # indexing at most MAX_HELD distinct objects; a draw with more is dropped
 # and each check draws its own stream instead.  Each check remembers the
 # verdicts of its MAX_HELD most recent distinct tuples, and each sampled
-# stream interns at most MAX_HELD drawn objects.  So a call holds at most
-# about 8 x samples bytes plus a few MiB, at any window.
+# stream interns at most MAX_HELD drawn objects, under fewer than
+# 2 x MAX_HELD keys of drawn masks, canonicalizing each new key once.  So a
+# call holds at most about 8 x samples bytes plus a few MiB, at any window.
 MAX_HELD = 4096
 
 
@@ -156,37 +159,65 @@ def enumerate_objects(u: Universe) -> list[Obj]:
     return out
 
 
-def _draw_mask(rng: random.Random, u: Universe) -> int:
-    """One sampled member as a signed mask: each window element with
-    probability 1/2, then, with cofinite members, the complement with
-    probability 1/4."""
-    mask = 0
-    for i in range(u.window):
-        if rng.random() < 0.5:
-            mask |= 1 << i
-    if u.include_cofinite and rng.random() < 0.25:
-        return ~mask
-    return mask
+def _draw_object(
+    rng: random.Random,
+    bits: tuple[int, ...],
+    cofinite: bool,
+    held: dict[int | frozenset[int], int],
+    objs: list[Obj],
+) -> int:
+    """One sampled object, as its index in ``objs``: a geometric number of
+    members, each a signed mask holding each of the window's ``bits`` with
+    probability 1/2, then, if ``cofinite``, complemented with probability 1/4.
 
-
-def _draw_object(rng: random.Random, u: Universe, canon: dict[frozenset[int], Obj]) -> Obj:
-    """One sampled object: a geometric number of drawn members, canonicalized.
-
-    The object is looked up in ``canon`` by the frozenset of its maximal
-    drawn masks, which names its non-empty members, and only a new one is
-    built; it is kept while ``canon`` holds fewer than ``MAX_HELD`` objects.
+    The draw is looked up in ``held`` by its raw masks, the one mask or
+    their frozenset.  Only new ones are canonicalized, and looked up again
+    by their maximal masks, keyed the same way (a non-empty antichain is
+    its own key).  A new object is appended and keyed while fewer than
+    ``MAX_HELD`` are held; past them it takes the spare slot
+    ``objs[MAX_HELD]``, unkeyed.  The raw masks are keyed too while
+    ``held`` has fewer than ``MAX_HELD`` keys, so never to the spare slot.
     """
+    random = rng.random
     count = 1  # geometric with mean 2
-    while rng.random() < 0.5:
+    while random() < 0.5:
         count += 1
-    drawn = [_draw_mask(rng, u) for _ in range(count)]
-    key = frozenset(_maximal(drawn))
-    ob = canon.get(key)
-    if ob is None:
-        ob = _from_maximal(key)
-        if len(canon) < MAX_HELD:
-            canon[key] = ob
-    return ob
+    masks = []
+    for _ in range(count):
+        mask = 0
+        for b in bits:
+            if random() < 0.5:
+                mask |= b
+        if cofinite and random() < 0.25:
+            mask = ~mask
+        masks.append(mask)
+    key = masks[0] if count == 1 else frozenset(masks)
+    i = held.get(key)
+    if i is None:
+        keep = _maximal(masks)
+        canon = keep[0] if len(keep) == 1 else frozenset(keep)
+        i = held.get(canon)
+        if i is None:
+            i = len(objs)
+            if i < MAX_HELD:
+                held[canon] = i
+                objs.append(_from_maximal(keep))
+            else:
+                i = MAX_HELD
+                objs[MAX_HELD:] = [_from_maximal(keep)]
+        if len(held) < MAX_HELD:
+            held[key] = i
+    return i
+
+
+def _draws(u: Universe, n: int, objs: list[Obj]) -> Iterator[int]:
+    """The first ``n`` draws of the seeded stream of ``u``, as indices into
+    ``objs``, which holds each distinct object once (see :func:`_draw_object`)."""
+    rng = random.Random(u.seed)
+    bits = tuple(1 << e for e in range(u.window))
+    held: dict[int | frozenset[int], int] = {}
+    for _ in range(n):
+        yield _draw_object(rng, bits, u.include_cofinite, held, objs)
 
 
 def universe_objects(u: Universe) -> list[Obj]:
@@ -197,16 +228,16 @@ def universe_objects(u: Universe) -> list[Obj]:
 def instance_tuples(u: Universe, arity: int) -> Iterator[tuple[Obj, ...]]:
     """The instance stream for a check of the given arity, in fixed order.
 
-    A sampled stream builds each distinct object once, through a dict that
-    lives as long as the stream.
+    A sampled stream builds each distinct object once, as :func:`_draws`
+    does, holding at most ``MAX_HELD`` of them while the stream lives.
     """
     if u.is_exhaustive:
         yield from itertools.product(enumerate_objects(u), repeat=arity)
     else:
-        rng = random.Random(u.seed)
-        canon: dict[frozenset[int], Obj] = {}
-        for _ in range(u.samples):
-            yield tuple(_draw_object(rng, u, canon) for _ in range(arity))
+        objs: list[Obj] = []
+        # each object is read as it is drawn, since the next draw may reuse its slot
+        drawn = map(objs.__getitem__, _draws(u, arity * u.samples, objs))
+        yield from zip(*[drawn] * arity)
 
 
 # -- results -----------------------------------------------------------------
@@ -699,8 +730,8 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     their time.  A premise that reads a product or coproduct yields every
     tuple whose result is not among ``objs``.  A sampled
     universe is drawn once, by the first check, which is charged the draw:
-    ``instance_tuples`` at the largest picked arity, its distinct objects
-    interned into ``objs`` and the stream kept as their indices.  An arity-k
+    the stream of ``instance_tuples`` at the largest picked arity, kept as
+    indices into ``objs``, which holds its distinct objects.  An arity-k
     check reads the first ``k * samples`` draws in chunks of k, which are
     the tuples ``instance_tuples(u, k)`` yields, and a tuple it meets again
     while remembered is not decided or shrunk again, but still recorded at
@@ -725,14 +756,12 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     @functools.cache
     def draws() -> array[int] | None:
         width = max(table[name][0] for name in picked)
-        seen: dict[Obj, int] = {}
         stream = array("H")
-        for ob in itertools.chain.from_iterable(instance_tuples(u, width)):
-            i = seen.setdefault(ob, len(seen))
+        for i in _draws(u, width * u.samples, objs):
             if i == MAX_HELD:
+                objs.clear()
                 return None
             stream.append(i)
-        objs.extend(seen)
         return stream
 
     done: dict[Predicate, CheckResult] = {}

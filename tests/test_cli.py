@@ -377,6 +377,17 @@ def test_timings_show_only_in_human_output(tmp_path, capsys, verb):
     assert checks and all(re.search(r" violations, \d+\.\d{3}s$", ln) for ln in checks)
 
 
+@pytest.mark.parametrize("verb", ["axioms", "claims"])
+def test_a_failed_out_prints_no_report_and_exits_2(tmp_path, capsys, verb):
+    # the report is not printed before --out fails: a caller never sees a
+    # complete report beside the parse-error status
+    out = tmp_path / "missing" / "report.json"
+    assert run(verb, "--window", "2", "--format", "machine", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno 2]")
+    assert not out.exists()
+
+
 def test_axioms_unknown_check_exits_2(capsys):
     assert run("axioms", "--checks", "NOPE") == 2
 

@@ -38,6 +38,7 @@ from famcat.harness import (
 )
 from famcat.kernel import (
     Obj,
+    _canonical,
     arrow_exists,
     is_iso,
     label_verdict,
@@ -244,12 +245,14 @@ def nset_draw(rng, u):
     return normalize(frozenset(drawn))
 
 
-@pytest.mark.parametrize("window", [3, 16])
+@pytest.mark.parametrize("window", [0, 1, 3, 16])
 @pytest.mark.parametrize("cofinite", [False, True])
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_mask_draw_is_the_nset_draw(window, cofinite, seed):
+    # at windows 0 and 1 nearly every draw repeats raw masks already met,
+    # one mask or several, so the objects found without canonicalizing are checked
     u = Universe(window=window, include_cofinite=cofinite, samples=300, seed=seed)
-    for arity in (1, 3):
+    for arity in (1, 3, 4):
         rng = random.Random(seed)
         want = [tuple(nset_draw(rng, u) for _ in range(arity)) for _ in range(u.samples)]
         got = list(instance_tuples(u, arity))
@@ -258,26 +261,41 @@ def test_mask_draw_is_the_nset_draw(window, cofinite, seed):
 
 
 def test_a_stream_interns_at_most_max_held_objects(monkeypatch):
-    u = Universe(window=16, include_cofinite=True, samples=300, seed=3)
-    want = list(replayed_tuples(u, 2))
+    # at window 16 nearly every draw is a new object; at window 3 most repeat
+    # raw masks, and many keys name an object they are not the maximal masks of
+    wide = Universe(window=16, include_cofinite=True, samples=300, seed=3)
+    narrow = Universe(window=3, include_cofinite=True, samples=300, seed=3)
+    want = {u: list(replayed_tuples(u, 2)) for u in (wide, narrow)}
     monkeypatch.setattr(harness, "MAX_HELD", 8)
     sizes = []
     draw = harness._draw_object
 
-    def spy(rng, u, canon):
-        out = draw(rng, u, canon)
-        sizes.append(len(canon))
-        # an object is held under the signed masks of its non-empty members
-        assert all(key == frozenset(ob._signed[1:]) for key, ob in canon.items())
-        return out
+    def spy(rng, bits, cofinite, held, objs):
+        i = draw(rng, bits, cofinite, held, objs)
+        sizes.append((len(set(held.values())), len(held), len(objs), i))
+        # each held object is keyed under its maximal masks, the one mask or
+        # their frozenset, and every key's masks canonicalize to the object it names
+        for j, ob in enumerate(objs[: harness.MAX_HELD]):
+            top = ob._signed[1:]
+            assert held[top[0] if len(top) == 1 else frozenset(top)] == j
+        for key, j in held.items():
+            assert objs[j] == _canonical(key if isinstance(key, frozenset) else [key])
+        return i
 
     monkeypatch.setattr(harness, "_draw_object", spy)
-    assert list(instance_tuples(u, 2)) == want
-    assert len(sizes) == 600 and max(sizes) == 8
+    for u in (wide, narrow):
+        sizes.clear()
+        assert list(instance_tuples(u, 2)) == want[u]
+        assert len(sizes) == 600
+        assert max(held for held, _, _, _ in sizes) == 8
+        assert max(keys for _, keys, _, _ in sizes) < 2 * 8
+        assert max(objs for _, _, objs, _ in sizes) == 8 + 1  # the held objects, the spare slot
+        assert sum(i == 8 for *_, i in sizes) > 1  # new draws past the held ones share the slot
+    assert max(keys for _, keys, _, _ in sizes) > 8  # window 3 keys objects under raw masks too
     # a second stream starts empty: nothing outlives the first
     sizes.clear()
-    next(instance_tuples(u, 1))
-    assert sizes == [1]
+    next(instance_tuples(wide, 1))
+    assert sizes[0][0] == sizes[0][2] == 1
 
 
 def brute_force(u, suite, names, literal_star=False):
@@ -593,15 +611,20 @@ def test_a_draw_with_no_repeats_is_not_held(monkeypatch):
     # at window 16 nearly every draw is new: 4 x 1100 draws pass MAX_HELD
     u = Universe(window=16, include_cofinite=True, samples=1100, seed=3)
     wide = Universe(window=16, include_cofinite=True, samples=4400, seed=3)
-    assert len(set(universe_objects(wide))) > MAX_HELD
+    distinct: set[Obj] = set()
+    for shared, ob in enumerate(universe_objects(wide), 1):
+        distinct.add(ob)
+        if len(distinct) > MAX_HELD:
+            break
+    assert len(distinct) > MAX_HELD
     names = ("M1_LIFTING", "RETRACT_CLOSURE")
     expected = brute_force(u, "axioms", names)
     draws = []
     draw = harness._draw_object
     monkeypatch.setattr(harness, "_draw_object", lambda *args: draws.append(1) or draw(*args))
     assert harness_suite(u, "axioms", names) == expected
-    # the dropped shared draw stops one past MAX_HELD; then each check draws its own
-    assert len(draws) > MAX_HELD + 4 * 1100 + 2 * 1100
+    # the shared draw stops at its first object past MAX_HELD; then each check draws its own
+    assert len(draws) == shared + 4 * 1100 + 2 * 1100
 
 
 def test_unknown_check_names_are_rejected():

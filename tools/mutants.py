@@ -245,8 +245,15 @@ MUTANTS = (
     Mutant(
         "draw-key-not-maximal",
         "src/famcat/harness.py",
-        "key = frozenset(_maximal(drawn))",
-        "key = frozenset(m for m in drawn if m)",
+        "keep = _maximal(masks)",
+        "keep = list(dict.fromkeys(m for m in masks if m))",
+        ("tests/test_harness.py::test_mask_draw_is_the_nset_draw",),
+    ),
+    Mutant(
+        "draw-keyed-by-its-first-mask",
+        "src/famcat/harness.py",
+        "key = masks[0] if count == 1 else frozenset(masks)",
+        "key = masks[0]",
         ("tests/test_harness.py::test_mask_draw_is_the_nset_draw",),
     ),
     Mutant(
@@ -259,7 +266,14 @@ MUTANTS = (
     Mutant(
         "stream-interns-without-bound",
         "src/famcat/harness.py",
-        "if len(canon) < MAX_HELD:",
+        "            if i < MAX_HELD:\n                held[canon] = i",
+        "            if True:\n                held[canon] = i",
+        ("tests/test_harness.py::test_a_stream_interns_at_most_max_held_objects",),
+    ),
+    Mutant(
+        "stream-keys-raw-masks-without-bound",
+        "src/famcat/harness.py",
+        "if len(held) < MAX_HELD:",
         "if True:",
         ("tests/test_harness.py::test_a_stream_interns_at_most_max_held_objects",),
     ),
