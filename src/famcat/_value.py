@@ -1,16 +1,16 @@
 """The base of every value class: immutable, slotted, compared by its fields.
 
-A subclass lists its two or more fields in ``__slots__`` and sets each
-exactly once in its own ``__init__``, through :func:`_set`; setting or
-deleting an attribute after that raises ``AttributeError``.  Equality
-compares the fields in slot order and returns ``NotImplemented`` for any
-other class, hashing hashes the same tuple, ``repr`` is
-``Name(field=value, ...)`` over the fields whose names do not start with an
-underscore, and copying and pickling call the constructor on the fields.
-A class whose constructor takes other arguments, or whose equality reads
-other fields or runs on a hot path, overrides those methods: the generic
-key is built by ``attrgetter``, which costs more per call than reading the
-fields inline.
+A subclass lists its fields in ``__slots__`` and sets each exactly once in
+its own constructor, through :func:`_set`; setting or deleting an attribute
+after that raises ``AttributeError``.  Equality is true at once for the same
+instance, else compares the fields in slot order, and is ``NotImplemented``
+for another class; hashing hashes the same fields, ``repr`` is
+``Name(field=value, ...)`` over the fields not starting with an underscore,
+and copying and pickling call the constructor on the fields.  The identity
+path serves the shared values hot loops compare, such as the label verdicts.
+A one-field class, whose ``attrgetter`` returns the field bare, overrides
+``__reduce__`` (``NSet`` also its hash and repr); ``Obj``, whose identity is
+one of its fields, overrides ``__eq__``, ``__hash__`` and ``__reduce__``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class Value:
         return self.__class__, self._fields(self)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields(self) == self._fields(other)

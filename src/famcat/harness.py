@@ -405,14 +405,6 @@ def _relations(objs: Sequence[Obj]) -> Relations:
     return (*rows, *tables)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _premise_m1(
     A: Rows, W: Rows, F: Rows, P: Table, C: Table
 ) -> Iterator[tuple[int, ...]]:
@@ -421,9 +413,9 @@ def _premise_m1(
     # this yields nothing: f is is_iso, so z == w, and then arrow(y, z)
     # contradicts not arrow(y, w).
     for x in range(len(A)):
-        for y in _bits(A[x] | W[x]):
-            for w in _bits(A[x] & ~A[y]):
-                for z in _bits(A[y] & F[w]):
+        for y in _elements(A[x] | W[x]):
+            for w in _elements(A[x] & ~A[y]):
+                for z in _elements(A[y] & F[w]):
                     yield x, y, w, z
 
 
@@ -432,7 +424,7 @@ def _premise_arrow(
 ) -> Iterator[tuple[int, ...]]:
     # Both factorization checks start from arrow(x, y).
     for x in range(len(A)):
-        for y in _bits(A[x]):
+        for y in _elements(A[x]):
             yield x, y
 
 
@@ -443,9 +435,9 @@ def _premise_m5(
     # arrow(y, z), whose three w facts hold exactly twice: with w(x, y), one
     # of w(y, z) and w(x, z); without it, both.
     for x in range(len(A)):
-        for y in _bits(A[x]):
+        for y in _elements(A[x]):
             exactly_two = W[y] ^ W[x] if W[x] >> y & 1 else W[y] & W[x]
-            for z in _bits(A[y] & exactly_two):
+            for z in _elements(A[y] & exactly_two):
                 yield x, y, z
 
 
@@ -459,7 +451,7 @@ def _premise_base_change(
             p = P[x][y]
             if p is not None and F[p] >> x & 1:
                 continue
-            for z in _bits(F[y] & A[x]):
+            for z in _elements(F[y] & A[x]):
                 yield x, y, z
 
 
@@ -469,8 +461,8 @@ def _premise_cobase_change(
     # On (x, z, y), the span is w(x, z) and arrow(x, y); it fails only
     # without w(y, z + y).
     for x in range(len(A)):
-        for z in _bits(W[x]):
-            for y in _bits(A[x]):
+        for z in _elements(W[x]):
+            for y in _elements(A[x]):
                 c = C[z][y]
                 if c is None or not W[y] >> c & 1:
                     yield x, z, y

@@ -349,7 +349,8 @@ class LabelVerdict(Value):
     ``w`` and ``f`` imply ``arrow``; ``c`` coincides with it.  ``star`` is
     the near-inclusion in the queried direction (source into target).
     :func:`label_verdict` returns one of the five verdicts that can occur,
-    built once at import and shared; they are immutable, so sharing is safe.
+    built once at import and shared: they are immutable, and equality
+    finds a shared verdict by identity first.
     """
 
     __slots__ = ("arrow", "star", "w", "f", "c")
@@ -365,19 +366,6 @@ class LabelVerdict(Value):
         _set(self, "w", w)
         _set(self, "f", f)
         _set(self, "c", c)
-
-    def __eq__(self, other: object) -> bool:
-        # the iso checks compare a verdict with the shared ones on every pair
-        if other is self:
-            return True
-        if other.__class__ is not LabelVerdict:
-            return NotImplemented
-        return (self.arrow, self.star, self.w, self.f, self.c) == (
-            other.arrow, other.star, other.w, other.f, other.c
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.arrow, self.star, self.w, self.f, self.c))
 
     def to_json_dict(self) -> dict[str, bool]:
         return {"arrow": self.arrow, "star": self.star, "w": self.w, "f": self.f, "c": self.c}

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ._value import Value
+
 MAX_ELEMENT = (1 << 16) - 1
 """The largest element a constructor accepts; a mask spans at most 8 KiB."""
 
@@ -56,16 +58,16 @@ def _elements(mask: int) -> list[int]:
     return out
 
 
-class NSet:
+class NSet(Value):
     """A finite or cofinite subset of the naturals.
 
     ``_s`` is the signed mask: the members' mask for a finite set, ``~holes``
     for a cofinite one.  Python ints are infinite two's complement, so
     ``&``, ``|`` and ``~`` on it are intersection, union and complement,
-    and ``_s < 0`` says the set is cofinite.  Equality and hashing are
-    structural; ``cofinite``, ``mask`` and ``support`` (the sorted tuple of
-    mask bits) are derived from it.  Values come only from :meth:`fin`,
-    :meth:`cofin` and :meth:`from_json_dict`.
+    and ``_s < 0`` says the set is cofinite.  Immutable, with equality from
+    :class:`Value`; the hash is the mask, and ``cofinite``, ``mask`` and
+    ``support`` (the sorted tuple of mask bits) are derived from it.  Values
+    come only from :meth:`fin`, :meth:`cofin` and :meth:`from_json_dict`.
     """
 
     __slots__ = ("_s",)
@@ -84,19 +86,8 @@ class NSet:
         """The set of all naturals except these."""
         return _make(~_mask_of(excluded))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"NSet is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"NSet is immutable: cannot delete {name!r}")
-
     def __reduce__(self) -> tuple[object, tuple[int]]:
         return _make, (self._s,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not NSet:
-            return NotImplemented
-        return self._s == other._s
 
     def __hash__(self) -> int:
         # the mask itself, or for a cofinite set ``-2 - holes``, below -1

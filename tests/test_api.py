@@ -160,7 +160,7 @@ def test_value_class_contract(cls):
         if cls in UNHASHABLE:
             with pytest.raises(TypeError):
                 hash(x)
-        assert x.__eq__(object()) is NotImplemented
+        assert x.__eq__(object()) is NotImplemented and x.__eq__(x) is True
         for name in (*names, *cls.__slots__, "extra"):
             with pytest.raises(AttributeError):
                 setattr(x, name, a[0])

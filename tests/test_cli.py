@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from test_vobj import factor_pair
 
 import famcat
-from famcat import kernel, vobj
+from famcat import kernel, univalence, vobj
 from famcat.cli import load_input, main
 from famcat.harness import MAX_SAMPLES
 from famcat.kernel import Obj
@@ -527,6 +527,13 @@ def test_univalence_single_fibration(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["valid"] is True and len(data["certificates"]) == 1
+
+
+def test_univalence_names_the_failing_step_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(univalence, "exp_explicit", lambda b, c: b)
+    assert run("univalence", "--total", A_LIT, "--base", A_LIT) == 1
+    out = capsys.readouterr().out
+    assert out == "{{}, {0}} over {{}, {0}}: INVALID at self_exponential_is_terminal\n"
 
 
 def test_univalence_batch_over_a_window(capsys):

@@ -5,7 +5,8 @@ antichain enumerator; sampling is checked for determinism; every axiom and
 claim check must pass on the exhaustive and a seeded cofinite universe;
 both suites, exhaustive (premise-first or not) and sampled, must report
 exactly what a hand-built scan of every tuple reports, also under
-deliberately weakened deciders; a sampled suite call decides each distinct
+deliberately weakened deciders that make each violation test of an axiom or
+claim fire; a sampled suite call decides each distinct
 tuple once and keeps nothing for the next call; and the opt-in literal star
 template must produce real, replayable counterexamples to isomorphism
 invariance.
@@ -37,9 +38,13 @@ from famcat.harness import (
     universe_objects,
 )
 from famcat.kernel import (
+    INITIAL,
+    TERMINAL,
+    GapWitness,
     Obj,
     _canonical,
     arrow_exists,
+    fibration_condition,
     is_iso,
     label_verdict,
     normalize,
@@ -52,6 +57,7 @@ fin = NSet.fin
 W2 = Universe(window=2)
 W3 = Universe(window=3)
 C2 = Universe(window=2, include_cofinite=True)
+C1 = Universe(window=1, include_cofinite=True)
 SAMPLED = Universe(window=3, include_cofinite=True, samples=200, seed=42)
 
 
@@ -435,9 +441,7 @@ WEAKENED = {
 }
 
 
-@pytest.mark.parametrize(
-    "universe", [W2, Universe(window=1, include_cofinite=True)], ids=["W2", "C1"]
-)
+@pytest.mark.parametrize("universe", [W2, C1], ids=["W2", "C1"])
 @pytest.mark.parametrize("patch", WEAKENED)
 def test_premise_first_checks_match_brute_force_on_weakened_deciders(
     monkeypatch, universe, patch
@@ -450,7 +454,78 @@ def test_premise_first_checks_match_brute_force_on_weakened_deciders(
     assert {name for name, _, found in got if found} == broken
 
 
-C1 = Universe(window=1, include_cofinite=True)
+def _empty_gap_unless_a_fibration(s, t):
+    return None if fibration_condition(s, t) else GapWitness(EMPTY, EMPTY, EMPTY)
+
+
+# Each weakened decider makes the claims it names fail, each with one detail,
+# so the violation test behind each detail is seen to fire.  A product patch
+# leaves WEXP_REPRESENTABILITY out: VObj.wexp rejects the wrong slices.
+CLAIM5_BROKEN = "member criterion False but whole-family (w) is True"
+WEAKENED_CLAIMS = {
+    "f-is-arrow": (
+        {"label_f": arrow_exists},
+        {"WCF_REVERSE": "a (wcf) arrow without its reverse arrow"},
+    ),
+    "reduced-fibration-always": (
+        {"fibration_condition": lambda s, t: True},
+        {"F_REDUCTION": "definitional and reduced fibration deciders disagree"},
+    ),
+    "gap-defeats-nothing": (
+        {"fibration_gap": _empty_gap_unless_a_fibration},
+        {"F_REDUCTION": "gap witness does not defeat the source family"},
+    ),
+    "exp-is-terminal": (
+        {"exp_explicit": lambda b, c: TERMINAL},
+        {
+            "EXP_REPRESENTABILITY":
+                "exponential not representing: exp=True product=False vobj=False",
+        },
+    ),
+    "product-is-terminal": (
+        {"product": lambda x, y: TERMINAL},
+        {
+            "CLAIM5": CLAIM5_BROKEN,
+            "EXP_REPRESENTABILITY":
+                "exponential not representing: exp=True product=False vobj=True",
+            "LIMITS_UNIVERSAL": "product lost a projection",
+        },
+    ),
+    "product-is-initial": (
+        {"product": lambda x, y: INITIAL},
+        {
+            "CLAIM5": CLAIM5_BROKEN,
+            "EXP_REPRESENTABILITY":
+                "exponential not representing: exp=False product=True vobj=False",
+            "LIMITS_UNIVERSAL": "product universal property failed",
+        },
+    ),
+    "coproduct-is-initial": (
+        {"coproduct": lambda x, y: INITIAL},
+        {"LIMITS_UNIVERSAL": "coproduct lost an injection"},
+    ),
+    "coproduct-is-terminal": (
+        {"coproduct": lambda x, y: TERMINAL},
+        {"LIMITS_UNIVERSAL": "coproduct universal property failed"},
+    ),
+}
+
+
+@pytest.mark.parametrize("universe", [W2, C1], ids=["W2", "C1"])
+@pytest.mark.parametrize("patch", WEAKENED_CLAIMS)
+def test_claim_suites_match_brute_force_on_weakened_deciders(monkeypatch, universe, patch):
+    deciders, broken = WEAKENED_CLAIMS[patch]
+    for attr, fake in deciders.items():
+        monkeypatch.setattr(harness, attr, fake)
+    names = CLAIM_NAMES
+    if "product" in deciders:
+        names = tuple(n for n in CLAIM_NAMES if n != "WEXP_REPRESENTABILITY")
+    got = harness_suite(universe, "claims", names)
+    assert got == brute_force(universe, "claims", names)
+    details = {name: {detail for _, detail in found} for name, _, found in got if found}
+    assert details == {name: {detail} for name, detail in broken.items()}
+
+
 PREMISED = {name: check for name, check in harness._AXIOMS.items() if check[2]}
 
 

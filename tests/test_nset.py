@@ -89,12 +89,13 @@ def test_elements_are_bounded_by_max_element():
 
 def test_values_are_immutable():
     s = NSet.fin([1])
-    for name in ("mask", "cofinite", "support", "other"):
-        with pytest.raises(AttributeError):
+    for name in ("_s", "mask", "cofinite", "support", "other"):
+        with pytest.raises(AttributeError, match="NSet is immutable"):
             setattr(s, name, 0)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="NSet is immutable"):
             delattr(s, name)
-    assert s == NSet.fin([1])
+    assert s == NSet.fin([1]) and s._s == 0b10
+    assert NSet.fin([0]).__eq__(object()) is NotImplemented
     # copies are rebuilt from the mask, not by setting attributes
     for t in (s, FULL, NSet.cofin([0, 3])):
         assert copy.copy(t) == t and copy.deepcopy(t) == t

@@ -90,6 +90,14 @@ def test_identity_fibrations_are_univalent(base):
         assert s.passed, s.name
 
 
+def test_a_failing_certificate_names_its_first_failing_step(monkeypatch):
+    # a self exponential that is not terminal fails step 4, and so step 6
+    monkeypatch.setattr(univalence, "exp_explicit", lambda b, c: b)
+    cert = is_univalent(Fibration.verified(A, A))
+    assert [s.name for s in cert.steps if not s.passed] == [STEP_NAMES[3], STEP_NAMES[5]]
+    assert not cert.valid and cert.failing_step == "self_exponential_is_terminal"
+
+
 def test_certificate_steps_recompute():
     q = Fibration.verified(B, B)
     cert = is_univalent(q)

@@ -442,6 +442,80 @@ MUTANTS = (
         "return self.__class__, self._fields(self)[:-1]",
         ("tests/test_api.py::test_value_class_contract",),
     ),
+    Mutant(
+        "wcf-reverse-never-fires",
+        "src/famcat/harness.py",
+        "if label_w(x, y) and label_f(x, y) and not arrow_exists(y, x):",
+        "if False:",
+        (
+            "tests/test_harness.py::test_claim_suites_match_brute_force_on_weakened_deciders",
+        ),
+    ),
+    Mutant(
+        "f-reduction-disagreement-never-fires",
+        "src/famcat/harness.py",
+        "if (gap is None) != reduced:",
+        "if False:",
+        (
+            "tests/test_harness.py::test_claim_suites_match_brute_force_on_weakened_deciders",
+        ),
+    ),
+    Mutant(
+        "f-reduction-gap-never-fails",
+        "src/famcat/harness.py",
+        "if gap is not None and not gap.defeats(x):",
+        "if False:",
+        (
+            "tests/test_harness.py::test_claim_suites_match_brute_force_on_weakened_deciders",
+        ),
+    ),
+    Mutant(
+        "exp-representability-never-fires",
+        "src/famcat/harness.py",
+        "if not (through_exp == through_product == through_vobj):",
+        "if False:",
+        (
+            "tests/test_harness.py::test_claim_suites_match_brute_force_on_weakened_deciders",
+        ),
+    ),
+    Mutant(
+        "product-universality-never-fires",
+        "src/famcat/harness.py",
+        "if (arrow_exists(z, x) and arrow_exists(z, y)) != arrow_exists(z, p):",
+        "if False:",
+        (
+            "tests/test_harness.py::test_claim_suites_match_brute_force_on_weakened_deciders",
+        ),
+    ),
+    Mutant(
+        "coproduct-injection-never-fires",
+        "src/famcat/harness.py",
+        "if not (arrow_exists(x, s) and arrow_exists(y, s)):",
+        "if False:",
+        (
+            "tests/test_harness.py::test_claim_suites_match_brute_force_on_weakened_deciders",
+        ),
+    ),
+    Mutant(
+        "failing-step-unnamed",
+        "src/famcat/univalence.py",
+        "                return s.name\n",
+        "                return None\n",
+        (
+            "tests/test_univalence.py::test_a_failing_certificate_names_its_first_failing_step",
+            "tests/test_cli.py::test_univalence_names_the_failing_step_and_exits_1",
+        ),
+    ),
+    Mutant(
+        "value-equality-denies-identity",
+        "src/famcat/_value.py",
+        "if other is self:\n            return True",
+        "if other is self:\n            return False",
+        (
+            "tests/test_api.py::test_value_class_contract",
+            "tests/test_harness.py::test_axiom_passes_exhaustively_and_sampled",
+        ),
+    ),
 )
 
 
