@@ -8,12 +8,12 @@ fails, 2 on parse errors (a ``--window``, ``--samples`` or ``--seed`` that is
 not ``0`` or ASCII digits with no leading zero among them), 3 on an
 undecided virtual-object pair, 4 when a size guard rejects the request
 (an exhaustive ``--window`` past its limit, a ``--window`` that would draw
-elements above ``MAX_ELEMENT``, ``--samples`` above ``MAX_SAMPLES``, a
-product, or an exponential step, that meets more than ``MAX_PARTIALS``
-distinct sets, or a factorization check of more than
-``MAX_FACTOR_INSTANCES`` instances), and 141
-(128 + SIGPIPE), with no message, when the reader of stdout goes away
-before the output is written.
+elements above ``MAX_ELEMENT``, ``--samples`` above ``MAX_SAMPLES``, an
+object literal of more than ``MAX_PARTIALS`` members, a product, or an
+exponential step, that meets more than ``MAX_PARTIALS`` distinct sets, or
+a factorization check of more than ``MAX_FACTOR_INSTANCES`` instances),
+and 141 (128 + SIGPIPE), with no message, when the reader of stdout goes
+away before the output is written.
 
 The module imports only ``kernel`` and ``vobj`` (and through them
 ``nset``).  The check suites of ``harness`` and the certificates of
@@ -108,18 +108,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
 # -- constructions ------------------------------------------------------------
 
 
-def cmd_product(args: argparse.Namespace) -> int:
-    print(_machine(product(_load_obj(args.x), _load_obj(args.y)).to_json_dict()))
-    return 0
-
-
-def cmd_coproduct(args: argparse.Namespace) -> int:
-    print(_machine(coproduct(_load_obj(args.x), _load_obj(args.y)).to_json_dict()))
-    return 0
-
-
-def cmd_exp(args: argparse.Namespace) -> int:
-    print(_machine(exp_explicit(_load_obj(args.b), _load_obj(args.c)).to_json_dict()))
+def cmd_construct(args: argparse.Namespace) -> int:
+    print(_machine(args.construct(_load_obj(args.x), _load_obj(args.y)).to_json_dict()))
     return 0
 
 
@@ -269,22 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sp)
     sp.set_defaults(func=cmd_decide)
 
-    for verb, func in (("product", cmd_product), ("coproduct", cmd_coproduct)):
-        sp = sub.add_parser(verb, help=f"binary {verb}, normalized")
-        sp.add_argument("--x", required=True)
-        sp.add_argument("--y", required=True)
-        sp.set_defaults(func=func)
+    for verb, construct, flags, summary in (
+        ("product", product, ("--x", "--y"), "binary product, normalized"),
+        ("coproduct", coproduct, ("--x", "--y"), "binary coproduct, normalized"),
+        ("exp", exp_explicit, ("--b", "--c"), "explicit exponential object"),
+    ):
+        sp = sub.add_parser(verb, help=summary)
+        for dest, flag in zip("xy", flags):
+            sp.add_argument(flag, dest=dest, metavar=flag[2:].upper(), required=True)
+        sp.set_defaults(func=cmd_construct, construct=construct)
 
     sp = sub.add_parser("factorize", help="verify the two-step factorization facts")
     sp.add_argument("--from", dest="src", required=True)
     sp.add_argument("--to", dest="dst", required=True)
     _add_format(sp)
     sp.set_defaults(func=cmd_factorize)
-
-    sp = sub.add_parser("exp", help="explicit exponential object")
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--c", required=True)
-    sp.set_defaults(func=cmd_exp)
 
     sp = sub.add_parser("wexp", help="weak-equivalence classifier of a slice")
     sp.add_argument("--a", required=True)
@@ -345,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -506,22 +506,16 @@ def _iso_invariance_detail(
 
 def _pred_m1(t: tuple[Obj, ...]) -> str | None:
     x, y, w, z = t
-    if (
-        label_w(x, y)
-        and label_f(w, z)
+    if not (
+        label_f(w, z)
         and arrow_exists(x, w)
         and arrow_exists(y, z)
         and not arrow_exists(y, w)
     ):
+        return None  # both squares: f(w, z), x -> w, y -> z and no y -> w
+    if label_w(x, y):
         return "no diagonal for a trivial-cofibration / fibration square"
-    if (
-        arrow_exists(x, y)
-        and label_w(w, z)
-        and label_f(w, z)
-        and arrow_exists(x, w)
-        and arrow_exists(y, z)
-        and not arrow_exists(y, w)
-    ):
+    if arrow_exists(x, y) and label_w(w, z):
         return "no diagonal for a cofibration / trivial-fibration square"
     return None
 
@@ -712,7 +706,8 @@ def _violation(pred: Predicate, tup: tuple[Obj, ...]) -> Violation | None:
 def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None) -> Report:
     """Run the named checks of ``table`` (all by default) in order.
 
-    The names are checked before any work.  Tuples are read as indices into
+    The names are checked before any work: each must be in ``table``, and
+    none may be given twice.  Tuples are read as indices into
     one per-call list ``objs``.  An exhaustive universe is enumerated into
     it once; a check runs its predicate on the tuples its premise admits,
     or on every tuple, and ``instances`` counts every tuple of the universe,
@@ -736,9 +731,11 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     picked = tuple(table) if names is None else tuple(names)
     if not picked:
         raise ValueError("no checks selected")
-    for name in picked:
+    for i, name in enumerate(picked):
         if name not in table:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(table)}")
+        if name in picked[:i]:
+            raise ValueError(f"check {name!r} is named twice")
     objs = enumerate_objects(u) if u.is_exhaustive else []
     relations = functools.cache(lambda: _relations(objs))
 

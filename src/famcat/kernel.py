@@ -112,7 +112,8 @@ class Obj(Value):
     An object holds ``_signed``, the signed masks of the members in member
     order, which the deciders, equality and hashing read; canonical members
     and masks determine each other.  ``repr`` shows only the members.
-    ``Obj(members)`` checks the canonical form; the kernel's builders, the
+    ``Obj(members)`` holds the members as a tuple, whatever iterable
+    carries them, and checks the canonical form; the kernel's builders, the
     exponential and the sampled draw skip it in :func:`_from_maximal`,
     whose input has it.
     """
@@ -122,6 +123,7 @@ class Obj(Value):
     _signed: tuple[int, ...]
 
     def __init__(self, members: tuple[NSet, ...]) -> None:
+        members = tuple(members)  # a caller's list or generator is not held
         signed = tuple(_signed_masks(members))
         if 0 not in signed:
             raise ValueError("a canonical family contains the empty set")
@@ -173,6 +175,10 @@ class Obj(Value):
         raw = data["members"]
         if not isinstance(raw, (list, tuple)):
             raise ValueError("'members' must be a list")
+        if len(raw) > MAX_PARTIALS:
+            raise SizeGuardError(
+                f"an object literal of {len(raw)} members is past MAX_PARTIALS = {MAX_PARTIALS}"
+            )
         return normalize(NSet.from_json_dict(m) for m in raw)
 
     def __str__(self) -> str:

@@ -34,7 +34,7 @@ from .kernel import (
     product,
 )
 from .nset import FULL
-from .vobj import VObj, decide, exp_explicit, is_iso_virtual, wexp_member
+from .vobj import VObj, _literal, decide, exp_explicit, is_iso_virtual, wexp_member
 
 if TYPE_CHECKING:
     from .harness import CheckResult, Universe
@@ -166,13 +166,7 @@ def is_univalent(q: Fibration) -> UnivalenceCertificate:
         "weq_classifier_is_slice_terminal",
         slice_terminal_maps_in and top_member,
         {
-            # VObj.to_json_dict's layout for a WEXP object: change both together
-            "classifier": {
-                "vkind": classifier.kind.value,
-                "a": as_json(bb),
-                "b": as_json(eb),
-                "c": as_json(eb),
-            },
+            "classifier": _literal(classifier, as_json),
             "slice_terminal_maps_in": slice_terminal_maps_in,
             "full_set_is_member": top_member,
         },

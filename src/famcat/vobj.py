@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._value import Value, _set
 from .kernel import (
@@ -125,10 +125,7 @@ class VObj(Value):
         return cls(VKind.WEXP, a=a, b=b, c=c)
 
     def to_json_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {"vkind": self.kind.value}
-        for f in _FIELDS[self.kind]:
-            out[f] = getattr(self, f).to_json_dict()
-        return out
+        return _literal(self, Obj.to_json_dict)
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "VObj":
@@ -155,6 +152,15 @@ _FIELDS = {
     VKind.EXP_SLICE: ("a", "b", "c"),
     VKind.WEXP: ("a", "b", "c"),
 }
+
+
+def _literal(v: VObj, write: Callable[[Obj], object]) -> dict[str, object]:
+    """The JSON literal of ``v``: ``"vkind"``, then each field of its kind
+    in ``_FIELDS`` order, each field object written by ``write``."""
+    out: dict[str, object] = {"vkind": v.kind.value}
+    for f in _FIELDS[v.kind]:
+        out[f] = write(getattr(v, f))
+    return out
 
 
 def _require_slice(a: Obj, b: Obj, c: Obj) -> None:
@@ -315,10 +321,7 @@ MAX_FACTOR_INSTANCES = 1_000_000
 def _finite_subsets(m: int, margin: int) -> list[int]:
     """A deterministic spread of finite subsets of ``m`` for spot checks, as
     masks: {}, singletons of its least members, and their union if new."""
-    if m < 0:
-        elems = [i for i in range(margin + 1) if m >> i & 1][:4]
-    else:
-        elems = _elements(m)[:5]
+    elems = _elements(m & (2 << margin) - 1)[: 4 if m < 0 else 5]
     subs = [0, *(1 << e for e in elems)]
     if len(elems) > 1:
         subs.append(sum(subs))

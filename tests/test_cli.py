@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,25 @@ def test_product_and_coproduct_output(capsys):
     assert json.loads(capsys.readouterr().out) == json.loads(B_LIT)
 
 
+@pytest.mark.parametrize(
+    "verb, flags",
+    [("product", ("--x", "--y")), ("coproduct", ("--x", "--y")), ("exp", ("--b", "--c"))],
+)
+def test_construction_verbs_keep_their_flags(capsys, verb, flags):
+    first, second = flags
+    with pytest.raises(SystemExit) as err:
+        run(verb, "--help")
+    assert err.value.code == 0
+    usage = f"usage: famcat {verb} [-h] {first} {first[2:].upper()} {second} {second[2:].upper()}"
+    assert capsys.readouterr().out.startswith(usage + "\n")
+    # a missing operand is a parse error that names its own flag
+    for given, missing in ((first, second), (second, first)):
+        with pytest.raises(SystemExit) as err:
+            run(verb, given, A_LIT)
+        assert err.value.code == 2
+        assert f"the following arguments are required: {missing}\n" in capsys.readouterr().err
+
+
 def test_exp_output_is_the_explicit_object(capsys):
     assert run("exp", "--b", A_LIT, "--c", A_LIT) == 0
     assert json.loads(capsys.readouterr().out) == json.loads(TERMINAL_LIT)
@@ -390,6 +410,12 @@ def test_a_failed_out_prints_no_report_and_exits_2(tmp_path, capsys, verb):
 
 def test_axioms_unknown_check_exits_2(capsys):
     assert run("axioms", "--checks", "NOPE") == 2
+
+
+def test_a_check_named_twice_exits_2(capsys):
+    assert run("axioms", "--window", "1", "--checks", "M5_TWO_OF_THREE,M5_TWO_OF_THREE") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'M5_TWO_OF_THREE' is named twice" in captured.err
 
 
 @pytest.mark.parametrize("verb", ["axioms", "claims"])
@@ -498,6 +524,25 @@ def test_product_size_guard_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(kernel, "MAX_PARTIALS", 9)
     assert run("product", "--x", rows, "--y", cols) == 4
     assert "MAX_PARTIALS" in capsys.readouterr().err
+
+
+def test_object_literals_past_max_partials_exit_4(capsys):
+    # an n-member antichain decided against itself takes time quadratic in
+    # n; past MAX_PARTIALS members the literal is refused before it is parsed
+    def antichain(n):
+        return {"members": [{"fin": [i]} for i in range(n)]}
+
+    big = json.dumps(antichain(kernel.MAX_PARTIALS + 1))
+    uprod = json.dumps({"vkind": "uprod", "x": antichain(kernel.MAX_PARTIALS + 1)})
+    start = time.perf_counter()
+    assert run("decide", "--from", big, "--to", big) == 4
+    assert "MAX_PARTIALS" in capsys.readouterr().err
+    assert run("decide", "--from", A_LIT, "--to", uprod) == 4
+    assert "MAX_PARTIALS" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    edge = json.dumps(antichain(kernel.MAX_PARTIALS))
+    assert run("decide", "--from", edge, "--to", edge) == 0
+    assert capsys.readouterr().out.endswith("arrow: true\n")
 
 
 def test_claims_pass_on_wide_sampled_windows(capsys):

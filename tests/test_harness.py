@@ -718,6 +718,10 @@ def test_names_are_checked_before_any_work(monkeypatch):
         run_axioms(W2, ["M1_LIFTING", "NOPE"])
     with pytest.raises(ValueError, match="unknown check 'M1_LIFTING'"):
         run_claims(W2, ["CLAIM5", "M1_LIFTING"])
+    with pytest.raises(ValueError, match="check 'M1_LIFTING' is named twice"):
+        run_axioms(W2, ["M1_LIFTING", "M5_TWO_OF_THREE", "M1_LIFTING"])
+    with pytest.raises(ValueError, match="check 'CLAIM5' is named twice"):
+        run_claims(W2, ["CLAIM5", "CLAIM5"])
 
 
 def test_an_empty_selection_is_rejected():

@@ -308,6 +308,33 @@ def test_obj_antichain_check_covers_every_kind_of_containment():
         assert Obj(ms).members == ms == normalize(ms).members
 
 
+def test_obj_holds_a_tuple_of_a_list_or_a_generator():
+    members = (EMPTY, fin([1]), cofin([1]))
+    want = Obj(members)
+    given = list(members)
+    held = Obj(given)
+    given.append(fin([5]))  # the caller's list is not the object's
+    for x in (held, Obj(m for m in members)):
+        assert type(x.members) is tuple and x.members == members
+        assert x == want and hash(x) == hash(want) and str(x) == str(want)
+        assert x.to_json_dict() == want.to_json_dict()
+        y = pickle.loads(pickle.dumps(x))
+        assert y == want and y.members == members
+    # a bad family gets the same message whatever iterable carries it
+    for bad in [
+        (fin([0]), EMPTY),
+        (EMPTY, fin([0]), fin([0, 1])),
+        (EMPTY, fin([0]), cofin([1])),
+        (fin([0]),),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Obj(bad)
+        for other in (list(bad), (m for m in bad)):
+            with pytest.raises(ValueError) as got:
+                Obj(other)
+            assert str(got.value) == str(err.value)
+
+
 def test_extreme_objects():
     assert INITIAL == Obj.of()
     assert TERMINAL == Obj.of(FULL)

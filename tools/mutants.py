@@ -327,12 +327,37 @@ MUTANTS = (
     ),
     Mutant(
         "classifier-json-a-and-b-swapped",
-        "src/famcat/univalence.py",
-        '"a": as_json(bb),\n                "b": as_json(eb),',
-        '"a": as_json(eb),\n                "b": as_json(bb),',
+        "src/famcat/vobj.py",
+        "out[f] = write(getattr(v, f))",
+        'out[f] = write(getattr(v, {"a": "b", "b": "a"}.get(f, f)))',
         (
             "tests/test_univalence.py::"
             "test_certificate_matches_the_reference_on_every_cofinite_w2_pair",
+            "tests/test_vobj.py::test_json_round_trip_for_every_kind",
+        ),
+    ),
+    Mutant(
+        "obj-keeps-the-given-iterable",
+        "src/famcat/kernel.py",
+        "        members = tuple(members)  # a caller's list or generator is not held\n",
+        "",
+        ("tests/test_kernel.py::test_obj_holds_a_tuple_of_a_list_or_a_generator",),
+    ),
+    Mutant(
+        "object-literal-guard-at-the-bound",
+        "src/famcat/kernel.py",
+        "if len(raw) > MAX_PARTIALS:",
+        "if len(raw) >= MAX_PARTIALS:",
+        ("tests/test_cli.py::test_object_literals_past_max_partials_exit_4",),
+    ),
+    Mutant(
+        "a-check-named-twice-runs-twice",
+        "src/famcat/harness.py",
+        '        if name in picked[:i]:\n            raise ValueError(f"check {name!r} is named twice")\n',
+        "",
+        (
+            "tests/test_harness.py::test_names_are_checked_before_any_work",
+            "tests/test_cli.py::test_a_check_named_twice_exits_2",
         ),
     ),
     Mutant(
