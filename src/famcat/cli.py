@@ -9,11 +9,12 @@ not ``0`` or ASCII digits with no leading zero among them), 3 on an
 undecided virtual-object pair, 4 when a size guard rejects the request
 (an exhaustive ``--window`` past its limit, a ``--window`` that would draw
 elements above ``MAX_ELEMENT``, ``--samples`` above ``MAX_SAMPLES``, an
-object literal of more than ``MAX_PARTIALS`` members, a product, or an
-exponential step, that meets more than ``MAX_PARTIALS`` distinct sets, or
-a factorization check of more than ``MAX_FACTOR_INSTANCES`` instances),
-and 141 (128 + SIGPIPE), with no message, when the reader of stdout goes
-away before the output is written.
+object literal of more than ``MAX_PARTIALS`` members besides the empty one,
+a product, or an exponential step, that meets more than ``MAX_PARTIALS``
+distinct sets, a coproduct that keeps more than ``MAX_PARTIALS`` non-empty
+members, or a factorization check of more than ``MAX_FACTOR_INSTANCES``
+instances), and 141 (128 + SIGPIPE), with no message, when the reader of
+stdout goes away before the output is written.
 
 The module imports only ``kernel`` and ``vobj`` (and through them
 ``nset``).  The check suites of ``harness`` and the certificates of

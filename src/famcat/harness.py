@@ -248,10 +248,6 @@ class Violation(Value):
     objects: tuple[Obj, ...]
     detail: str
 
-    def __init__(self, objects: tuple[Obj, ...], detail: str) -> None:
-        _set(self, "objects", objects)
-        _set(self, "detail", detail)
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "objects": [o.to_json_dict() for o in self.objects],
@@ -265,14 +261,6 @@ class CheckResult(Value):
     instances: int
     violations: tuple[Violation, ...]
     elapsed: float
-
-    def __init__(
-        self, name: str, instances: int, violations: tuple[Violation, ...], elapsed: float
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "instances", instances)
-        _set(self, "violations", violations)
-        _set(self, "elapsed", elapsed)
 
     @property
     def passed(self) -> bool:
@@ -292,10 +280,6 @@ class Report(Value):
     __slots__ = ("universe", "checks")
     universe: Universe
     checks: tuple[CheckResult, ...]
-
-    def __init__(self, universe: Universe, checks: tuple[CheckResult, ...]) -> None:
-        _set(self, "universe", universe)
-        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

@@ -45,7 +45,8 @@ _MAX_ENUMERATED_SUPPORT = 12  # the enumerating decider tries up to 2**12 subset
 # _meets builds at most this many intersections for product and each step
 # of the exponential of famcat.vobj; the claim suites' exponentials peak at
 # 4.  Past it the maximal-member filter, quadratic in the count, runs for
-# seconds and then minutes.
+# seconds and then minutes.  A coproduct keeps at most this many non-empty
+# members, and an object literal lists at most this many and the empty one.
 MAX_PARTIALS = 1024
 # A sampled universe of famcat.harness draws this many tuples per check at
 # most; the largest pinned scale (the acceptance gate's) draws 10,000.
@@ -175,9 +176,10 @@ class Obj(Value):
         raw = data["members"]
         if not isinstance(raw, (list, tuple)):
             raise ValueError("'members' must be a list")
-        if len(raw) > MAX_PARTIALS:
+        if len(raw) > MAX_PARTIALS + 1:
             raise SizeGuardError(
-                f"an object literal of {len(raw)} members is past MAX_PARTIALS = {MAX_PARTIALS}"
+                f"an object literal of {len(raw)} members is past the empty member"
+                f" and MAX_PARTIALS = {MAX_PARTIALS} others"
             )
         return normalize(NSet.from_json_dict(m) for m in raw)
 
@@ -285,11 +287,6 @@ class GapWitness(Value):
     y: NSet
     blocker: NSet
 
-    def __init__(self, x: NSet, y: NSet, blocker: NSet) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "blocker", blocker)
-
     def defeats(self, source: Family) -> bool:
         """Replay the witness: confirm no source member covers it."""
         need = (self.x & self.y) | self.blocker
@@ -366,13 +363,6 @@ class LabelVerdict(Value):
     f: bool
     c: bool
 
-    def __init__(self, arrow: bool, star: bool, w: bool, f: bool, c: bool) -> None:
-        _set(self, "arrow", arrow)
-        _set(self, "star", star)
-        _set(self, "w", w)
-        _set(self, "f", f)
-        _set(self, "c", c)
-
     def to_json_dict(self) -> dict[str, bool]:
         return {"arrow": self.arrow, "star": self.star, "w": self.w, "f": self.f, "c": self.c}
 
@@ -444,8 +434,15 @@ def product(x: Obj, y: Obj) -> Obj:
 
 
 def coproduct(x: Family, y: Family) -> Obj:
-    """Binary coproduct: the union of the families, normalized."""
-    return _canonical([*_signed_masks(x), *_signed_masks(y)])
+    """Binary coproduct: the union of the families, normalized.  Like the
+    product, it stops past ``MAX_PARTIALS`` non-empty members, so that its
+    result reads back as a literal."""
+    keep = _maximal([*_signed_masks(x), *_signed_masks(y)])
+    if len(keep) > MAX_PARTIALS:
+        raise SizeGuardError(
+            f"the coproduct keeps {len(keep)} non-empty members, past MAX_PARTIALS = {MAX_PARTIALS}"
+        )
+    return _from_maximal(keep)
 
 
 def is_iso(x: Family, y: Family) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._value import Value, _set
+from ._value import Value
 from .kernel import (
     INITIAL,
     TERMINAL,
@@ -47,10 +47,6 @@ class Fibration(Value):
     total: Obj
     base: Obj
 
-    def __init__(self, total: Obj, base: Obj) -> None:
-        _set(self, "total", total)
-        _set(self, "base", base)
-
     def is_fibration(self) -> bool:
         return label_f(self.total, self.base)
 
@@ -70,11 +66,6 @@ class CertificateStep(Value):
     passed: bool
     facts: dict[str, object]
 
-    def __init__(self, name: str, passed: bool, facts: dict[str, object]) -> None:
-        _set(self, "name", name)
-        _set(self, "passed", passed)
-        _set(self, "facts", facts)
-
     def to_json_dict(self) -> dict[str, object]:
         return {"name": self.name, "passed": self.passed, "facts": self.facts}
 
@@ -84,11 +75,6 @@ class UnivalenceCertificate(Value):
     total: Obj
     base: Obj
     steps: tuple[CertificateStep, ...]
-
-    def __init__(self, total: Obj, base: Obj, steps: tuple[CertificateStep, ...]) -> None:
-        _set(self, "total", total)
-        _set(self, "base", base)
-        _set(self, "steps", steps)
 
     @property
     def valid(self) -> bool:

@@ -342,22 +342,6 @@ class FactorizationCheck(Value):
     fibration_instances_ok: bool
     instances: int
 
-    def __init__(
-        self,
-        x: Obj,
-        y: Obj,
-        arrow_into_middle: bool,
-        star_back_to_source: bool,
-        fibration_instances_ok: bool,
-        instances: int,
-    ) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "arrow_into_middle", arrow_into_middle)
-        _set(self, "star_back_to_source", star_back_to_source)
-        _set(self, "fibration_instances_ok", fibration_instances_ok)
-        _set(self, "instances", instances)
-
     @property
     def ok(self) -> bool:
         return self.arrow_into_middle and self.star_back_to_source and self.fibration_instances_ok

@@ -170,3 +170,7 @@ def test_value_class_contract(cls):
     # equality reads every field: changing any one of them changes the value
     for i in range(len(args)):
         assert cls(*args[:i], other[i], *args[i + 1 :]) != cls(*args)
+    # dropping a field raises an arity error that names the constructor and the field
+    missing = f"{cls.__name__}.__init__() missing 1 required positional argument: '{names[0]}'"
+    with pytest.raises(TypeError, match=f"^{re.escape(missing)}$"):
+        cls(**dict(zip(names[1:], args[1:])))

@@ -528,20 +528,50 @@ def test_product_size_guard_exits_4(capsys, monkeypatch):
 
 def test_object_literals_past_max_partials_exit_4(capsys):
     # an n-member antichain decided against itself takes time quadratic in
-    # n; past MAX_PARTIALS members the literal is refused before it is parsed
+    # n; past the empty member and MAX_PARTIALS others the literal is
+    # refused before it is parsed
     def antichain(n):
-        return {"members": [{"fin": [i]} for i in range(n)]}
+        return {"members": [{"fin": []}, *({"fin": [i]} for i in range(n - 1))]}
 
-    big = json.dumps(antichain(kernel.MAX_PARTIALS + 1))
-    uprod = json.dumps({"vkind": "uprod", "x": antichain(kernel.MAX_PARTIALS + 1)})
+    big = json.dumps(antichain(kernel.MAX_PARTIALS + 2))
+    uprod = json.dumps({"vkind": "uprod", "x": antichain(kernel.MAX_PARTIALS + 2)})
     start = time.perf_counter()
     assert run("decide", "--from", big, "--to", big) == 4
     assert "MAX_PARTIALS" in capsys.readouterr().err
     assert run("decide", "--from", A_LIT, "--to", uprod) == 4
     assert "MAX_PARTIALS" in capsys.readouterr().err
     assert time.perf_counter() - start < 1
-    edge = json.dumps(antichain(kernel.MAX_PARTIALS))
+    edge = json.dumps(antichain(kernel.MAX_PARTIALS + 1))
     assert run("decide", "--from", edge, "--to", edge) == 0
+    assert capsys.readouterr().out.endswith("arrow: true\n")
+
+
+def _finite(sets):
+    return json.dumps({"members": [{"fin": list(s)} for s in sets]})
+
+
+_PAIRS = _finite((2 * i, 2 * i + 1) for i in range(10))
+_LOW, _HIGH = _finite(zip(range(1023))), _finite(zip(range(1023, 2046)))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # 10 disjoint pairs against their 20 singletons: 2**10 choices, all kept
+        (("exp", "--b", _PAIRS, "--c", _finite(zip(range(20)))), 0),
+        # two disjoint antichains of 1,023 singletons would keep 2,046
+        (("coproduct", "--x", _LOW, "--y", _HIGH), 4),
+    ],
+    ids=["exp", "coproduct"],
+)
+def test_construction_outputs_decide_or_exit_4(capsys, argv, code):
+    assert run(*argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "MAX_PARTIALS" in err
+        return
+    assert len(json.loads(out)["members"]) == kernel.MAX_PARTIALS + 1
+    assert run("decide", "--from", out, "--to", out) == 0
     assert capsys.readouterr().out.endswith("arrow: true\n")
 
 

@@ -344,11 +344,42 @@ MUTANTS = (
         ("tests/test_kernel.py::test_obj_holds_a_tuple_of_a_list_or_a_generator",),
     ),
     Mutant(
-        "object-literal-guard-at-the-bound",
+        "object-literal-guard-one-past-the-bound",
         "src/famcat/kernel.py",
-        "if len(raw) > MAX_PARTIALS:",
-        "if len(raw) >= MAX_PARTIALS:",
+        "if len(raw) > MAX_PARTIALS + 1:",
+        "if len(raw) > MAX_PARTIALS + 2:",
         ("tests/test_cli.py::test_object_literals_past_max_partials_exit_4",),
+    ),
+    Mutant(
+        "object-literal-guard-without-the-empty-member",
+        "src/famcat/kernel.py",
+        "if len(raw) > MAX_PARTIALS + 1:",
+        "if len(raw) > MAX_PARTIALS:",
+        (
+            "tests/test_cli.py::test_object_literals_past_max_partials_exit_4",
+            "tests/test_cli.py::test_construction_outputs_decide_or_exit_4[exp]",
+        ),
+    ),
+    Mutant(
+        "coproduct-without-its-guard",
+        "src/famcat/kernel.py",
+        "if len(keep) > MAX_PARTIALS:",
+        "if False:",
+        ("tests/test_cli.py::test_construction_outputs_decide_or_exit_4[coproduct]",),
+    ),
+    Mutant(
+        "generated-init-without-annotations",
+        "src/famcat/_value.py",
+        '{n: cls.__annotations__[n] for n in names} | {"return": "None"}',
+        '{"return": "None"}',
+        ("tests/test_api.py::test_value_class_contract[Violation]",),
+    ),
+    Mutant(
+        "generated-init-drops-the-last-field",
+        "src/famcat/_value.py",
+        "for n in names)",
+        "for n in names[:-1])",
+        ("tests/test_api.py::test_value_class_contract[GapWitness]",),
     ),
     Mutant(
         "a-check-named-twice-runs-twice",
