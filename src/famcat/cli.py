@@ -21,6 +21,13 @@ The module imports only ``kernel`` and ``vobj`` (and through them
 ``univalence`` are imported by the verbs that run them, so a ``decide``,
 ``product``, ``coproduct``, ``exp``, ``wexp`` or ``factorize`` call never
 loads them.
+
+A verb prints nothing itself: each ``cmd_*`` returns its machine payload,
+its human lines (``None`` for ``product``, ``coproduct``, ``exp`` and
+``wexp``, which print machine JSON only) and whether its facts hold.
+``main`` prints the payload as compact sorted JSON under ``--format
+machine`` or when there are no human lines, and the lines otherwise, and it
+maps the verdict to exit status 0 or 1.
 """
 
 from __future__ import annotations
@@ -37,7 +44,13 @@ from .kernel import MAX_SAMPLES, Obj, SizeGuardError, arrow_exists, coproduct, p
 from .vobj import _LABELS, UndecidedPairError, VObj, check_factorization, decide, exp_explicit
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .harness import Report, Universe
+
+    # what a verb returns: its machine payload, its human lines (None when it
+    # prints the machine JSON only) and whether its facts hold
+    _Outcome = tuple[object, Iterable[str] | None, bool]
 
 
 def _machine(data: object) -> str:
@@ -91,64 +104,49 @@ def _load_obj(text: str) -> Obj:
 # -- decide -------------------------------------------------------------------
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
+def cmd_decide(args: argparse.Namespace) -> _Outcome:
     holds, verdict = decide(load_input(args.src), load_input(args.dst), args.label)
     payload: dict[str, object] = {"label": args.label, "holds": holds}
+    lines = []
     if verdict is not None:
-        payload["verdict"] = verdict.to_json_dict()
-    if args.format == "machine":
-        print(_machine(payload))
-    else:
-        if verdict is not None:
-            facts = verdict.to_json_dict().items()
-            print(" ".join(f"{k}={str(v).lower()}" for k, v in facts))
-        print(f"{args.label}: {str(holds).lower()}")
-    return 0 if holds else 1
+        payload["verdict"] = facts = verdict.to_json_dict()
+        lines.append(" ".join(f"{k}={v}" for k, v in facts.items()).lower())
+    lines.append(f"{args.label}: {holds}".lower())
+    return payload, lines, holds
 
 
 # -- constructions ------------------------------------------------------------
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    print(_machine(args.construct(_load_obj(args.x), _load_obj(args.y)).to_json_dict()))
-    return 0
+def cmd_construct(args: argparse.Namespace) -> _Outcome:
+    return args.construct(_load_obj(args.x), _load_obj(args.y)).to_json_dict(), None, True
 
 
-def cmd_wexp(args: argparse.Namespace) -> int:
+def cmd_wexp(args: argparse.Namespace) -> _Outcome:
     v = VObj.wexp(_load_obj(args.a), _load_obj(args.b), _load_obj(args.c))
     if args.z is None:
-        print(_machine(v.to_json_dict()))
-        return 0
+        return v.to_json_dict(), None, True
     holds, _ = decide(_load_obj(args.z), v, "arrow")
-    print(_machine({"holds": holds, "classifier": v.to_json_dict()}))
-    return 0 if holds else 1
+    return {"holds": holds, "classifier": v.to_json_dict()}, None, holds
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
+def cmd_factorize(args: argparse.Namespace) -> _Outcome:
     x, y = _load_obj(args.src), _load_obj(args.dst)
     arrow = arrow_exists(x, y)
     fc = check_factorization(x, y)
-    payload = {"arrow": arrow, **fc.to_json_dict()}
-    if args.format == "machine":
-        print(_machine(payload))
-    else:
-        print(f"arrow: {str(arrow).lower()}")
-        print(f"middle: wc({x}, {y})")
-        print(
-            "facts: into={0} star_back={1} fibration={2} ({3} instances)".format(
-                str(fc.arrow_into_middle).lower(),
-                str(fc.star_back_to_source).lower(),
-                str(fc.fibration_instances_ok).lower(),
-                fc.instances,
-            )
-        )
-    return 0 if arrow and fc.ok else 1
+    lines = [
+        f"arrow: {arrow}".lower(),
+        f"middle: wc({x}, {y})",
+        f"facts: into={fc.arrow_into_middle} star_back={fc.star_back_to_source}"
+        f" fibration={fc.fibration_instances_ok} ({fc.instances} instances)".lower(),
+    ]
+    return {"arrow": arrow, **fc.to_json_dict()}, lines, arrow and fc.ok
 
 
 # -- univalence and smallness ---------------------------------------------------
 
 
-def cmd_univalence(args: argparse.Namespace) -> int:
+def cmd_univalence(args: argparse.Namespace) -> _Outcome:
     from .univalence import Fibration, is_univalent, sample_fibrations
 
     if (args.total is None) != (args.base is None):
@@ -160,41 +158,31 @@ def cmd_univalence(args: argparse.Namespace) -> int:
         certs = [is_univalent(q) for q in sample_fibrations(_universe(args))]
     ok = all(c.valid for c in certs)
     payload = {"certificates": [c.to_json_dict() for c in certs], "valid": ok}
-    if args.format == "machine":
-        print(_machine(payload))
-    else:
-        for c in certs:
-            line = "valid" if c.valid else f"INVALID at {c.failing_step}"
-            print(f"{c.total} over {c.base}: {line}")
-    return 0 if ok else 1
+    # one line per certificate, built only when the human format prints them
+    lines = (
+        f"{c.total} over {c.base}: " + ("valid" if c.valid else f"INVALID at {c.failing_step}")
+        for c in certs
+    )
+    return payload, lines, ok
 
 
-def cmd_psmall(args: argparse.Namespace) -> int:
+def cmd_psmall(args: argparse.Namespace) -> _Outcome:
     from .univalence import Fibration, is_p_small, is_small
 
     q = Fibration(_load_obj(args.total), _load_obj(args.base))
-    facts = {
-        "is_fibration": q.is_fibration(),
-        "small": is_small(q),
-        "p_small": is_p_small(q),
-    }
-    if args.format == "machine":
-        print(_machine(facts))
-    else:
-        for k, v in facts.items():
-            print(f"{k}: {str(v).lower()}")
-    return 0 if facts["p_small"] else 1
+    facts = {"is_fibration": q.is_fibration(), "small": is_small(q), "p_small": is_p_small(q)}
+    return facts, [f"{k}: {v}".lower() for k, v in facts.items()], facts["p_small"]
 
 
 # -- suites ---------------------------------------------------------------------
 
 
-def _emit_report(report: Report, args: argparse.Namespace) -> int:
+def _emit_report(report: Report, args: argparse.Namespace) -> _Outcome:
+    payload = report.to_json_dict()
     # --out is written first, so that a failed write prints no report
     if args.out:
-        Path(args.out).write_text(report.machine_json() + "\n")
-    print(report.machine_json() if args.format == "machine" else report.human_text())
-    return 0 if report.passed else 1
+        Path(args.out).write_text(_machine(payload) + "\n")
+    return payload, [report.human_text()], report.passed
 
 
 def _parse_checks(raw: str | None) -> list[str] | None:
@@ -202,20 +190,18 @@ def _parse_checks(raw: str | None) -> list[str] | None:
     return None if raw is None else [n.strip() for n in raw.split(",") if n.strip()]
 
 
-def cmd_axioms(args: argparse.Namespace) -> int:
+def cmd_axioms(args: argparse.Namespace) -> _Outcome:
     from .harness import run_axioms
 
-    u = _universe(args)
     names = _parse_checks(args.checks)
-    report = run_axioms(u, names, literal_star=args.diagnostic_literal_star)
+    report = run_axioms(_universe(args), names, literal_star=args.diagnostic_literal_star)
     return _emit_report(report, args)
 
 
-def cmd_claims(args: argparse.Namespace) -> int:
+def cmd_claims(args: argparse.Namespace) -> _Outcome:
     from .harness import run_claims
 
-    u = _universe(args)
-    return _emit_report(run_claims(u, _parse_checks(args.checks)), args)
+    return _emit_report(run_claims(_universe(args), _parse_checks(args.checks)), args)
 
 
 # -- wiring ----------------------------------------------------------------------
@@ -321,9 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, lines, holds = args.func(args)
+        if lines is None or args.format == "machine":
+            lines = [_machine(payload)]
+        for line in lines:
+            print(line)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
-        return code
+        return 0 if holds else 1
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; let that write go nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)

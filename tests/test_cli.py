@@ -639,6 +639,238 @@ def test_psmall_machine_format(capsys):
     assert data == {"is_fibration": False, "small": True, "p_small": False}
 
 
+# -- exact output ---------------------------------------------------------------------
+
+WC_AB_LIT = json.dumps({"vkind": "wc", "x": json.loads(A_LIT), "y": json.loads(B_LIT)})
+
+# The exact stdout and exit status of every verb, in each format it has.  A
+# human suite report ends each check's line in its elapsed time, which is
+# masked as #.###s.
+PINNED_OUTPUT = [
+    pytest.param(
+        ("decide", "--from", A_LIT, "--to", B_LIT, "--label", "w"),
+        0,
+        "arrow=true star=true w=true f=false c=true\n"
+        "w: true\n",
+        id="decide-w-human",
+    ),
+    pytest.param(
+        ("decide", "--from", A_LIT, "--to", B_LIT, "--label", "f"),
+        1,
+        "arrow=true star=true w=true f=false c=true\n"
+        "f: false\n",
+        id="decide-f-fails-human",
+    ),
+    pytest.param(
+        ("decide", "--from", WC_AB_LIT, "--to", B_LIT, "--label", "f"),
+        0,
+        "f: true\n",
+        id="decide-wc-f-human",
+    ),
+    pytest.param(
+        ("decide", "--from", WC_AB_LIT, "--to", A_LIT),
+        1,
+        "arrow: false\n",
+        id="decide-wc-arrow-fails-human",
+    ),
+    pytest.param(
+        ("factorize", "--from", A_LIT, "--to", C_LIT),
+        0,
+        "arrow: true\n"
+        "middle: wc({{}, {0}}, {{}, {0}, {1}})\n"
+        "facts: into=true star_back=true fibration=true (50 instances)\n",
+        id="factorize-human",
+    ),
+    pytest.param(
+        ("factorize", "--from", TERMINAL_LIT, "--to", A_LIT),
+        1,
+        "arrow: false\n"
+        "middle: wc({{}, N}, {{}, {0}})\n"
+        "facts: into=true star_back=true fibration=true (18 instances)\n",
+        id="factorize-fails-human",
+    ),
+    pytest.param(
+        ("psmall", "--total", A_LIT, "--base", A_LIT),
+        0,
+        "is_fibration: true\n"
+        "small: true\n"
+        "p_small: true\n",
+        id="psmall-human",
+    ),
+    pytest.param(
+        ("psmall", "--total", TERMINAL_LIT, "--base", TERMINAL_LIT),
+        1,
+        "is_fibration: true\n"
+        "small: false\n"
+        "p_small: false\n",
+        id="psmall-fails-human",
+    ),
+    pytest.param(
+        ("univalence", "--total", INITIAL_LIT, "--base", INITIAL_LIT),
+        0,
+        "{{}} over {{}}: valid\n",
+        id="univalence-human",
+    ),
+    pytest.param(
+        ("axioms", "--window", "1", "--checks", "M5_TWO_OF_THREE,M1_LIFTING"),
+        0,
+        "universe: window=1 cofinite=False mode=exhaustive samples=0 seed=42\n"
+        "[PASS] M5_TWO_OF_THREE: 8 instances, 0 violations, #.###s\n"
+        "[PASS] M1_LIFTING: 16 instances, 0 violations, #.###s\n"
+        "result: PASS\n",
+        id="axioms-human",
+    ),
+    pytest.param(
+        ("univalence", "--window", "1", "--cofinite"),
+        0,
+        "{{}} over {{}}: valid\n"
+        "{{}, {0}} over {{}, {0}}: valid\n"
+        "{{}, {0}, N-{0}} over {{}, {0}, N-{0}}: valid\n"
+        "{{}, N} over {{}, N}: valid\n"
+        "{{}, N-{0}} over {{}, N-{0}}: valid\n",
+        id="univalence-window-human",
+    ),
+    pytest.param(
+        ("decide", "--from", A_LIT, "--to", B_LIT, "--label", "w", "--format", "machine"),
+        0,
+        '{"holds":true,"label":"w","verdict":{"arrow":true,"c":true,"f":false,'
+        '"star":true,"w":true}}\n',
+        id="decide-w-machine",
+    ),
+    pytest.param(
+        ("decide", "--from", A_LIT, "--to", B_LIT, "--label", "f", "--format", "machine"),
+        1,
+        '{"holds":false,"label":"f","verdict":{"arrow":true,"c":true,"f":false,'
+        '"star":true,"w":true}}\n',
+        id="decide-f-fails-machine",
+    ),
+    pytest.param(
+        ("decide", "--from", WC_AB_LIT, "--to", B_LIT, "--label", "f", "--format", "machine"),
+        0,
+        '{"holds":true,"label":"f"}\n',
+        id="decide-wc-f-machine",
+    ),
+    pytest.param(
+        ("decide", "--from", WC_AB_LIT, "--to", A_LIT, "--format", "machine"),
+        1,
+        '{"holds":false,"label":"arrow"}\n',
+        id="decide-wc-arrow-fails-machine",
+    ),
+    pytest.param(
+        ("factorize", "--from", A_LIT, "--to", C_LIT, "--format", "machine"),
+        0,
+        '{"arrow":true,"arrow_into_middle":true,"fibration_instances_ok":true,'
+        '"instances":50,"star_back_to_source":true,"wc":{"vkind":"wc",'
+        '"x":{"members":[{"fin":[]},{"fin":[0]}]},"y":{"members":[{"fin":[]},'
+        '{"fin":[0]},{"fin":[1]}]}}}\n',
+        id="factorize-machine",
+    ),
+    pytest.param(
+        ("factorize", "--from", TERMINAL_LIT, "--to", A_LIT, "--format", "machine"),
+        1,
+        '{"arrow":false,"arrow_into_middle":true,"fibration_instances_ok":true,'
+        '"instances":18,"star_back_to_source":true,"wc":{"vkind":"wc",'
+        '"x":{"members":[{"fin":[]},{"cofin":[]}]},"y":{"members":[{"fin":[]},'
+        '{"fin":[0]}]}}}\n',
+        id="factorize-fails-machine",
+    ),
+    pytest.param(
+        ("psmall", "--total", A_LIT, "--base", A_LIT, "--format", "machine"),
+        0,
+        '{"is_fibration":true,"p_small":true,"small":true}\n',
+        id="psmall-machine",
+    ),
+    pytest.param(
+        ("psmall", "--total", TERMINAL_LIT, "--base", TERMINAL_LIT, "--format", "machine"),
+        1,
+        '{"is_fibration":true,"p_small":false,"small":false}\n',
+        id="psmall-fails-machine",
+    ),
+    pytest.param(
+        ("univalence", "--total", INITIAL_LIT, "--base", INITIAL_LIT, "--format", "machine"),
+        0,
+        '{"certificates":[{"base":{"members":[{"fin":[]}]},'
+        '"steps":[{"facts":{"base":{"members":[{"fin":[]}]},'
+        '"square":{"members":[{"fin":[]}]}},"name":"product_collapse",'
+        '"passed":true},{"facts":{"diagonal_exists":true},'
+        '"name":"diagonal_into_square","passed":true},'
+        '{"facts":{"left":{"members":[{"fin":[]}]},'
+        '"right":{"members":[{"fin":[]}]}},"name":"product_symmetry",'
+        '"passed":true},{"facts":{"exponential":{"members":[{"fin":[]},'
+        '{"cofin":[]}]}},"name":"self_exponential_is_terminal","passed":true},'
+        '{"facts":{"classifier":{"a":{"members":[{"fin":[]}]},'
+        '"b":{"members":[{"fin":[]}]},"c":{"members":[{"fin":[]}]},'
+        '"vkind":"wexp"},"full_set_is_member":true,'
+        '"slice_terminal_maps_in":true},'
+        '"name":"weq_classifier_is_slice_terminal","passed":true},'
+        '{"facts":{"comparison_exists":true,'
+        '"interval_argument":"the map is sandwiched between isomorphic endpoints"},'
+        '"name":"comparison_map_is_iso","passed":true}],'
+        '"total":{"members":[{"fin":[]}]},"valid":true}],"valid":true}\n',
+        id="univalence-machine",
+    ),
+    pytest.param(
+        ("axioms", "--window", "1", "--checks", "M5_TWO_OF_THREE,M1_LIFTING")
+        + ("--format", "machine"),
+        0,
+        '{"checks":[{"instances":8,"name":"M5_TWO_OF_THREE","passed":true,'
+        '"violations":[]},{"instances":16,"name":"M1_LIFTING","passed":true,'
+        '"violations":[]}],"passed":true,"universe":{"include_cofinite":false,'
+        '"mode":"exhaustive","samples":0,"seed":42,"window":1}}\n',
+        id="axioms-machine",
+    ),
+    pytest.param(
+        ("product", "--x", A_LIT, "--y", C_LIT),
+        0,
+        '{"members":[{"fin":[]},{"fin":[0]}]}\n',
+        id="product",
+    ),
+    pytest.param(
+        ("coproduct", "--x", A_LIT, "--y", C_LIT),
+        0,
+        '{"members":[{"fin":[]},{"fin":[0]},{"fin":[1]}]}\n',
+        id="coproduct",
+    ),
+    pytest.param(
+        ("exp", "--b", A_LIT, "--c", C_LIT),
+        0,
+        '{"members":[{"fin":[]},{"cofin":[]}]}\n',
+        id="exp",
+    ),
+    pytest.param(
+        ("wexp", "--a", TERMINAL_LIT, "--b", A_LIT, "--c", B_LIT),
+        0,
+        '{"a":{"members":[{"fin":[]},{"cofin":[]}]},"b":{"members":[{"fin":[]},'
+        '{"fin":[0]}]},"c":{"members":[{"fin":[]},{"fin":[0,1]}]},'
+        '"vkind":"wexp"}\n',
+        id="wexp",
+    ),
+    pytest.param(
+        ("wexp", "--a", TERMINAL_LIT, "--b", A_LIT, "--c", B_LIT, "--z", A_LIT),
+        0,
+        '{"classifier":{"a":{"members":[{"fin":[]},{"cofin":[]}]},'
+        '"b":{"members":[{"fin":[]},{"fin":[0]}]},"c":{"members":[{"fin":[]},'
+        '{"fin":[0,1]}]},"vkind":"wexp"},"holds":true}\n',
+        id="wexp-z",
+    ),
+    pytest.param(
+        ("wexp", "--a", TERMINAL_LIT, "--b", C_LIT, "--c", A_LIT, "--z", C_LIT),
+        1,
+        '{"classifier":{"a":{"members":[{"fin":[]},{"cofin":[]}]},'
+        '"b":{"members":[{"fin":[]},{"fin":[0]},{"fin":[1]}]},'
+        '"c":{"members":[{"fin":[]},{"fin":[0]}]},"vkind":"wexp"},'
+        '"holds":false}\n',
+        id="wexp-z-fails",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", PINNED_OUTPUT)
+def test_every_verb_prints_its_pinned_bytes(capsys, argv, code, out):
+    assert run(*argv) == code
+    assert re.sub(r"\d+\.\d{3}s", "#.###s", capsys.readouterr().out) == out
+
+
 # -- argparse wiring ----------------------------------------------------------------
 
 

@@ -1,0 +1,126 @@
+"""The harness's axiom predicates on a model with known answers: finite total orders.
+
+The total order [n] = {0 < 1 < ... < n-1} is a posetal category: the arrow
+i -> j exists when i <= j, the product is min and the coproduct is max.  Its
+model structures are listed here by brute force and compared with the pairs
+(W, F) that the harness's own predicates accept, once the harness's kernel
+names are pointed at the order: ``arrow_exists`` is ``<=``, ``product`` is
+``min``, ``coproduct`` is ``max``, and ``label_w`` and ``label_f`` are
+membership in W and F.  The cofibrations C are every arrow, as famcat's
+``c`` label is the arrow itself.
+
+Only the predicates that read nothing but those names run here:
+``M1_LIFTING``, ``M2_FACTOR_C_WF``, ``M5_TWO_OF_THREE``, ``BASE_CHANGE_F``
+and ``COBASE_CHANGE_WC``.  ``M2_FACTOR_WC_F`` reads famcat's virtual
+objects (the middle ``WC(x, y)``) and ``RETRACT_CLOSURE`` and
+``ISO_INVARIANCE`` read its presentations of an object as sets of sets, so
+those stay famcat-only.
+"""
+
+import itertools
+import operator
+
+import pytest
+
+from famcat import harness
+
+PREDICATES = (
+    (harness._pred_m1, 4),
+    (harness._pred_m2_c_wf, 2),
+    (harness._pred_m5, 3),
+    (harness._pred_base_change, 3),
+    (harness._pred_cobase_change, 3),
+)
+
+
+def _arrows(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _lifts(left, right):
+    """``left`` has the left lifting property against ``right``: every square
+    from ``x -> y`` to ``w -> z`` (``x <= w``, ``y <= z``) has the diagonal ``y -> w``."""
+    (x, y), (w, z) = left, right
+    return not (x <= w and y <= z) or y <= w
+
+
+def _factors(n, first, second):
+    """Every arrow is an arrow of ``first`` followed by one of ``second``."""
+    return all(
+        any((x, m) in first and (m, y) in second for m in range(x, y + 1))
+        for x, y in _arrows(n)
+    )
+
+
+def _classes(n):
+    """Every set of arrows of [n] that holds the identities."""
+    identities = {(i, i) for i in range(n)}
+    others = [(i, j) for i, j in _arrows(n) if i < j]
+    for k in range(len(others) + 1):
+        for chosen in itertools.combinations(others, k):
+            yield frozenset(identities.union(chosen))
+
+
+def weak_factorization_systems(n):
+    """The pairs (L, R) with R = RLP(L), L = LLP(R) and every arrow an L then an R."""
+    arrows = _arrows(n)
+    systems = []
+    for left in _classes(n):
+        right = {r for r in arrows if all(_lifts(l, r) for l in left)}
+        closed = left == {l for l in arrows if all(_lifts(l, r) for r in right)}
+        if closed and _factors(n, left, right):
+            systems.append((left, frozenset(right)))
+    return systems
+
+
+def _two_of_three(n, w):
+    return all(
+        sum(((x, y) in w, (y, z) in w, (x, z) in w)) != 2
+        for x, y, z in itertools.combinations_with_replacement(range(n), 3)
+    )
+
+
+def model_structures(n):
+    """With C = every arrow, (C, F ∩ W) and (C ∩ W, F) = (W, F) are weak
+    factorization systems.  The first says that F ∩ W is the identities, and
+    the second gives that, since an arrow in both lifts against itself.  So
+    the model structures are the (W, F) = (L, R) whose L has 2-of-3."""
+    return {(l, r) for l, r in weak_factorization_systems(n) if _two_of_three(n, l)}
+
+
+def accepted_pairs(n, monkeypatch):
+    """The (W, F), each holding the identities, on which no predicate fires."""
+    labels = {}
+    monkeypatch.setattr(harness, "arrow_exists", operator.le)
+    monkeypatch.setattr(harness, "product", min)
+    monkeypatch.setattr(harness, "coproduct", max)
+    monkeypatch.setattr(harness, "label_w", lambda x, y: (x, y) in labels["w"])
+    monkeypatch.setattr(harness, "label_f", lambda x, y: (x, y) in labels["f"])
+    tuples = [(p, list(itertools.product(range(n), repeat=arity))) for p, arity in PREDICATES]
+    accepted = set()
+    for w, f in itertools.product(list(_classes(n)), repeat=2):
+        labels.update(w=w, f=f)
+        if all(p(t) is None for p, ts in tuples for t in ts):
+            accepted.add((w, f))
+    return accepted
+
+
+@pytest.mark.parametrize(
+    "n, systems, models, accepted",
+    [(1, 1, 1, 1), (2, 2, 2, 3), (3, 5, 4, 12), (4, 14, 8, 60)],
+    ids=["n=1", "n=2", "n=3", "n=4"],
+)
+def test_the_predicates_and_a_factorization_accept_exactly_the_model_structures(
+    monkeypatch, n, systems, models, accepted
+):
+    # the weak factorization systems of [n] are counted by the Catalan numbers
+    assert len(weak_factorization_systems(n)) == systems
+    truth = model_structures(n)
+    assert len(truth) == models
+    found = accepted_pairs(n, monkeypatch)
+    assert len(found) == accepted
+    # every model structure passes the predicates, but they alone let
+    # non-models through; the generic fact "every arrow is a (w) then an (f)"
+    # removes exactly those
+    assert truth <= found
+    assert {(w, f) for w, f in found if _factors(n, w, f)} == truth

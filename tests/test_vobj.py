@@ -889,6 +889,26 @@ def test_factorization_check_serializes_with_the_middle():
     }
 
 
+@pytest.mark.parametrize(
+    "objs, pinned", [(C2, (55, 65, 28)), (W3, (55, 93, 0))], ids=["C2", "W3"]
+)
+def test_the_factorization_middle_maps_to_its_target_on_few_arrow_pairs(objs, pinned):
+    # check_factorization asks three facts, and none of them is the arrow
+    # WC(x, y) -> y.  Over the 148 arrow pairs, count those where that arrow
+    # holds, those where it fails but x -> y is (w), so that x -> y -> y is a
+    # (wc, f) factorization, and those with neither.  A check that asks for the
+    # arrow must move these counts.
+    rows = [0, 0, 0]
+    for x, y in itertools.product(objs, repeat=2):
+        if arrow_exists(x, y):
+            assert check_factorization(x, y).ok
+            if decide(VObj.wc(x, y), y, "arrow")[0]:
+                rows[0] += 1
+            else:
+                rows[1 if label_w(x, y) else 2] += 1
+    assert tuple(rows) == pinned
+
+
 # -- domination by the universe product ----------------------------------------------
 
 

@@ -572,6 +572,27 @@ MUTANTS = (
             "tests/test_harness.py::test_axiom_passes_exhaustively_and_sampled",
         ),
     ),
+    Mutant(
+        "main-prints-machine-json-whatever-the-format",
+        "src/famcat/cli.py",
+        'if lines is None or args.format == "machine":',
+        "if True:",
+        ("tests/test_cli.py::test_every_verb_prints_its_pinned_bytes",),
+    ),
+    Mutant(
+        "main-exits-0-whatever-the-verdict",
+        "src/famcat/cli.py",
+        "return 0 if holds else 1",
+        "return 0",
+        ("tests/test_cli.py::test_factorize_fails_without_an_arrow",),
+    ),
+    Mutant(
+        "two-of-three-fires-on-no-pair",
+        "src/famcat/harness.py",
+        "if sum(ws) >= 2 and not all(ws):",
+        "if sum(ws) > 2 and not all(ws):",
+        ("tests/test_orders.py",),
+    ),
 )
 
 
