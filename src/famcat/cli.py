@@ -22,9 +22,10 @@ The module imports only ``kernel`` and ``vobj`` (and through them
 ``product``, ``coproduct``, ``exp``, ``wexp`` or ``factorize`` call never
 loads them.
 
-A verb prints nothing itself: each ``cmd_*`` returns its machine payload,
-its human lines (``None`` for ``product``, ``coproduct``, ``exp`` and
-``wexp``, which print machine JSON only) and whether its facts hold.
+A verb prints nothing itself: each ``cmd_*`` returns its machine payload
+(``univalence`` builds it under ``--format machine`` only), its human lines
+(``None`` for ``product``, ``coproduct``, ``exp`` and ``wexp``, which print
+machine JSON only) and whether its facts hold.
 ``main`` prints the payload as compact sorted JSON under ``--format
 machine`` or when there are no human lines, and the lines otherwise, and it
 maps the verdict to exit status 0 or 1.
@@ -157,8 +158,11 @@ def cmd_univalence(args: argparse.Namespace) -> _Outcome:
     else:
         certs = [is_univalent(q) for q in sample_fibrations(_universe(args))]
     ok = all(c.valid for c in certs)
-    payload = {"certificates": [c.to_json_dict() for c in certs], "valid": ok}
-    # one line per certificate, built only when the human format prints them
+    # each is built only in the format that prints it: the payload under
+    # --format machine, and one line per certificate otherwise
+    payload = None
+    if args.format == "machine":
+        payload = {"certificates": [c.to_json_dict() for c in certs], "valid": ok}
     lines = (
         f"{c.total} over {c.base}: " + ("valid" if c.valid else f"INVALID at {c.failing_step}")
         for c in certs

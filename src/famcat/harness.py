@@ -8,11 +8,17 @@ minimized, replayable counterexamples; a :class:`Report` bundles a suite.
 
 Axioms, claims and the universal-fibration check of ``univalence`` share
 one runner, ``run_suite``.  An exhaustive universe is enumerated once per
-call, and a check with a premise decides the arrow, w and f facts and the
-product and coproduct of each pair once, and runs its predicate only on the
-tuples its premise admits.  A premise reads the facts its conclusion reads
-too: two-of-three the three w facts, base change the f fact of the
-product, cobase change the w fact into the coproduct.  A
+call.  The first check with a premise builds the relation tables of the
+arrow, w and f facts and of the product and coproduct of every pair, from
+the columns of the objects' members and with no decider call, and each
+such check runs its predicate only on the tuples its premise admits.  The
+premises are a sound filter because the tables equal the deciders' facts
+on every universe that :func:`enumerate_objects` lists (the proof is in
+:func:`_relations`), and tier-1 compares the two on every universe of up
+to 167 objects.  A premise reads the facts its conclusion reads too:
+two-of-three the three w facts, the (c, wf) factorization those of the
+identity, base change the f fact of the product, cobase change the w fact
+into the coproduct.  A
 sampled universe is drawn once per call, as one seeded stream held as
 indices into its distinct objects, and each check decides a tuple it meets
 again once; a draw with too many distinct objects to hold is drawn afresh
@@ -34,10 +40,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
 import time
 from array import array
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value, _set
 from .kernel import (
@@ -362,43 +369,85 @@ Relations = tuple[Rows, Rows, Rows, Table, Table]
 Premise = Callable[[Rows, Rows, Rows, Table, Table], Iterator[tuple[int, ...]]]
 
 
-def _relations(objs: Sequence[Obj]) -> Relations:
-    """The pair facts of the enumerated objects ``objs``.
+def _union(rows: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, rows, 0)
 
-    The facts are three lists of int bitset rows, ``(A, W, F)``: bit ``j``
-    of ``A[i]`` is set when ``arrow_exists(objs[i], objs[j])``, and ``W``
-    and ``F`` hold ``label_w`` and ``label_f`` the same way.  Two index
-    tables follow, ``(P, C)``: ``P[i][j]`` is the index of
-    ``product(objs[i], objs[j])`` in ``objs``, or ``None`` when the product
-    is not enumerated, and ``C`` holds ``coproduct`` the same way.  Both
-    are symmetric on canonical objects, so each is computed on half the
-    pairs.  Each fact is decided once.
+
+def _relations(objs: Sequence[Obj]) -> Relations:
+    """The relation tables of an exhaustive universe ``objs``, from member columns.
+
+    Three lists of int bitset rows come first, ``(A, W, F)``: bit ``j`` of
+    ``A[i]`` is set when ``arrow_exists(objs[i], objs[j])``, and ``W`` and
+    ``F`` hold ``label_w`` and ``label_f`` the same way.  Two index tables
+    follow, ``(P, C)``: ``P[i][j]`` is the index of ``product(objs[i],
+    objs[j])`` in ``objs``, or ``None`` when no object has its down-set,
+    and ``C`` holds ``coproduct`` the same way.  No decider is called; the
+    tables equal the deciders' facts on every universe that
+    :func:`enumerate_objects` lists, by this argument:
+
+    * ``A``: ``x -> y`` holds when each non-empty member ``g`` of ``x``
+      lies in a member of ``y`` (the empty one lies in every member).  So
+      with ``up[g]`` the objects that have a member containing ``g``,
+      ``A[i]`` is the AND of ``up[g]`` over the non-empty members of
+      ``objs[i]``, and every object when it has none.  Each member of an
+      object in ``objs`` is a key of ``up``, so this holds for any list.
+    * ``down[j]``, the objects with an arrow into ``objs[j]``: those with
+      no member ``g`` outside it, that is with ``j`` not in ``up[g]``.
+    * ``W``: ``label_w`` is the arrow and ``star`` back, and ``star(y, x)``
+      holds when ``x`` has a cofinite member or ``y`` has none (canonical
+      objects are never empty).  So ``W[i]`` is ``A[i]``, masked to the
+      objects with no cofinite member unless ``objs[i]`` has one.
+    * ``F``: ``label_f`` is mutual arrows, ``A[i] & down[i]``.
+    * ``P`` and ``C``: the category is posetal, so the product is the meet
+      and the coproduct the join: ``p -> x*y`` iff ``p -> x`` and ``p ->
+      y``, and ``x+y -> q`` iff ``x -> q`` and ``y -> q``.  An exhaustive
+      universe is closed under both, since the meets and unions of members
+      supported in the window are supported there too, and every antichain
+      of such members is enumerated.  Distinct canonical objects have
+      distinct down-sets and distinct up-sets, since isomorphic canonical
+      objects are equal.  So ``P[i][j]`` is the object whose down-set is
+      ``down[i] & down[j]`` and ``C[i][j]`` the one whose up-set is
+      ``A[i] & A[j]``, each found by one dict lookup.  On a list that is
+      not closed, a lookup may miss, giving ``None``, or find an object
+      that is not the product; the suites build tables on exhaustive
+      universes only.
     """
-    rows = tuple(
-        [sum(1 << j for j, y in enumerate(objs) if fact(x, y)) for x in objs]
-        for fact in (arrow_exists, label_w, label_f)
-    )
-    index = {ob: i for i, ob in enumerate(objs)}
-    tables = []
-    for op in (product, coproduct):
-        table: Table = [[None] * len(objs) for _ in objs]
-        for i, x in enumerate(objs):
-            for j in range(i, len(objs)):
-                table[i][j] = table[j][i] = index.get(op(x, objs[j]))
-        tables.append(table)
-    return (*rows, *tables)
+    every = (1 << len(objs)) - 1
+    holding: dict[int, int] = {}  # a non-empty member: the objects that hold it
+    for i, ob in enumerate(objs):
+        for g in ob._signed[1:]:
+            holding[g] = holding.get(g, 0) | 1 << i
+    up = {g: _union(holding[h] for h in holding if not g & ~h) for g in holding}
+    A = [
+        functools.reduce(operator.and_, map(up.__getitem__, ob._signed[1:]), every)
+        for ob in objs
+    ]
+    down = [
+        every & ~_union(holding[g] for g in holding if not up[g] >> j & 1)
+        for j in range(len(objs))
+    ]
+    finite = sum(1 << i for i, ob in enumerate(objs) if min(ob._signed) >= 0)
+    W = [a if min(ob._signed) < 0 else a & finite for a, ob in zip(A, objs)]
+    F = [a & d for a, d in zip(A, down)]
+    tables: list[Table] = []
+    for rows in (down, A):  # meets by their down-sets, joins by their up-sets
+        at = {r: i for i, r in enumerate(rows)}
+        tables.append([[at.get(r & s) for s in rows] for r in rows])
+    return A, W, F, *tables
 
 
 def _premise_m1(
     A: Rows, W: Rows, F: Rows, P: Table, C: Table
 ) -> Iterator[tuple[int, ...]]:
     # Both squares need arrow(x, w), arrow(y, z), f(w, z) and no arrow(y, w);
-    # the first needs w(x, y), the second arrow(x, y).  On canonical objects
-    # this yields nothing: f is is_iso, so z == w, and then arrow(y, z)
-    # contradicts not arrow(y, w).
+    # the first needs w(x, y), the second arrow(x, y).  So w lies in
+    # A[x] & ~A[y] and in hit[y], the w with f(w, z) for some z in A[y]; the
+    # w it skips have no z.  On canonical objects this yields nothing: f is
+    # is_iso, so z == w, and then arrow(y, z) contradicts not arrow(y, w).
+    hit = [sum(1 << w for w, f in enumerate(F) if f & a) for a in A]
     for x in range(len(A)):
         for y in _elements(A[x] | W[x]):
-            for w in _elements(A[x] & ~A[y]):
+            for w in _elements(A[x] & ~A[y] & hit[y]):
                 for z in _elements(A[y] & F[w]):
                     yield x, y, w, z
 
@@ -406,9 +455,20 @@ def _premise_m1(
 def _premise_arrow(
     A: Rows, W: Rows, F: Rows, P: Table, C: Table
 ) -> Iterator[tuple[int, ...]]:
-    # Both factorization checks start from arrow(x, y).
+    # The (wc, f) factorization starts from arrow(x, y).
     for x in range(len(A)):
         for y in _elements(A[x]):
+            yield x, y
+
+
+def _premise_m2_c_wf(
+    A: Rows, W: Rows, F: Rows, P: Table, C: Table
+) -> Iterator[tuple[int, ...]]:
+    # The (c, wf) factorization x -> y -> y fails only when the identity of
+    # y is not both (w) and (f).
+    not_wf = sum(1 << y for y in range(len(A)) if not W[y] >> y & F[y] >> y & 1)
+    for x in range(len(A)):
+        for y in _elements(A[x] & not_wf):
             yield x, y
 
 
@@ -443,13 +503,15 @@ def _premise_cobase_change(
     A: Rows, W: Rows, F: Rows, P: Table, C: Table
 ) -> Iterator[tuple[int, ...]]:
     # On (x, z, y), the span is w(x, z) and arrow(x, y); it fails only
-    # without w(y, z + y).
+    # without w(y, z + y).  bad[z] holds the y whose coproduct with z is not
+    # enumerated or has no w from y.
+    bad = [
+        sum(1 << y for y, c in enumerate(row) if c is None or not W[y] >> c & 1) for row in C
+    ]
     for x in range(len(A)):
         for z in _elements(W[x]):
-            for y in _elements(A[x]):
-                c = C[z][y]
-                if c is None or not W[y] >> c & 1:
-                    yield x, z, y
+            for y in _elements(A[x] & bad[z]):
+                yield x, z, y
 
 
 # -- presentation variants for the retract / iso checks ------------------------
@@ -653,7 +715,7 @@ Check = tuple[int, Predicate, "Premise | None"]
 _AXIOMS: dict[str, Check] = {
     "M1_LIFTING": (4, _pred_m1, _premise_m1),
     "M2_FACTOR_WC_F": (2, _pred_m2_wc_f, _premise_arrow),
-    "M2_FACTOR_C_WF": (2, _pred_m2_c_wf, _premise_arrow),
+    "M2_FACTOR_C_WF": (2, _pred_m2_c_wf, _premise_m2_c_wf),
     "M5_TWO_OF_THREE": (3, _pred_m5, _premise_m5),
     "BASE_CHANGE_F": (3, _pred_base_change, _premise_base_change),
     "COBASE_CHANGE_WC": (3, _pred_cobase_change, _premise_cobase_change),

@@ -616,6 +616,24 @@ def test_univalence_batch_over_a_window(capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
 
+def test_human_univalence_builds_no_certificate_json(capsys, monkeypatch):
+    built = []
+    to_json = univalence.UnivalenceCertificate.to_json_dict
+
+    def spy(cert):
+        built.append(cert)
+        return to_json(cert)
+
+    monkeypatch.setattr(univalence.UnivalenceCertificate, "to_json_dict", spy)
+    assert run("univalence", "--window", "2") == 0
+    assert run("univalence", "--total", B_LIT, "--base", B_LIT) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert built == []
+    # the spy does see the machine format build each certificate's payload
+    assert run("univalence", "--window", "2", "--format", "machine") == 0
+    assert len(json.loads(capsys.readouterr().out)["certificates"]) == len(built) == 5
+
+
 def test_univalence_rejects_non_fibrations(capsys):
     assert run("univalence", "--total", A_LIT, "--base", B_LIT) == 2
     assert run("univalence", "--total", A_LIT) == 2  # --base missing

@@ -6,10 +6,12 @@ claim check must pass on the exhaustive and a seeded cofinite universe;
 both suites, exhaustive (premise-first or not) and sampled, must report
 exactly what a hand-built scan of every tuple reports, also under
 deliberately weakened deciders that make each violation test of an axiom or
-claim fire; a sampled suite call decides each distinct
-tuple once and keeps nothing for the next call; and the opt-in literal star
-template must produce real, replayable counterexamples to isomorphism
-invariance.
+claim fire (the premises then read the weakened facts from the per-pair
+oracle of the relation tables, which the column-built tables must equal on
+every universe of up to 167 objects); a sampled suite call decides each
+distinct tuple once and keeps nothing for the next call; and the opt-in
+literal star template must produce real, replayable counterexamples to
+isomorphism invariance.
 """
 
 import itertools
@@ -412,6 +414,21 @@ def _factorization_failing_into_large_targets(x, y):
     )
 
 
+def per_pair_relations(objs):
+    """The relation tables decided pair by pair, through the names the harness
+    reads and the tests patch: the oracle of the column-built ``_relations``."""
+    rows = tuple(
+        [sum(1 << j for j, y in enumerate(objs) if fact(x, y)) for x in objs]
+        for fact in (harness.arrow_exists, harness.label_w, harness.label_f)
+    )
+    index = {ob: i for i, ob in enumerate(objs)}
+    P, C = (
+        [[index.get(op(x, y)) for y in objs] for x in objs]
+        for op in (harness.product, harness.coproduct)
+    )
+    return (*rows, P, C)
+
+
 # Each weakened decider breaks the axioms it names, so the comparison below
 # covers the pruning of tuples where violations exist.
 WEAKENED = {
@@ -449,6 +466,8 @@ def test_premise_first_checks_match_brute_force_on_weakened_deciders(
     deciders, broken = WEAKENED[patch]
     for attr, fake in deciders.items():
         monkeypatch.setattr(harness, attr, fake)
+    # the column tables hold the real facts; the premises must see the weakened ones
+    monkeypatch.setattr(harness, "_relations", per_pair_relations)
     got = harness_suite(universe, "axioms", AXIOM_NAMES)
     assert got == brute_force(universe, "axioms", AXIOM_NAMES)
     assert {name for name, _, found in got if found} == broken
@@ -529,8 +548,93 @@ def test_claim_suites_match_brute_force_on_weakened_deciders(monkeypatch, univer
 PREMISED = {name: check for name, check in harness._AXIOMS.items() if check[2]}
 
 
+C3 = Universe(window=3, include_cofinite=True)
+W4 = Universe(window=4)
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [Universe(window=0), Universe(window=0, include_cofinite=True), Universe(window=1)]
+    + [C1, W2, C2, W3, C3, W4],
+    ids=["W0", "C0", "W1", "C1", "W2", "C2", "W3", "C3", "W4"],
+)
+def test_column_tables_are_the_per_pair_tables(monkeypatch, universe):
+    monkeypatch.setattr(harness, "_guard", lambda u: None)  # C3 and W4 have 167 objects
+    objs = enumerate_objects(universe)
+
+    def refuse(*args):
+        raise AssertionError("an NSet was compared or hashed")
+
+    # both builders read signed masks only: the columns, and the oracle's
+    # index of objects, whose equality and hash are those of their masks
+    monkeypatch.setattr(NSet, "__eq__", refuse)
+    monkeypatch.setattr(NSet, "__hash__", refuse)
+    A, W, F, P, C = tables = harness._relations(objs)
+    assert tables == per_pair_relations(objs)
+    # every fact occurs: some arrow is not (w), and some (w) arrow is not (f)
+    if len(objs) > 2:
+        assert any(a & ~w for a, w in zip(A, W)) == universe.include_cofinite
+        assert any(w & ~f for w, f in zip(W, F))
+
+
+def _bits(row, n):
+    return [j for j in range(n) if row >> j & 1]
+
+
+def nested_m1(A, W, F, P, C):
+    n = len(A)
+    for x in range(n):
+        for y in _bits(A[x] | W[x], n):
+            for w in _bits(A[x] & ~A[y], n):
+                for z in _bits(A[y] & F[w], n):
+                    yield x, y, w, z
+
+
+def nested_c_wf(A, W, F, P, C):
+    n = len(A)
+    for x in range(n):
+        for y in _bits(A[x], n):
+            if not (W[y] >> y & 1 and F[y] >> y & 1):
+                yield x, y
+
+
+def nested_cobase_change(A, W, F, P, C):
+    n = len(A)
+    for x in range(n):
+        for z in _bits(W[x], n):
+            for y in _bits(A[x], n):
+                c = C[z][y]
+                if c is None or not W[y] >> c & 1:
+                    yield x, z, y
+
+
+# The premises that walk rows built from other rows, and the nested walks,
+# one tuple at a time, that they replace.
+NESTED = {
+    "M1_LIFTING": nested_m1,
+    "M2_FACTOR_C_WF": nested_c_wf,
+    "COBASE_CHANGE_WC": nested_cobase_change,
+}
+
+
+@pytest.mark.parametrize("universe", [C1, W2, C2], ids=["C1", "W2", "C2"])
+def test_row_algebra_premises_yield_the_nested_walks(monkeypatch, universe):
+    objs = enumerate_objects(universe)
+    walked = set()
+    for patch, (deciders, _) in WEAKENED.items():
+        with monkeypatch.context() as m:
+            for attr, fake in deciders.items():
+                m.setattr(harness, attr, fake)
+            relations = per_pair_relations(objs)
+        for name, walk in NESTED.items():
+            want = list(walk(*relations))
+            assert list(harness._AXIOMS[name][2](*relations)) == want, (patch, name)
+            walked.update([name] if want else [])
+    assert walked == set(NESTED)
+
+
 def assert_premises_admit_every_firing_tuple(objs):
-    relations = harness._relations(objs)
+    relations = per_pair_relations(objs)
     for name, (arity, pred, premise) in PREMISED.items():
         admitted = set(premise(*relations))
         for index in itertools.product(range(len(objs)), repeat=arity):
@@ -555,6 +659,7 @@ def test_conclusion_reading_premises_yield_nothing_on_canonical_objects(universe
     assert all(k is not None for table in (P, C) for row in table for k in row)
     for premise in (
         harness._premise_m1,
+        harness._premise_m2_c_wf,
         harness._premise_m5,
         harness._premise_base_change,
         harness._premise_cobase_change,
@@ -578,13 +683,14 @@ def test_a_product_or_coproduct_outside_the_universe_is_yielded(monkeypatch):
 
     monkeypatch.setattr(harness, "product", leaving(harness.product))
     monkeypatch.setattr(harness, "coproduct", leaving(harness.coproduct))
-    A, W, F, P, C = harness._relations(objs)
+    A, W, F, P, C = per_pair_relations(objs)
     assert P[i][j] is P[j][i] is C[i][j] is C[j][i] is None
     base = set(harness._premise_base_change(A, W, F, P, C))
     assert {(i, j, z) for z in range(len(objs)) if F[j] >> z & 1 and A[i] >> z & 1} <= base
     cobase = set(harness._premise_cobase_change(A, W, F, P, C))
     assert {(x, i, j) for x in range(len(objs)) if W[x] >> i & 1 and A[x] >> j & 1} <= cobase
     assert_premises_admit_every_firing_tuple(objs)
+    monkeypatch.setattr(harness, "_relations", per_pair_relations)
     names = ("BASE_CHANGE_F", "COBASE_CHANGE_WC")
     got = harness_suite(C1, "axioms", names)
     assert got == brute_force(C1, "axioms", names)

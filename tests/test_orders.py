@@ -14,7 +14,10 @@ Only the predicates that read nothing but those names run here:
 and ``COBASE_CHANGE_WC``.  ``M2_FACTOR_WC_F`` reads famcat's virtual
 objects (the middle ``WC(x, y)``) and ``RETRACT_CLOSURE`` and
 ``ISO_INVARIANCE`` read its presentations of an object as sets of sets, so
-those stay famcat-only.
+those stay famcat-only.  Each of the generic predicates but
+``M2_FACTOR_C_WF`` rejects, on [4], some non-model that no other one
+rejects; the test names one for each, and records that ``M2_FACTOR_C_WF``
+rejects nothing there.
 """
 
 import itertools
@@ -24,13 +27,7 @@ import pytest
 
 from famcat import harness
 
-PREDICATES = (
-    (harness._pred_m1, 4),
-    (harness._pred_m2_c_wf, 2),
-    (harness._pred_m5, 3),
-    (harness._pred_base_change, 3),
-    (harness._pred_cobase_change, 3),
-)
+GENERIC = ("M1_LIFTING", "M2_FACTOR_C_WF", "M5_TWO_OF_THREE", "BASE_CHANGE_F", "COBASE_CHANGE_WC")
 
 
 def _arrows(n):
@@ -52,13 +49,16 @@ def _factors(n, first, second):
     )
 
 
+def _with_identities(n, arrows):
+    return frozenset(arrows).union((i, i) for i in range(n))
+
+
 def _classes(n):
     """Every set of arrows of [n] that holds the identities."""
-    identities = {(i, i) for i in range(n)}
     others = [(i, j) for i, j in _arrows(n) if i < j]
     for k in range(len(others) + 1):
         for chosen in itertools.combinations(others, k):
-            yield frozenset(identities.union(chosen))
+            yield _with_identities(n, chosen)
 
 
 def weak_factorization_systems(n):
@@ -88,21 +88,29 @@ def model_structures(n):
     return {(l, r) for l, r in weak_factorization_systems(n) if _two_of_three(n, l)}
 
 
-def accepted_pairs(n, monkeypatch):
-    """The (W, F), each holding the identities, on which no predicate fires."""
+def rejections(n, monkeypatch):
+    """Each (W, F), both holding the identities, mapped to the names of the
+    generic predicates that fire on some tuple of [n]."""
     labels = {}
     monkeypatch.setattr(harness, "arrow_exists", operator.le)
     monkeypatch.setattr(harness, "product", min)
     monkeypatch.setattr(harness, "coproduct", max)
     monkeypatch.setattr(harness, "label_w", lambda x, y: (x, y) in labels["w"])
     monkeypatch.setattr(harness, "label_f", lambda x, y: (x, y) in labels["f"])
-    tuples = [(p, list(itertools.product(range(n), repeat=arity))) for p, arity in PREDICATES]
-    accepted = set()
+    checks = []
+    for name in GENERIC:
+        arity, pred, _ = harness._AXIOMS[name]
+        checks.append((name, pred, list(itertools.product(range(n), repeat=arity))))
+    rejected = {}
     for w, f in itertools.product(list(_classes(n)), repeat=2):
         labels.update(w=w, f=f)
-        if all(p(t) is None for p, ts in tuples for t in ts):
-            accepted.add((w, f))
-    return accepted
+        rejected[w, f] = {name for name, p, ts in checks if any(p(t) is not None for t in ts)}
+    return rejected
+
+
+def accepted_pairs(n, monkeypatch):
+    """The (W, F), each holding the identities, on which no predicate fires."""
+    return {pair for pair, by in rejections(n, monkeypatch).items() if not by}
 
 
 @pytest.mark.parametrize(
@@ -124,3 +132,29 @@ def test_the_predicates_and_a_factorization_accept_exactly_the_model_structures(
     # removes exactly those
     assert truth <= found
     assert {(w, f) for w, f in found if _factors(n, w, f)} == truth
+
+
+# On [4]: how many non-models each generic predicate rejects with no other
+# predicate rejecting them, and the first of them by size, named by the
+# arrows of W and of F besides the identities.  M2_FACTOR_C_WF rejects none
+# at all: with C every arrow, x -> y -> y is a (c, wf) factorization once the
+# identities are (w) and (f), and every W and F here holds them.
+ALONE = {
+    "M1_LIFTING": (132, {(0, 1)}, {(0, 1)}),
+    "M2_FACTOR_C_WF": (0, None, None),
+    "M5_TWO_OF_THREE": (42, {(0, 1), (1, 2)}, set()),
+    "BASE_CHANGE_F": (75, set(), {(0, 2)}),
+    "COBASE_CHANGE_WC": (27, {(0, 2)}, set()),
+}
+
+
+def test_each_generic_predicate_but_one_rejects_a_non_model_alone(monkeypatch):
+    rejected = rejections(4, monkeypatch)
+    truth = model_structures(4)
+    assert set(ALONE) == set(GENERIC)
+    for name, (count, w, f) in ALONE.items():
+        assert sum(by == {name} for by in rejected.values()) == count, name
+        if count:
+            pair = (_with_identities(4, w), _with_identities(4, f))
+            assert rejected[pair] == {name} and pair not in truth, name
+    assert not any("M2_FACTOR_C_WF" in by for by in rejected.values())

@@ -218,8 +218,8 @@ MUTANTS = (
     Mutant(
         "cobase-premise-miss-not-yielded",
         "src/famcat/harness.py",
-        "if c is None or not W[y] >> c & 1:",
-        "if c is not None and not W[y] >> c & 1:",
+        "if c is None or not W[y] >> c & 1) for row in C",
+        "if c is not None and not W[y] >> c & 1) for row in C",
         ("tests/test_harness.py::test_a_product_or_coproduct_outside_the_universe_is_yielded",),
     ),
     Mutant(
@@ -235,12 +235,33 @@ MUTANTS = (
     Mutant(
         "relation-tables-without-their-diagonal",
         "src/famcat/harness.py",
-        "for j in range(i, len(objs)):",
-        "for j in range(i + 1, len(objs)):",
+        "[[at.get(r & s) for s in rows] for r in rows]",
+        "[[at.get(r & s) if r != s else None for s in rows] for r in rows]",
         (
             "tests/test_harness.py::"
             "test_conclusion_reading_premises_yield_nothing_on_canonical_objects[W3]",
         ),
+    ),
+    Mutant(
+        "w-table-without-its-cofinite-mask",
+        "src/famcat/harness.py",
+        "W = [a if min(ob._signed) < 0 else a & finite for a, ob in zip(A, objs)]",
+        "W = list(A)",
+        ("tests/test_harness.py::test_column_tables_are_the_per_pair_tables",),
+    ),
+    Mutant(
+        "f-table-is-the-arrow-table",
+        "src/famcat/harness.py",
+        "F = [a & d for a, d in zip(A, down)]",
+        "F = list(A)",
+        ("tests/test_harness.py::test_column_tables_are_the_per_pair_tables",),
+    ),
+    Mutant(
+        "products-looked-up-by-up-sets",
+        "src/famcat/harness.py",
+        "for rows in (down, A):",
+        "for rows in (A, A):",
+        ("tests/test_harness.py::test_column_tables_are_the_per_pair_tables",),
     ),
     Mutant(
         "draw-key-not-maximal",
@@ -439,10 +460,7 @@ MUTANTS = (
         "        return self.members == other.members\n\n"
         "    def __hash__(self) -> int:\n"
         "        return hash((self.members,))",
-        (
-            "tests/test_univalence.py::"
-            "test_object_identity_never_compares_or_hashes_an_nset",
-        ),
+        ("tests/test_harness.py::test_column_tables_are_the_per_pair_tables",),
     ),
     Mutant(
         "literal-star-source-not-complemented",
@@ -585,6 +603,34 @@ MUTANTS = (
         "return 0 if holds else 1",
         "return 0",
         ("tests/test_cli.py::test_factorize_fails_without_an_arrow",),
+    ),
+    Mutant(
+        "lifting-first-square-never-fires",
+        "src/famcat/harness.py",
+        "    if label_w(x, y):\n",
+        "    if False:\n",
+        ("tests/test_orders.py",),
+    ),
+    Mutant(
+        "c-wf-factorization-reads-the-arrow",
+        "src/famcat/harness.py",
+        "not (label_w(y, y) and label_f(y, y))",
+        "not (label_w(x, y) and label_f(y, y))",
+        ("tests/test_orders.py",),
+    ),
+    Mutant(
+        "base-change-pulls-back-along-z",
+        "src/famcat/harness.py",
+        "not label_f(product(x, y), x)",
+        "not label_f(product(x, z), x)",
+        ("tests/test_orders.py",),
+    ),
+    Mutant(
+        "cobase-change-pushes-out-x",
+        "src/famcat/harness.py",
+        "not label_w(y, coproduct(z, y))",
+        "not label_w(y, coproduct(x, y))",
+        ("tests/test_orders.py",),
     ),
     Mutant(
         "two-of-three-fires-on-no-pair",
