@@ -27,7 +27,9 @@ the deciders also take non-canonical presentations of an object, which the
 harness exploits, and one-shot iterables.  :func:`normalize`,
 :func:`coproduct`, :func:`product`, the exponential of :mod:`famcat.vobj`
 and the sampled draw of :mod:`famcat.harness` build canonical objects on
-the masks and make NSets only for the members they keep.  All values are
+the masks and make NSets only for the members they keep; the fibration
+deciders make NSets only for a :class:`GapWitness` they return, and
+``Obj.to_json_dict`` writes each member from its mask.  All values are
 immutable and every function is pure, so concurrent use is safe.
 """
 
@@ -167,7 +169,12 @@ class Obj(Value):
         return len(self.members)
 
     def to_json_dict(self) -> dict[str, list[dict[str, list[int]]]]:
-        return {"members": [m.to_json_dict() for m in self.members]}
+        """Each member as :meth:`NSet.to_json_dict` writes it, from its signed mask."""
+        return {
+            "members": [
+                {"cofin": _elements(~s)} if s < 0 else {"fin": _elements(s)} for s in self._signed
+            ]
+        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "Obj":
@@ -289,50 +296,69 @@ class GapWitness(Value):
 
     def defeats(self, source: Family) -> bool:
         """Replay the witness: confirm no source member covers it."""
-        need = (self.x & self.y) | self.blocker
-        return not any(need.is_subset(m) for m in source)
+        need = (self.x._s & self.y._s) | self.blocker._s
+        return all(need & ~m for m in _signed_masks(source))
 
 
 def fibration_gap(source: Family, target: Family) -> GapWitness | None:
     """Definitional decider via witness search; ``None`` means the condition holds.
 
-    For each pair (x, y) the candidates are the source members containing
-    ``x & y``.  If none of them contains y outright, collecting one element
-    of ``y - candidate`` per candidate yields a finite subset of y that no
-    member can cover, because the candidate set is finite.  That blocker is
-    returned; its absence for every pair decides the condition positively.
+    The pairs ``(x, y)`` are each source member, then the empty set if the
+    source lacks it, against each target member.  The candidates of a pair
+    are the source members ``m`` that contain ``x & y``, that is with
+    ``x & y & ~m == 0``.  If one of them contains y outright (``y & ~m ==
+    0``), every finite ``b`` inside y is covered and the pair is skipped.
+    Otherwise each ``y & ~m`` is non-zero, and its lowest set bit is a point
+    of y that m misses; the OR of those bits is a finite blocker inside y
+    that no member covers: a candidate misses its own bit, and any other
+    member misses part of ``x & y``.  The first such blocker is returned,
+    with NSets made for it alone; its absence for every pair decides the
+    condition positively.  The blocker is built unchecked, since its points
+    may pass :data:`~famcat.nset.MAX_ELEMENT`: a member holding every point
+    up to it leaves only points past it for the blocker.
     """
-    src = tuple(source)
-    for x in src if EMPTY in src else src + (EMPTY,):
-        for y in target:
+    src, tgt = _signed_masks(source), _signed_masks(target)
+    for x in src if 0 in src else (*src, 0):
+        for y in tgt:
             meet = x & y
-            candidates = [m for m in src if meet.is_subset(m)]
-            if any(y.is_subset(m) for m in candidates):
-                continue
-            picks = []
-            for m in candidates:
-                gap = (y - m).smallest()
-                assert gap is not None  # y is not inside m, so something is missing
-                picks.append(gap)
-            return GapWitness(x=x, y=y, blocker=NSet.fin(picks))
+            blocker = 0
+            for m in src:
+                if not meet & ~m:
+                    d = y & ~m
+                    if not d:
+                        break
+                    blocker |= d & -d
+            else:
+                return GapWitness(x=_make(x), y=_make(y), blocker=_make(blocker))
     return None
 
 
 def fibration_condition_enumerated(source: Family, target: Family) -> bool:
-    """Brute-force decider enumerating every finite b; finite members only."""
-    src, tgt = tuple(source), tuple(target)
-    for m in src + tgt:
-        if m.cofinite:
+    """Brute-force decider enumerating every finite b; finite members only.
+
+    Each ``b`` is a submask of y, walked from y itself down to the empty
+    set by ``b = (b - 1) & y``.
+    """
+    src, tgt = _signed_masks(source), _signed_masks(target)
+    for m in (*src, *tgt):
+        if m < 0:
             raise ValueError("the enumerating decider needs finite members")
-        if m.mask.bit_count() > _MAX_ENUMERATED_SUPPORT:
+        if m.bit_count() > _MAX_ENUMERATED_SUPPORT:
             raise SizeGuardError("support too large to enumerate")
-    for x in src if EMPTY in src else src + (EMPTY,):
+    for x in src if 0 in src else (*src, 0):
         for y in tgt:
-            for size in range(len(y.support) + 1):
-                for b in itertools.combinations(y.support, size):
-                    need = (x & y) | NSet.fin(b)
-                    if not any(need.is_subset(m) for m in src):
-                        return False
+            meet = x & y
+            b = y
+            while True:
+                need = meet | b
+                for m in src:
+                    if not need & ~m:
+                        break
+                else:
+                    return False
+                if not b:
+                    break
+                b = (b - 1) & y
     return True
 
 

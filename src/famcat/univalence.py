@@ -192,15 +192,24 @@ def is_p_small(q: Fibration) -> bool:
 
 
 def sample_fibrations(u: Universe) -> list[Fibration]:
-    """Identity fibrations on the universe's objects.
+    """Identity fibrations on the universe's objects, one per object drawn.
 
     On explicit finite families the fibration condition forces mutual
     arrows, so canonically every explicit fibration is an identity; the
-    non-identity fibrations of interest live on the virtual side.
+    non-identity fibrations of interest live on the virtual side.  Each
+    distinct object's fibration is verified once, and a repeat of the
+    object gets the same :class:`Fibration`.
     """
     from .harness import universe_objects
 
-    return [Fibration.verified(x, x) for x in universe_objects(u)]
+    built: dict[Obj, Fibration] = {}
+    fibs = []
+    for x in universe_objects(u):
+        q = built.get(x)
+        if q is None:
+            q = built[x] = Fibration.verified(x, x)
+        fibs.append(q)
+    return fibs
 
 
 def _pred_universal(t: tuple[Obj, ...]) -> str | None:

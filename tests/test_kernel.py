@@ -531,6 +531,133 @@ def test_enumerated_decider_rejects_infinite_or_oversized_members():
     assert issubclass(SizeGuardError, ValueError)
 
 
+def test_gap_witness_may_name_a_point_past_max_element():
+    # the one member holding 0..MAX_ELEMENT misses only points past it, so the
+    # blocker of (empty, N) picks 0 from the empty member and MAX_ELEMENT + 1
+    # from the other; a literal could not name that point, but a witness can
+    source = Obj.of(fin(range(MAX_ELEMENT + 1)))
+    assert not fibration_condition(source, TERMINAL)
+    w = fibration_gap(source, TERMINAL)
+    assert w == GapWitness(x=EMPTY, y=FULL, blocker=_make(1 | 1 << (MAX_ELEMENT + 1)))
+    assert w.defeats(source)
+
+
+# -- the NSet-algebra oracles of the fibration deciders --------------------------------
+
+
+def oracle_fibration_gap(source, target) -> tuple[NSet, NSet, NSet] | None:
+    """The witness search on NSet algebra: the first ``(x, y, blocker)``."""
+    src = tuple(source)
+    for x in src if EMPTY in src else src + (EMPTY,):
+        for y in target:
+            meet = x & y
+            candidates = [m for m in src if meet.is_subset(m)]
+            if any(y.is_subset(m) for m in candidates):
+                continue
+            return x, y, fin((y - m).smallest() for m in candidates)
+    return None
+
+
+def oracle_defeats(x: NSet, y: NSet, blocker: NSet, source) -> bool:
+    need = (x & y) | blocker
+    return not any(need.is_subset(m) for m in source)
+
+
+def oracle_fibration_condition_enumerated(source, target) -> bool:
+    """The enumerating decider on NSet algebra, every b by size."""
+    src, tgt = tuple(source), tuple(target)
+    for m in src + tgt:
+        if m.cofinite:
+            raise ValueError("the enumerating decider needs finite members")
+        if m.mask.bit_count() > 12:
+            raise SizeGuardError("support too large to enumerate")
+    for x in src if EMPTY in src else src + (EMPTY,):
+        for y in tgt:
+            for size in range(len(y.support) + 1):
+                for b in itertools.combinations(y.support, size):
+                    need = (x & y) | fin(b)
+                    if not any(need.is_subset(m) for m in src):
+                        return False
+    return True
+
+
+def _enumerated_outcome(decider, x, y) -> object:
+    """The verdict, or the type and message of the error."""
+    try:
+        return decider(x, y)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _distinct_pairs(u: Universe) -> list[tuple[Obj, Obj]]:
+    objs = list(dict.fromkeys(universe_objects(u)))
+    return list(itertools.product(objs, repeat=2))
+
+
+# the window-14 draw gives finite members of 2 to 12 points, up to the widest
+# the enumerating decider walks
+_ORACLE_PAIRS = {
+    "C2": list(itertools.product(C2, repeat=2)),
+    "W3": list(itertools.product(W3, repeat=2)),
+    "C3-250-seed0": _distinct_pairs(Universe(window=3, include_cofinite=True, samples=250, seed=0)),
+    "C3-250-seed1": _distinct_pairs(Universe(window=3, include_cofinite=True, samples=250, seed=1)),
+    "W14-40-seed0": _distinct_pairs(Universe(window=14, samples=40, seed=0)),
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_PAIRS)
+def test_fibration_deciders_match_their_nset_oracles(name):
+    for x, y in _ORACLE_PAIRS[name]:
+        w = fibration_gap(x, y)
+        want = oracle_fibration_gap(x, y)
+        if w is None:
+            assert want is None, (x, y)
+        else:
+            assert (w.x, w.y, w.blocker) == want, (x, y)
+            # replayed against the source, which it defeats, and the target
+            for s in (x, y):
+                assert w.defeats(s) == oracle_defeats(*want, s), (x, y, s)
+            assert w.defeats(x)
+        got = _enumerated_outcome(fibration_condition_enumerated, x, y)
+        assert got == _enumerated_outcome(oracle_fibration_condition_enumerated, x, y), (x, y)
+
+
+_NSET_ALGEBRA = (
+    "__and__", "intersect", "__or__", "union", "__sub__", "difference", "__invert__",
+    "complement", "is_subset", "__le__", "smallest", "to_json_dict", "__eq__", "__hash__",
+)
+
+
+def test_fibration_deciders_and_object_json_build_no_nset_algebra(monkeypatch):
+    def answers():
+        out = []
+        for x, y in itertools.product(C2, repeat=2):
+            w = fibration_gap(x, y)
+            out.append((
+                fibration_condition(x, y),
+                None if w is None else (w.x._s, w.y._s, w.blocker._s, w.defeats(x), w.defeats(y)),
+                _enumerated_outcome(fibration_condition_enumerated, x, y),
+            ))
+        return out, [x.to_json_dict() for x in C2]
+
+    want = answers()
+    # each member as the NSet writer writes it
+    assert want[1] == [{"members": [m.to_json_dict() for m in x]} for x in C2]
+
+    def refuse(*args):
+        raise AssertionError("NSet algebra was used")
+
+    with monkeypatch.context() as mp:
+        for name in _NSET_ALGEBRA:
+            mp.setattr(NSet, name, refuse)
+        for name in ("fin", "cofin"):
+            mp.setattr(NSet, name, classmethod(refuse))
+        for name in ("cofinite", "mask", "support"):
+            mp.setattr(NSet, name, property(refuse))
+        got = answers()
+    assert got == want
+
+
 def test_f_label_examples():
     assert label_f(B, B) and label_f(INITIAL, INITIAL)
     assert not label_f(A, B)  # arrow holds, condition fails

@@ -24,9 +24,11 @@ from famcat.harness import (
     Universe,
     enumerate_objects,
     run_axioms,
+    run_claims,
     shrink_tuple,
+    universe_objects,
 )
-from famcat.kernel import INITIAL, TERMINAL, Obj, arrow_exists, is_iso, label_w, product
+from famcat.kernel import INITIAL, TERMINAL, Obj, arrow_exists, is_iso, label_f, label_w, product
 from famcat.nset import FULL, NSet
 from famcat.univalence import (
     CertificateStep,
@@ -253,6 +255,24 @@ def test_sample_fibrations_are_identities():
     assert len(sampled) == 50
 
 
+def test_sample_fibrations_verify_each_distinct_object_once(monkeypatch):
+    u = Universe(window=3, include_cofinite=True, samples=400, seed=0)
+    calls = []
+
+    def counted(total, base):
+        calls.append(total)
+        return label_f(total, base)
+
+    monkeypatch.setattr(univalence, "label_f", counted)
+    fibs = sample_fibrations(u)
+    objs = universe_objects(u)
+    assert fibs == [Fibration(x, x) for x in objs]
+    assert len(calls) == len(set(objs)) == 57
+    # a repeated object gets the fibration built for its first draw
+    first = {}
+    assert all(first.setdefault(q.total, q) is q for q in fibs)
+
+
 def test_verify_universal_exhaustive_and_sampled():
     r = verify_universal(Universe(window=2))
     assert r.passed and r.instances == 5 and r.name == "UNIVERSAL_FIBRATION"
@@ -261,12 +281,13 @@ def test_verify_universal_exhaustive_and_sampled():
 
 
 def _reports_on_objects():
-    """Axiom reports, certificates and the universal check, as JSON text."""
+    """Axiom and claim reports, certificates and the universal check, as JSON text."""
     sampled = Universe(window=3, include_cofinite=True, samples=200, seed=42)
     return [
         run_axioms(Universe(window=3)).machine_json(),
         run_axioms(Universe(window=2, include_cofinite=True)).machine_json(),
         run_axioms(sampled).machine_json(),
+        run_claims(sampled).machine_json(),
         *(_certificate_bytes(is_univalent(q)) for q in sample_fibrations(sampled)),
         json.dumps(verify_universal(sampled).to_json_dict(), sort_keys=True),
     ]
@@ -274,8 +295,7 @@ def _reports_on_objects():
 
 def test_object_identity_never_compares_or_hashes_an_nset(monkeypatch):
     # an object's equality and hash read its signed masks, so the suites that
-    # index, intern or compare objects never reach NSet.__eq__ or __hash__;
-    # the claims are left out, because fibration_gap asks ``EMPTY in src``
+    # index, intern or compare objects never reach NSet.__eq__ or __hash__
     want = _reports_on_objects()
 
     def refuse(*args):

@@ -145,8 +145,8 @@ MUTANTS = (
     Mutant(
         "enumerating-decider-says-yes",
         "src/famcat/kernel.py",
-        "                        return False\n    return True\n",
-        "                        return True\n    return True\n",
+        "                else:\n                    return False\n",
+        "                else:\n                    return True\n",
         ("tests/test_kernel.py::test_three_fibration_deciders_agree_on_finite_pairs",),
     ),
     Mutant(
@@ -415,41 +415,66 @@ MUTANTS = (
     Mutant(
         "gap-takes-the-empty-x-only-when-held",
         "src/famcat/kernel.py",
-        "    src = tuple(source)\n    for x in src if EMPTY in src else",
-        "    src = tuple(source)\n    for x in src if EMPTY not in src else",
+        "    for x in src if 0 in src else (*src, 0):"
+        "\n        for y in tgt:\n            meet = x & y\n            blocker",
+        "    for x in src if 0 not in src else (*src, 0):"
+        "\n        for y in tgt:\n            meet = x & y\n            blocker",
         ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
     ),
     Mutant(
         "gap-without-the-empty-x",
         "src/famcat/kernel.py",
-        "    src = tuple(source)\n    for x in src if EMPTY in src else src + (EMPTY,):",
-        "    src = tuple(source)\n    for x in src if EMPTY in src else src:",
+        "    for x in src if 0 in src else (*src, 0):"
+        "\n        for y in tgt:\n            meet = x & y\n            blocker",
+        "    for x in src if 0 in src else src:"
+        "\n        for y in tgt:\n            meet = x & y\n            blocker",
         ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
     ),
     Mutant(
         "enumerated-takes-the-empty-x-only-when-held",
         "src/famcat/kernel.py",
         'raise SizeGuardError("support too large to enumerate")\n'
-        "    for x in src if EMPTY in src else",
+        "    for x in src if 0 in src else",
         'raise SizeGuardError("support too large to enumerate")\n'
-        "    for x in src if EMPTY not in src else",
+        "    for x in src if 0 not in src else",
         ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
     ),
     Mutant(
         "enumerated-without-the-empty-x",
         "src/famcat/kernel.py",
         'raise SizeGuardError("support too large to enumerate")\n'
-        "    for x in src if EMPTY in src else src + (EMPTY,):",
+        "    for x in src if 0 in src else (*src, 0):",
         'raise SizeGuardError("support too large to enumerate")\n'
-        "    for x in src if EMPTY in src else src:",
+        "    for x in src if 0 in src else src:",
         ("tests/test_kernel.py::test_the_empty_source_family_is_no_fibration",),
     ),
     Mutant(
         "gap-witness-joins-x-and-y",
         "src/famcat/kernel.py",
-        "need = (self.x & self.y) | self.blocker",
-        "need = (self.x | self.y) | self.blocker",
+        "need = (self.x._s & self.y._s) | self.blocker._s",
+        "need = (self.x._s | self.y._s) | self.blocker._s",
         ("tests/test_kernel.py::test_gap_witness_example_is_replayable",),
+    ),
+    Mutant(
+        "gap-blocker-takes-the-whole-gap",
+        "src/famcat/kernel.py",
+        "blocker |= d & -d",
+        "blocker |= d",
+        ("tests/test_kernel.py::test_fibration_deciders_match_their_nset_oracles",),
+    ),
+    Mutant(
+        "gap-candidates-hold-y",
+        "src/famcat/kernel.py",
+        "                if not meet & ~m:\n",
+        "                if not y & ~m:\n",
+        ("tests/test_kernel.py::test_fibration_deciders_match_their_nset_oracles",),
+    ),
+    Mutant(
+        "object-json-writes-cofinite-as-finite",
+        "src/famcat/kernel.py",
+        '{"cofin": _elements(~s)} if s < 0',
+        '{"fin": _elements(~s)} if s < 0',
+        ("tests/test_kernel.py::test_fibration_deciders_and_object_json_build_no_nset_algebra",),
     ),
     Mutant(
         "object-identity-compares-the-members",
