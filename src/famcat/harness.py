@@ -537,7 +537,7 @@ def _iso_invariance_detail(
     for px in [x.members, *iso_presentations(x)]:
         for py in pys:
             got = verdict(px, py)
-            if got != base:
+            if got is not base and got != base:  # shared verdicts: identity first
                 return (
                     "verdict changed under an isomorphic presentation: "
                     f"{base.to_json_dict()} vs {got.to_json_dict()} at "
@@ -786,7 +786,7 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     relations = functools.cache(lambda: _relations(objs))
 
     def at(index: tuple[int, ...]) -> tuple[Obj, ...]:
-        return tuple(objs[i] for i in index)
+        return tuple(map(objs.__getitem__, index))
 
     @functools.cache
     def draws() -> array[int] | None:

@@ -24,13 +24,14 @@ intersection, union and complement, ``s`` lies in ``t`` exactly when
 branches on the kind of a member.  An :class:`Obj` holds the signed masks
 of its members; any other iterable of NSets is converted once per call, so
 the deciders also take non-canonical presentations of an object, which the
-harness exploits, and one-shot iterables.  :func:`normalize`,
-:func:`coproduct`, :func:`product`, the exponential of :mod:`famcat.vobj`
-and the sampled draw of :mod:`famcat.harness` build canonical objects on
-the masks and make NSets only for the members they keep; the fibration
-deciders make NSets only for a :class:`GapWitness` they return, and
-``Obj.to_json_dict`` writes each member from its mask.  All values are
-immutable and every function is pure, so concurrent use is safe.
+harness exploits, and one-shot iterables.  :func:`label_verdict`, the
+harness's hottest decider, reads both arguments' masks inline.
+:func:`normalize`, :func:`coproduct`, :func:`product`, the exponential of
+:mod:`famcat.vobj` and the sampled draw of :mod:`famcat.harness` build
+canonical objects on the masks and make NSets only for the members they
+keep; the fibration deciders make NSets only for a :class:`GapWitness` they
+return, and ``Obj.to_json_dict`` writes each member from its mask.  All
+values are immutable and every function is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -406,8 +407,10 @@ def label_verdict(source: Family, target: Family) -> LabelVerdict:
     The arrow implies ``star``: a cofinite source member lies only in a
     cofinite target member, and an empty target takes only an empty source.
     So mutual arrows, which are ``f``, imply the reverse ``star`` and so ``w``.
+    Both arguments' masks are read inline, as :func:`_signed_masks` reads them.
     """
-    src, tgt = _signed_masks(source), _signed_masks(target)
+    src = source._signed if isinstance(source, Obj) else [m._s for m in source]
+    tgt = target._signed if isinstance(target, Obj) else [m._s for m in target]
     if not _arrow(src, tgt):
         return _NO_ARROW_STAR if _star(src, tgt) else _NO_ARROW
     if _arrow(tgt, src):

@@ -31,7 +31,6 @@ closed form.  Arrow queries that no documented rule covers raise
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._value import Value, _set
@@ -366,42 +365,40 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     witness ``x | ((b0 & y') | b)`` keeps ``(u & y') | b`` covered, which is
     the definitional fibration condition of the middle over y.
 
-    A middle member ``u = xm | b0`` comes from a generator ``(xm, b0)``, and
-    the same generator can arise from several members of y (``b0 = {}``
-    arises from each of them).  Its instances are a function of the generator alone, so
-    they are decided once per distinct generator, and a repeated generator
-    repeats their outcome; ``instances`` still counts every generator.
-    Past ``MAX_FACTOR_INSTANCES`` instances (``|x| * S**2`` for S subsets
-    spread over y) it stops with :class:`SizeGuardError` before deciding any.
+    A generator ``(xm, b0)`` gives the middle member ``u = xm | b0``.  As
+    ``u & y' = (xm & y') | (b0 & y')``, an instance ``(xm, b0, y', b)`` reads
+    only ``meet = u & y'``, ``base = xm | (b0 & y')`` and b, so each distinct
+    ``(meet, base, y')`` is decided once over the b spread over y', each
+    witness ``base | b`` is asked once, and ``instances`` still counts every
+    generator.  It stops with :class:`SizeGuardError`, before deciding any,
+    past ``MAX_FACTOR_INSTANCES`` (``|x| * S**2`` for S subsets spread over y).
     """
     xs, ys = x._signed, y._signed
     # two past the largest element of any member, read off the mask widths
     margin = 1 + max(1, *((~s if s < 0 else s).bit_length() for s in xs + ys))
-    bounds = [(ym, _finite_subsets(ym, margin)) for ym in ys]
-    spread = sum(len(subs) for _, subs in bounds)
-    instances = len(xs) * spread * spread
+    spreads = {ym: _finite_subsets(ym, margin) for ym in ys}
+    instances = len(xs) * sum(map(len, spreads.values())) ** 2
     if instances > MAX_FACTOR_INSTANCES:
         raise SizeGuardError(
             f"the factorization check would decide {instances} instances,"
             f" past MAX_FACTOR_INSTANCES = {MAX_FACTOR_INSTANCES}"
         )
-    covers = functools.cache(functools.partial(_covers, xs, ys))  # witnesses repeat
-    arrow_into = all(map(covers, xs))
-    generators = [(xm, b0) for xm in xs for _, subs in bounds for b0 in subs]
-    distinct = [(xm, b0, xm | b0) for xm, b0 in dict.fromkeys(generators)]
-    star_back = _star([u for _, _, u in distinct], xs)
+    covered = {s: _covers(xs, ys, s) for s in xs}  # the memo: witnesses repeat
+    arrow_into = all(covered.values())
+    gens = dict.fromkeys([(xm, b0) for xm in xs for subs in spreads.values() for b0 in subs])
+    star_back = _star([xm | b0 for xm, b0 in gens], xs)
+    groups = dict.fromkeys([((xm | b0) & ym, xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])
 
     fib_ok = True
-    for xm, b0, u in distinct:
-        for ym, subs in bounds:
-            # (xm | (b0 & ym)) | b is the witness xm | ((b0 & ym) | b)
-            meet, base = u & ym, xm | (b0 & ym)
-            for b in subs:
-                need, witness = meet | b, base | b
-                # coverage is downward closed: need inside a covered witness
-                # is covered too, so it is not asked separately
-                if need & ~witness or not covers(witness):
-                    fib_ok = False
+    for meet, base, ym in groups:
+        for b in spreads[ym]:
+            witness = base | b
+            ok = covered.get(witness)
+            if ok is None:
+                ok = covered[witness] = _covers(xs, ys, witness)
+            # need inside a covered witness is covered: coverage is downward closed
+            if (meet | b) & ~witness or not ok:
+                fib_ok = False
     return FactorizationCheck(
         x=x,
         y=y,

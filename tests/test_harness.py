@@ -43,6 +43,7 @@ from famcat.kernel import (
     INITIAL,
     TERMINAL,
     GapWitness,
+    LabelVerdict,
     Obj,
     _canonical,
     arrow_exists,
@@ -873,6 +874,29 @@ def test_literal_star_counterexample_is_replayable():
 
 def test_literal_star_is_harmless_on_finite_only_universes():
     assert check_axiom("ISO_INVARIANCE", W2, literal_star=True).passed
+
+
+def _fresh_verdict(s, t):
+    """label_verdict's verdict, as an equal value that is not the shared one."""
+    v = label_verdict(s, t)
+    return LabelVerdict(v.arrow, v.star, v.w, v.f, v.c)
+
+
+def _c_flipped_on_presentations(s, t):
+    """The fresh verdict, with ``c`` flipped on every presentation but the canonical pair."""
+    v = _fresh_verdict(s, t)
+    return v if isinstance(s, Obj) else LabelVerdict(v.arrow, v.star, v.w, v.f, not v.c)
+
+
+def test_presentation_check_compares_verdicts_by_equality():
+    # identity only short-cuts the comparison: an equal verdict that is not
+    # the shared one is no violation, and one field changed is one
+    pairs = list(itertools.product(enumerate_objects(C2), repeat=2))
+    for pair in pairs:
+        assert harness._iso_invariance_detail(pair, _fresh_verdict) is None, pair
+        detail = harness._iso_invariance_detail(pair, _c_flipped_on_presentations)
+        assert detail is not None and detail.startswith("verdict changed"), pair
+    assert len(pairs) == 361
 
 
 # -- shrinking -------------------------------------------------------------------

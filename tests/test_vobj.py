@@ -877,6 +877,42 @@ def test_factorization_reports_a_failing_fibration_fact(monkeypatch):
     assert not fc.fibration_instances_ok and not fc.ok
 
 
+# Weakened middles: a filter on the sets the NSet oracle asks about, the same
+# filter on the masks check_factorization asks about, each kept in front of
+# the real coverage, and the number of C2 and W3 arrow pairs whose fibration
+# instances then fail.  On canonical pairs those instances cannot fail, so
+# only a weakened middle shows a grouping of instances that drops or merges one.
+WEAK_MIDDLES = {
+    "no-cofinite-set": (lambda s: not s.cofinite, lambda s: s >= 0, 84),
+    "at-most-one-point": (
+        lambda s: not s.cofinite and len(s.support) <= 1,
+        lambda s: s >= 0 and s.bit_count() <= 1,
+        279,
+    ),
+    "not-{1}": (lambda s: s != fin([1]), lambda s: s != 0b10, 268),
+}
+
+
+@pytest.mark.parametrize("weak", list(WEAK_MIDDLES))
+def test_factorization_matches_the_per_instance_oracle_under_weak_middles(monkeypatch, weak):
+    keep_set, keep_mask, failing = WEAK_MIDDLES[weak]
+    mask_covers = vobj._covers
+    monkeypatch.setattr(vobj, "_covers", lambda xs, ys, s: keep_mask(s) and mask_covers(xs, ys, s))
+    pairs = [(x, y) for objs in (C2, W3) for x, y in itertools.product(objs, repeat=2)]
+    pairs = [(x, y) for x, y in pairs if arrow_exists(x, y)]
+
+    def weak_covers(v, s):
+        return keep_set(s) and wc_covers(v, s)
+
+    failed = 0
+    for x, y in pairs:
+        expected, _ = _factorization_per_instance(x, y, weak_covers)
+        fc = check_factorization(x, y)
+        assert fc == expected, (x, y)
+        failed += not fc.fibration_instances_ok
+    assert (len(pairs), failed) == (296, failing)
+
+
 def test_factorization_check_serializes_with_the_middle():
     d = check_factorization(A, B).to_json_dict()
     assert d["wc"] == VObj.wc(A, B).to_json_dict()

@@ -19,14 +19,15 @@ Run it from anywhere, with pytest and hypothesis installed::
 
     python tools/mutants.py
 
-It runs every mutant, prints one line per mutant and exits 0 when every
-mutant is killed.  It lives outside ``tests/`` so that pytest does not
-collect it, and it uses the standard library only (``resource`` makes it
-POSIX-only).
+It runs every mutant, ``WORKERS`` copies at a time, prints one line per
+mutant in the order of ``MUTANTS`` and exits 0 when every mutant is killed.
+It lives outside ``tests/`` so that pytest does not collect it, and it uses
+the standard library only (``resource`` makes it POSIX-only).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import resource
 import shutil
@@ -41,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 TIMEOUT_S = 60  # one run's wall-clock bound; the slowest kill, a runaway, takes about 7 s
 MEMORY_BYTES = 512 << 20  # one run's address-space bound; all of tier-1 maps 64 MiB
+WORKERS = 2  # mutant copies tested at a time, each under both bounds
 
 
 class Mutant(NamedTuple):
@@ -89,6 +91,16 @@ MUTANTS = (
         "if instances > MAX_FACTOR_INSTANCES:",
         "if instances >= MAX_FACTOR_INSTANCES:",
         ("tests/test_vobj.py::test_factorization_stops_past_max_factor_instances",),
+    ),
+    Mutant(
+        "factorization-groups-keyed-without-base",
+        "src/famcat/vobj.py",
+        "groups = dict.fromkeys([((xm | b0) & ym, xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])",
+        "groups = {((xm | b0) & ym, ym): ((xm | b0) & ym, xm | (b0 & ym), ym)"
+        " for xm, b0 in gens for ym in ys}.values()",
+        # on canonical pairs every base of a group holds its meet and every
+        # witness is covered, so only a weakened middle tells the bases apart
+        ("tests/test_vobj.py::test_factorization_matches_the_per_instance_oracle_under_weak_middles",),
     ),
     Mutant(
         "exp-without-its-arrow-test",
@@ -141,6 +153,16 @@ MUTANTS = (
         "pys = [y.members, *iso_presentations(y)]",
         "pys = [x.members, *iso_presentations(x)]",
         ("tests/test_harness.py::test_axiom_passes_exhaustively_and_sampled[ISO_INVARIANCE]",),
+    ),
+    Mutant(
+        "presentation-verdicts-compared-by-identity",
+        "src/famcat/harness.py",
+        "if got is not base and got != base:",
+        "if got is not base:",
+        (
+            "tests/test_harness.py::test_literal_star_is_harmless_on_finite_only_universes",
+            "tests/test_harness.py::test_presentation_check_compares_verdicts_by_equality",
+        ),
     ),
     Mutant(
         "enumerating-decider-says-yes",
@@ -203,6 +225,13 @@ MUTANTS = (
         "src/famcat/kernel.py",
         "_ARROW_W if _star(tgt, src)",
         "_ARROW_W if _star(src, tgt)",
+        ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
+    ),
+    Mutant(
+        "verdict-target-converted-from-the-source",
+        "src/famcat/kernel.py",
+        "else [m._s for m in target]",
+        "else [m._s for m in source]",
         ("tests/test_kernel.py::test_label_verdict_matches_each_fact_decider_on_c2_presentations",),
     ),
     Mutant(
@@ -707,15 +736,21 @@ def run(mutant: Mutant) -> tuple[str, str]:
     return "SURVIVED", f"pytest exited {proc.returncode}: {tail[0]}"
 
 
+def _timed(mutant: Mutant) -> tuple[str, str, float]:
+    begun = time.perf_counter()
+    outcome, why = run(mutant)
+    return outcome, why, time.perf_counter() - begun
+
+
 def main() -> int:
     killed = 0
     start = time.perf_counter()
-    for mutant in MUTANTS:
-        begun = time.perf_counter()
-        outcome, why = run(mutant)
-        killed += outcome == "killed"
-        took = time.perf_counter() - begun
-        print(f"{outcome:<8} {mutant.name}: {why} ({took:.1f} s)", flush=True)
+    # pool workers are single-threaded processes, so each may start its
+    # pytest run with a preexec_fn; imap yields the results in order
+    with multiprocessing.Pool(WORKERS) as pool:
+        for mutant, (outcome, why, took) in zip(MUTANTS, pool.imap(_timed, MUTANTS)):
+            killed += outcome == "killed"
+            print(f"{outcome:<8} {mutant.name}: {why} ({took:.1f} s)", flush=True)
     took = time.perf_counter() - start
     print(f"{killed} of {len(MUTANTS)} mutants killed in {took:.0f} s")
     return 0 if killed == len(MUTANTS) else 1
