@@ -8,17 +8,18 @@ minimized, replayable counterexamples; a :class:`Report` bundles a suite.
 
 Axioms, claims and the universal-fibration check of ``univalence`` share
 one runner, ``run_suite``.  An exhaustive universe is enumerated once per
-call.  The first check with a premise builds the relation tables of the
-arrow, w and f facts and of the product and coproduct of every pair, from
-the columns of the objects' members and with no decider call, and each
-such check runs its predicate only on the tuples its premise admits.  The
-premises are a sound filter because the tables equal the deciders' facts
-on every universe that :func:`enumerate_objects` lists (the proof is in
-:func:`_relations`), and tier-1 compares the two on every universe of up
-to 167 objects.  A premise reads the facts its conclusion reads too:
-two-of-three the three w facts, the (c, wf) factorization those of the
-identity, base change the f fact of the product, cobase change the w fact
-into the coproduct.  A
+call.  The first check with a premise builds the :class:`Relations`
+record, the tables of the arrow, w and f facts and of the product and
+coproduct of every pair, from the columns of the objects' members and
+with no decider call.  A premise is its axiom as table algebra: it yields
+exactly the index tuples on which its predicate fires, in the order of
+``itertools.product``, so it reads the facts of the conclusion as well as
+the hypotheses, and it decides the generic axioms on any finite posetal
+model given as such a record.  The predicate runs on each yielded tuple
+for its detail and its shrinking.  The tables
+equal the deciders' facts on every universe that :func:`enumerate_objects`
+lists (the proof is in :func:`_relations`), and tier-1 compares the two on
+every universe of up to 167 objects.  A
 sampled universe is drawn once per call, as one seeded stream held as
 indices into its distinct objects, and each check decides a tuple it meets
 again once; a draw with too many distinct objects to hold is drawn afresh
@@ -44,7 +45,7 @@ import operator
 import random
 import time
 from array import array
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._value import Value, _set
 from .kernel import (
@@ -358,15 +359,23 @@ def shrink_tuple(objs: tuple[Obj, ...], violates: Predicate) -> tuple[Obj, ...]:
 
 # -- relation tables and premises ----------------------------------------------
 
-# A premise takes the tables (A, W, F, P, C) of an enumerated universe and
-# yields the index tuples on which its predicate can fire, perhaps with some
-# on which it cannot, in the order of ``itertools.product``.  Each reads only
-# facts its predicate reads, the conclusion's among them; a tuple whose
-# product or coproduct is not enumerated is yielded.
-Rows = list[int]
-Table = list[list[int | None]]
-Relations = tuple[Rows, Rows, Rows, Table, Table]
-Premise = Callable[[Rows, Rows, Rows, Table, Table], Iterator[tuple[int, ...]]]
+
+class Relations(NamedTuple):
+    """The relation tables of a finite posetal model on the objects ``0 .. n-1``.
+
+    ``arrow``, ``w`` and ``f`` are int bitset rows: bit ``j`` of ``arrow[i]``
+    is set when there is an arrow ``i -> j``, and ``w`` and ``f`` hold those
+    labels the same way.  ``product[i][j]`` and ``coproduct[i][j]`` are the
+    indices of the product and the coproduct of ``i`` and ``j``.  A premise
+    takes this record and yields exactly the index tuples on which its
+    predicate fires, in the order of ``itertools.product``.
+    """
+
+    arrow: list[int]
+    w: list[int]
+    f: list[int]
+    product: list[list[int]]
+    coproduct: list[list[int]]
 
 
 def _union(rows: Iterable[int]) -> int:
@@ -376,12 +385,11 @@ def _union(rows: Iterable[int]) -> int:
 def _relations(objs: Sequence[Obj]) -> Relations:
     """The relation tables of an exhaustive universe ``objs``, from member columns.
 
-    Three lists of int bitset rows come first, ``(A, W, F)``: bit ``j`` of
-    ``A[i]`` is set when ``arrow_exists(objs[i], objs[j])``, and ``W`` and
-    ``F`` hold ``label_w`` and ``label_f`` the same way.  Two index tables
-    follow, ``(P, C)``: ``P[i][j]`` is the index of ``product(objs[i],
-    objs[j])`` in ``objs``, or ``None`` when no object has its down-set,
-    and ``C`` holds ``coproduct`` the same way.  No decider is called; the
+    In the record ``(A, W, F, P, C)``, bit ``j`` of ``A[i]`` is set when
+    ``arrow_exists(objs[i], objs[j])``, and ``W`` and ``F`` hold ``label_w``
+    and ``label_f`` the same way.  ``P[i][j]`` is the index of
+    ``product(objs[i], objs[j])`` in ``objs``, and ``C`` holds ``coproduct``
+    the same way.  No decider is called; the
     tables equal the deciders' facts on every universe that
     :func:`enumerate_objects` lists, by this argument:
 
@@ -407,10 +415,10 @@ def _relations(objs: Sequence[Obj]) -> Relations:
       distinct down-sets and distinct up-sets, since isomorphic canonical
       objects are equal.  So ``P[i][j]`` is the object whose down-set is
       ``down[i] & down[j]`` and ``C[i][j]`` the one whose up-set is
-      ``A[i] & A[j]``, each found by one dict lookup.  On a list that is
-      not closed, a lookup may miss, giving ``None``, or find an object
-      that is not the product; the suites build tables on exhaustive
-      universes only.
+      ``A[i] & A[j]``, each found by one dict lookup, which cannot miss.
+      On a list that is not closed, a lookup may raise ``KeyError`` or find
+      an object that is not the product; the suites build tables on
+      exhaustive universes only.
     """
     every = (1 << len(objs)) - 1
     holding: dict[int, int] = {}  # a non-empty member: the objects that hold it
@@ -429,55 +437,43 @@ def _relations(objs: Sequence[Obj]) -> Relations:
     finite = sum(1 << i for i, ob in enumerate(objs) if min(ob._signed) >= 0)
     W = [a if min(ob._signed) < 0 else a & finite for a, ob in zip(A, objs)]
     F = [a & d for a, d in zip(A, down)]
-    tables: list[Table] = []
+    tables: list[list[list[int]]] = []
     for rows in (down, A):  # meets by their down-sets, joins by their up-sets
         at = {r: i for i, r in enumerate(rows)}
-        tables.append([[at.get(r & s) for s in rows] for r in rows])
-    return A, W, F, *tables
+        tables.append([[at[r & s] for s in rows] for r in rows])
+    return Relations(A, W, F, *tables)
 
 
-def _premise_m1(
-    A: Rows, W: Rows, F: Rows, P: Table, C: Table
-) -> Iterator[tuple[int, ...]]:
+def _premise_m1(r: Relations) -> Iterator[tuple[int, ...]]:
     # Both squares need arrow(x, w), arrow(y, z), f(w, z) and no arrow(y, w);
-    # the first needs w(x, y), the second arrow(x, y).  So w lies in
-    # A[x] & ~A[y] and in hit[y], the w with f(w, z) for some z in A[y]; the
-    # w it skips have no z.  On canonical objects this yields nothing: f is
-    # is_iso, so z == w, and then arrow(y, z) contradicts not arrow(y, w).
+    # the first needs w(x, y), the second arrow(x, y) and w(w, z).  So w lies
+    # in A[x] & ~A[y] and in hit[y], the w with f(w, z) for some z in A[y];
+    # the w it skips have no z.  On canonical objects this yields nothing: f
+    # is is_iso, so z == w, and then arrow(y, z) contradicts not arrow(y, w).
+    A, W, F = r.arrow, r.w, r.f
     hit = [sum(1 << w for w, f in enumerate(F) if f & a) for a in A]
     for x in range(len(A)):
         for y in _elements(A[x] | W[x]):
             for w in _elements(A[x] & ~A[y] & hit[y]):
-                for z in _elements(A[y] & F[w]):
+                lifts = A[y] & F[w]
+                for z in _elements(lifts if W[x] >> y & 1 else lifts & W[w]):
                     yield x, y, w, z
 
 
-def _premise_arrow(
-    A: Rows, W: Rows, F: Rows, P: Table, C: Table
-) -> Iterator[tuple[int, ...]]:
-    # The (wc, f) factorization starts from arrow(x, y).
-    for x in range(len(A)):
-        for y in _elements(A[x]):
+def _premise_m2_c_wf(r: Relations) -> Iterator[tuple[int, ...]]:
+    # The (c, wf) factorization x -> y -> y fails when the identity of y is
+    # not both (w) and (f).
+    not_wf = sum(1 << y for y, (w, f) in enumerate(zip(r.w, r.f)) if not w >> y & f >> y & 1)
+    for x, a in enumerate(r.arrow):
+        for y in _elements(a & not_wf):
             yield x, y
 
 
-def _premise_m2_c_wf(
-    A: Rows, W: Rows, F: Rows, P: Table, C: Table
-) -> Iterator[tuple[int, ...]]:
-    # The (c, wf) factorization x -> y -> y fails only when the identity of
-    # y is not both (w) and (f).
-    not_wf = sum(1 << y for y in range(len(A)) if not W[y] >> y & F[y] >> y & 1)
-    for x in range(len(A)):
-        for y in _elements(A[x] & not_wf):
-            yield x, y
-
-
-def _premise_m5(
-    A: Rows, W: Rows, F: Rows, P: Table, C: Table
-) -> Iterator[tuple[int, ...]]:
-    # Two-of-three fails only on a composable pair, arrow(x, y) and
-    # arrow(y, z), whose three w facts hold exactly twice: with w(x, y), one
-    # of w(y, z) and w(x, z); without it, both.
+def _premise_m5(r: Relations) -> Iterator[tuple[int, ...]]:
+    # Two-of-three fails on a composable pair, arrow(x, y) and arrow(y, z),
+    # whose three w facts hold exactly twice: with w(x, y), one of w(y, z)
+    # and w(x, z); without it, both.
+    A, W = r.arrow, r.w
     for x in range(len(A)):
         for y in _elements(A[x]):
             exactly_two = W[y] ^ W[x] if W[x] >> y & 1 else W[y] & W[x]
@@ -485,29 +481,22 @@ def _premise_m5(
                 yield x, y, z
 
 
-def _premise_base_change(
-    A: Rows, W: Rows, F: Rows, P: Table, C: Table
-) -> Iterator[tuple[int, ...]]:
-    # The square is f(y, z) and arrow(x, z); it fails only without
-    # f(x * y, x).
+def _premise_base_change(r: Relations) -> Iterator[tuple[int, ...]]:
+    # The square is f(y, z) and arrow(x, z); it fails without f(x * y, x).
+    A, F, P = r.arrow, r.f, r.product
     for x in range(len(A)):
         for y in range(len(A)):
-            p = P[x][y]
-            if p is not None and F[p] >> x & 1:
+            if F[P[x][y]] >> x & 1:
                 continue
             for z in _elements(F[y] & A[x]):
                 yield x, y, z
 
 
-def _premise_cobase_change(
-    A: Rows, W: Rows, F: Rows, P: Table, C: Table
-) -> Iterator[tuple[int, ...]]:
-    # On (x, z, y), the span is w(x, z) and arrow(x, y); it fails only
-    # without w(y, z + y).  bad[z] holds the y whose coproduct with z is not
-    # enumerated or has no w from y.
-    bad = [
-        sum(1 << y for y, c in enumerate(row) if c is None or not W[y] >> c & 1) for row in C
-    ]
+def _premise_cobase_change(r: Relations) -> Iterator[tuple[int, ...]]:
+    # On (x, z, y), the span is w(x, z) and arrow(x, y); it fails without
+    # w(y, z + y).  bad[z] holds the y whose coproduct with z has no w from y.
+    A, W = r.arrow, r.w
+    bad = [sum(1 << y for y, c in enumerate(row) if not W[y] >> c & 1) for row in r.coproduct]
     for x in range(len(A)):
         for z in _elements(W[x]):
             for y in _elements(A[x] & bad[z]):
@@ -705,16 +694,16 @@ def _pred_limits_universal(t: tuple[Obj, ...]) -> str | None:
     return None
 
 
-# A suite row: a check's arity, its predicate, and the premise that picks
-# its tuples on an enumerated universe (``None``: every tuple).
-Check = tuple[int, Predicate, "Premise | None"]
+# A suite row: a check's arity, its predicate, and the premise that yields
+# its firing tuples on an enumerated universe (``None``: try every tuple).
+Check = tuple[int, Predicate, "Callable[[Relations], Iterator[tuple[int, ...]]] | None"]
 
 # Retracts collapse to isomorphisms in a posetal category, so closure under
 # retracts is closure under isomorphic presentations: RETRACT_CLOSURE and
 # ISO_INVARIANCE share one predicate, and a suite run decides it once.
 _AXIOMS: dict[str, Check] = {
     "M1_LIFTING": (4, _pred_m1, _premise_m1),
-    "M2_FACTOR_WC_F": (2, _pred_m2_wc_f, _premise_arrow),
+    "M2_FACTOR_WC_F": (2, _pred_m2_wc_f, None),
     "M2_FACTOR_C_WF": (2, _pred_m2_c_wf, _premise_m2_c_wf),
     "M5_TWO_OF_THREE": (3, _pred_m5, _premise_m5),
     "BASE_CHANGE_F": (3, _pred_base_change, _premise_base_change),
@@ -755,14 +744,11 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
     The names are checked before any work: each must be in ``table``, and
     none may be given twice.  Tuples are read as indices into
     one per-call list ``objs``.  An exhaustive universe is enumerated into
-    it once; a check runs its predicate on the tuples its premise admits,
-    or on every tuple, and ``instances`` counts every tuple of the universe,
-    since the others cannot violate it.  The relation tables, ``(A, W, F)``
-    of the arrow, w and f facts and ``(P, C)`` of the product and coproduct
-    indices, are built by the first check with a premise, which is charged
-    their time.  A premise that reads a product or coproduct yields every
-    tuple whose result is not among ``objs``.  A sampled
-    universe is drawn once, by the first check, which is charged the draw:
+    it once; a check runs its predicate on exactly the tuples its premise
+    yields, those on which it fires, or on every tuple, and ``instances``
+    counts every tuple of the universe.  The :class:`Relations` record is
+    built by the first check with a premise, which is charged its time.
+    A sampled universe is drawn once, by the first check, which is charged the draw:
     the stream of ``instance_tuples`` at the largest picked arity, kept as
     indices into ``objs``, which holds its distinct objects.  An arity-k
     check reads the first ``k * samples`` draws in chunks of k, which are
@@ -811,7 +797,7 @@ def run_suite(u: Universe, table: dict[str, Check], names: Sequence[str] | None)
         decide = functools.partial(_violation, pred)
         if u.is_exhaustive:
             every = itertools.product(range(len(objs)), repeat=arity)
-            index = premise(*relations()) if premise else every
+            index = premise(relations()) if premise else every
             found = map(decide, map(at, index))
             instances = len(objs) ** arity
         elif (stream := draws()) is None:  # too many distinct objects to hold

@@ -365,13 +365,15 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     witness ``x | ((b0 & y') | b)`` keeps ``(u & y') | b`` covered, which is
     the definitional fibration condition of the middle over y.
 
-    A generator ``(xm, b0)`` gives the middle member ``u = xm | b0``.  As
-    ``u & y' = (xm & y') | (b0 & y')``, an instance ``(xm, b0, y', b)`` reads
-    only ``meet = u & y'``, ``base = xm | (b0 & y')`` and b, so each distinct
-    ``(meet, base, y')`` is decided once over the b spread over y', each
-    witness ``base | b`` is asked once, and ``instances`` still counts every
-    generator.  It stops with :class:`SizeGuardError`, before deciding any,
-    past ``MAX_FACTOR_INSTANCES`` (``|x| * S**2`` for S subsets spread over y).
+    A generator ``(xm, b0)`` gives the middle member ``u = xm | b0``.  The
+    need ``(u & y') | b`` of an instance ``(xm, b0, y', b)`` always lies in
+    its witness ``base | b``, with ``base = xm | (b0 & y')``: ``u & y' =
+    (xm & y') | (b0 & y')`` lies in ``base``.  So an instance holds exactly
+    when its witness is covered, and it reads only ``base`` and b: each
+    distinct ``(base, y')`` is decided once over the b spread over y', each
+    witness is asked once, and ``instances`` still counts every generator.
+    It stops with :class:`SizeGuardError`, before deciding any, past
+    ``MAX_FACTOR_INSTANCES`` (``|x| * S**2`` for S subsets spread over y).
     """
     xs, ys = x._signed, y._signed
     # two past the largest element of any member, read off the mask widths
@@ -387,17 +389,16 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     arrow_into = all(covered.values())
     gens = dict.fromkeys([(xm, b0) for xm in xs for subs in spreads.values() for b0 in subs])
     star_back = _star([xm | b0 for xm, b0 in gens], xs)
-    groups = dict.fromkeys([((xm | b0) & ym, xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])
+    bases = dict.fromkeys([(xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])
 
     fib_ok = True
-    for meet, base, ym in groups:
+    for base, ym in bases:
         for b in spreads[ym]:
             witness = base | b
             ok = covered.get(witness)
             if ok is None:
                 ok = covered[witness] = _covers(xs, ys, witness)
-            # need inside a covered witness is covered: coverage is downward closed
-            if (meet | b) & ~witness or not ok:
+            if not ok:
                 fib_ok = False
     return FactorizationCheck(
         x=x,

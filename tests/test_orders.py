@@ -1,27 +1,26 @@
-"""The harness's axiom predicates on a model with known answers: finite total orders.
+"""The harness's generic axioms on a model with known answers: finite total orders.
 
 The total order [n] = {0 < 1 < ... < n-1} is a posetal category: the arrow
 i -> j exists when i <= j, the product is min and the coproduct is max.  Its
 model structures are listed here by brute force and compared with the pairs
-(W, F) that the harness's own predicates accept, once the harness's kernel
-names are pointed at the order: ``arrow_exists`` is ``<=``, ``product`` is
-``min``, ``coproduct`` is ``max``, and ``label_w`` and ``label_f`` are
-membership in W and F.  The cofibrations C are every arrow, as famcat's
-``c`` label is the arrow itself.
+(W, F) that the harness's own axioms accept.  Each (W, F) is handed to the
+harness as one ``harness.Relations`` record of [n]'s tables (``<=``,
+``min``, ``max``, W and F), and an axiom rejects it when its premise, the
+axiom as table algebra, yields a tuple.  The cofibrations C are every
+arrow, as famcat's ``c`` label is the arrow itself.
 
-Only the predicates that read nothing but those names run here:
+Only the axioms whose premise reads nothing but those tables run here:
 ``M1_LIFTING``, ``M2_FACTOR_C_WF``, ``M5_TWO_OF_THREE``, ``BASE_CHANGE_F``
 and ``COBASE_CHANGE_WC``.  ``M2_FACTOR_WC_F`` reads famcat's virtual
 objects (the middle ``WC(x, y)``) and ``RETRACT_CLOSURE`` and
 ``ISO_INVARIANCE`` read its presentations of an object as sets of sets, so
-those stay famcat-only.  Each of the generic predicates but
+those stay famcat-only.  Each of the generic axioms but
 ``M2_FACTOR_C_WF`` rejects, on [4], some non-model that no other one
 rejects; the test names one for each, and records that ``M2_FACTOR_C_WF``
 rejects nothing there.
 """
 
 import itertools
-import operator
 
 import pytest
 
@@ -88,29 +87,31 @@ def model_structures(n):
     return {(l, r) for l, r in weak_factorization_systems(n) if _two_of_three(n, l)}
 
 
-def rejections(n, monkeypatch):
+def _rows(n, arrows):
+    """One bitset row per object of [n]: bit j of row i is set when (i, j) is in ``arrows``."""
+    return [sum(1 << j for j in range(n) if (i, j) in arrows) for i in range(n)]
+
+
+def rejections(n):
     """Each (W, F), both holding the identities, mapped to the names of the
-    generic predicates that fire on some tuple of [n]."""
-    labels = {}
-    monkeypatch.setattr(harness, "arrow_exists", operator.le)
-    monkeypatch.setattr(harness, "product", min)
-    monkeypatch.setattr(harness, "coproduct", max)
-    monkeypatch.setattr(harness, "label_w", lambda x, y: (x, y) in labels["w"])
-    monkeypatch.setattr(harness, "label_f", lambda x, y: (x, y) in labels["f"])
-    checks = []
-    for name in GENERIC:
-        arity, pred, _ = harness._AXIOMS[name]
-        checks.append((name, pred, list(itertools.product(range(n), repeat=arity))))
+    generic axioms whose premise yields some tuple of [n]."""
+    objects = range(n)
+    arrow = _rows(n, _arrows(n))
+    meets = [[min(i, j) for j in objects] for i in objects]
+    joins = [[max(i, j) for j in objects] for i in objects]
+    premises = [(name, harness._AXIOMS[name][2]) for name in GENERIC]
     rejected = {}
     for w, f in itertools.product(list(_classes(n)), repeat=2):
-        labels.update(w=w, f=f)
-        rejected[w, f] = {name for name, p, ts in checks if any(p(t) is not None for t in ts)}
+        order = harness.Relations(arrow, _rows(n, w), _rows(n, f), meets, joins)
+        rejected[w, f] = {
+            name for name, premise in premises if next(premise(order), None) is not None
+        }
     return rejected
 
 
-def accepted_pairs(n, monkeypatch):
-    """The (W, F), each holding the identities, on which no predicate fires."""
-    return {pair for pair, by in rejections(n, monkeypatch).items() if not by}
+def accepted_pairs(n):
+    """The (W, F), each holding the identities, that no axiom rejects."""
+    return {pair for pair, by in rejections(n).items() if not by}
 
 
 @pytest.mark.parametrize(
@@ -119,23 +120,23 @@ def accepted_pairs(n, monkeypatch):
     ids=["n=1", "n=2", "n=3", "n=4"],
 )
 def test_the_predicates_and_a_factorization_accept_exactly_the_model_structures(
-    monkeypatch, n, systems, models, accepted
+    n, systems, models, accepted
 ):
     # the weak factorization systems of [n] are counted by the Catalan numbers
     assert len(weak_factorization_systems(n)) == systems
     truth = model_structures(n)
     assert len(truth) == models
-    found = accepted_pairs(n, monkeypatch)
+    found = accepted_pairs(n)
     assert len(found) == accepted
-    # every model structure passes the predicates, but they alone let
+    # every model structure passes the axioms, but they alone let
     # non-models through; the generic fact "every arrow is a (w) then an (f)"
     # removes exactly those
     assert truth <= found
     assert {(w, f) for w, f in found if _factors(n, w, f)} == truth
 
 
-# On [4]: how many non-models each generic predicate rejects with no other
-# predicate rejecting them, and the first of them by size, named by the
+# On [4]: how many non-models each generic axiom rejects with no other
+# axiom rejecting them, and the first of them by size, named by the
 # arrows of W and of F besides the identities.  M2_FACTOR_C_WF rejects none
 # at all: with C every arrow, x -> y -> y is a (c, wf) factorization once the
 # identities are (w) and (f), and every W and F here holds them.
@@ -148,8 +149,8 @@ ALONE = {
 }
 
 
-def test_each_generic_predicate_but_one_rejects_a_non_model_alone(monkeypatch):
-    rejected = rejections(4, monkeypatch)
+def test_each_generic_predicate_but_one_rejects_a_non_model_alone():
+    rejected = rejections(4)
     truth = model_structures(4)
     assert set(ALONE) == set(GENERIC)
     for name, (count, w, f) in ALONE.items():

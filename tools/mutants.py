@@ -95,11 +95,10 @@ MUTANTS = (
     Mutant(
         "factorization-groups-keyed-without-base",
         "src/famcat/vobj.py",
-        "groups = dict.fromkeys([((xm | b0) & ym, xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])",
-        "groups = {((xm | b0) & ym, ym): ((xm | b0) & ym, xm | (b0 & ym), ym)"
-        " for xm, b0 in gens for ym in ys}.values()",
-        # on canonical pairs every base of a group holds its meet and every
-        # witness is covered, so only a weakened middle tells the bases apart
+        "bases = dict.fromkeys([(xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])",
+        "bases = {ym: (xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys}.values()",
+        # on canonical pairs every witness is covered, so only a weakened
+        # middle tells the bases apart
         ("tests/test_vobj.py::test_factorization_matches_the_per_instance_oracle_under_weak_middles",),
     ),
     Mutant(
@@ -245,17 +244,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "cobase-premise-miss-not-yielded",
+        # widens the premise past its firing tuples: the suites still report
+        # the same violations, since the predicate runs on each yielded tuple
+        "lifting-premise-without-the-second-square-w",
         "src/famcat/harness.py",
-        "if c is None or not W[y] >> c & 1) for row in C",
-        "if c is not None and not W[y] >> c & 1) for row in C",
-        ("tests/test_harness.py::test_a_product_or_coproduct_outside_the_universe_is_yielded",),
+        "_elements(lifts if W[x] >> y & 1 else lifts & W[w])",
+        "_elements(lifts)",
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[f-is-arrow-C1]",
+        ),
     ),
     Mutant(
         "base-change-skip-inverted",
         "src/famcat/harness.py",
-        "if p is not None and F[p] >> x & 1:",
-        "if p is not None and not F[p] >> x & 1:",
+        "if F[P[x][y]] >> x & 1:",
+        "if not F[P[x][y]] >> x & 1:",
         (
             "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
             "[f-small-target-W2]",
@@ -264,8 +268,8 @@ MUTANTS = (
     Mutant(
         "relation-tables-without-their-diagonal",
         "src/famcat/harness.py",
-        "[[at.get(r & s) for s in rows] for r in rows]",
-        "[[at.get(r & s) if r != s else None for s in rows] for r in rows]",
+        "[[at[r & s] for s in rows] for r in rows]",
+        "[[at[r & s] if r != s else 0 for s in rows] for r in rows]",
         (
             "tests/test_harness.py::"
             "test_conclusion_reading_premises_yield_nothing_on_canonical_objects[W3]",
@@ -663,35 +667,50 @@ MUTANTS = (
         "src/famcat/harness.py",
         "    if label_w(x, y):\n",
         "    if False:\n",
-        ("tests/test_orders.py",),
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[f-is-arrow-C1]",
+        ),
     ),
     Mutant(
         "c-wf-factorization-reads-the-arrow",
         "src/famcat/harness.py",
         "not (label_w(y, y) and label_f(y, y))",
         "not (label_w(x, y) and label_f(y, y))",
-        ("tests/test_orders.py",),
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[w-small-source-f-small-target-W2]",
+        ),
     ),
     Mutant(
         "base-change-pulls-back-along-z",
         "src/famcat/harness.py",
         "not label_f(product(x, y), x)",
         "not label_f(product(x, z), x)",
-        ("tests/test_orders.py",),
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[f-small-source-W2]",
+        ),
     ),
     Mutant(
         "cobase-change-pushes-out-x",
         "src/famcat/harness.py",
         "not label_w(y, coproduct(z, y))",
         "not label_w(y, coproduct(x, y))",
-        ("tests/test_orders.py",),
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[w-small-target-W2]",
+        ),
     ),
     Mutant(
         "two-of-three-fires-on-no-pair",
         "src/famcat/harness.py",
         "if sum(ws) >= 2 and not all(ws):",
         "if sum(ws) > 2 and not all(ws):",
-        ("tests/test_orders.py",),
+        (
+            "tests/test_harness.py::test_premises_admit_every_tuple_their_predicate_fires_on"
+            "[w-small-target-W2]",
+        ),
     ),
 )
 
