@@ -292,13 +292,15 @@ def exp_explicit(b: Obj, c: Obj) -> Obj:
     meets the partials with the maximal terms ``t | ~m`` (a dominated term
     yields only dominated meets) through :func:`~famcat.kernel._meets`, the
     guard of :func:`~famcat.kernel.product`, and keeps the maximal meets.
+    The empty member of B comes first, and its only term ``t | ~{}`` is N,
+    so its step would change nothing: the steps start at the next member.
     Pruning cannot always collapse the choice blowup: k disjoint pairs in B
     against their 2k singletons in C leave 2**k partials.
     """
     if _arrow(b._signed, c._signed):
         return TERMINAL
     partials = [-1]  # the signed mask of N
-    for m in b._signed:
+    for m in b._signed[1:]:
         terms = _maximal([t | ~m for t in c._signed])
         partials = _maximal(_meets(partials, terms, "an exponential step"))
     return _from_maximal(partials)
@@ -365,14 +367,17 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
     witness ``x | ((b0 & y') | b)`` keeps ``(u & y') | b`` covered, which is
     the definitional fibration condition of the middle over y.
 
-    A generator ``(xm, b0)`` gives the middle member ``u = xm | b0``.  The
-    need ``(u & y') | b`` of an instance ``(xm, b0, y', b)`` always lies in
-    its witness ``base | b``, with ``base = xm | (b0 & y')``: ``u & y' =
-    (xm & y') | (b0 & y')`` lies in ``base``.  So an instance holds exactly
-    when its witness is covered, and it reads only ``base`` and b: each
-    distinct ``(base, y')`` is decided once over the b spread over y', each
-    witness is asked once, and ``instances`` still counts every generator.
-    It stops with :class:`SizeGuardError`, before deciding any, past
+    A generator ``(xm, b0)``, with b0 in the union of the spreads, gives the
+    middle member ``u = xm | b0``.  The need ``(u & y') | b`` of an instance
+    ``(xm, b0, y', b)`` always lies in its witness ``xm | p``, with the part
+    ``p = (b0 & y') | b``: ``u & y' = (xm & y') | (b0 & y')`` lies in it.
+    So an instance holds exactly when its witness is covered, and the check
+    is set algebra over the distinct witnesses: the parts of each y', the
+    witnesses ``{xm | p}``, and one dict that asks coverage once per
+    witness.  Every spread starts with ``{}``, so each member ``xm`` is the
+    witness with ``b0 = b = {}``, and the members are read from that dict.
+    ``instances`` counts every ``(xm, b0, y', b)``, repeats included.  It
+    stops with :class:`SizeGuardError`, before deciding any, past
     ``MAX_FACTOR_INSTANCES`` (``|x| * S**2`` for S subsets spread over y).
     """
     xs, ys = x._signed, y._signed
@@ -385,27 +390,16 @@ def check_factorization(x: Obj, y: Obj) -> FactorizationCheck:
             f"the factorization check would decide {instances} instances,"
             f" past MAX_FACTOR_INSTANCES = {MAX_FACTOR_INSTANCES}"
         )
-    covered = {s: _covers(xs, ys, s) for s in xs}  # the memo: witnesses repeat
-    arrow_into = all(covered.values())
-    gens = dict.fromkeys([(xm, b0) for xm in xs for subs in spreads.values() for b0 in subs])
-    star_back = _star([xm | b0 for xm, b0 in gens], xs)
-    bases = dict.fromkeys([(xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])
-
-    fib_ok = True
-    for base, ym in bases:
-        for b in spreads[ym]:
-            witness = base | b
-            ok = covered.get(witness)
-            if ok is None:
-                ok = covered[witness] = _covers(xs, ys, witness)
-            if not ok:
-                fib_ok = False
+    b0s = set().union(*spreads.values())
+    star_back = _star([xm | b0 for xm in xs for b0 in b0s], xs)
+    parts = {(b0 & ym) | b for ym, subs in spreads.items() for b0 in b0s for b in subs}
+    covered = {w: _covers(xs, ys, w) for w in {xm | p for xm in xs for p in parts}}
     return FactorizationCheck(
         x=x,
         y=y,
-        arrow_into_middle=arrow_into,
+        arrow_into_middle=all(covered[xm] for xm in xs),
         star_back_to_source=star_back,
-        fibration_instances_ok=fib_ok,
+        fibration_instances_ok=all(covered.values()),
         instances=instances,
     )
 

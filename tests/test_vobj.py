@@ -559,8 +559,9 @@ def test_exp_stops_past_max_partials(monkeypatch):
 
 
 def test_exp_step_stops_before_pruning_its_meets(monkeypatch):
-    # B = two n-element members, C = their 2n singletons: the second step
-    # meets n partials with n terms, n * n distinct sets
+    # B = two n-element members, C = their 2n singletons: the empty member
+    # of B takes no step, and the second step meets n partials with n
+    # terms, n * n distinct sets
     n = 150
     b = normalize([fin(range(n)), fin(range(n, 2 * n))])
     c = normalize(fin([j]) for j in range(2 * n))
@@ -831,8 +832,9 @@ def _count_decisions(monkeypatch, objs):
         monkeypatch.setattr(vobj, "_covers", counted)
         assert check_factorization(x, y) == expected, (x, y)
         monkeypatch.undo()
-        # the members of x, then each distinct witness once
-        assert len(asked) <= len(x.members) + len(witnesses), (x, y)
+        # each distinct witness once, and nothing else: the members of x
+        # are witnesses too
+        assert sorted(asked) == sorted(w._s for w in witnesses), (x, y)
         repeated += expected.instances > len(witnesses)
     return len(pairs), repeated
 
@@ -852,6 +854,15 @@ def test_factorization_decides_each_witness_once(monkeypatch):
 )
 def test_factorization_decides_each_witness_once_on_wider_sets(monkeypatch, objs, pinned):
     assert _count_decisions(monkeypatch, objs) == pinned
+
+
+def test_factorization_matches_the_per_instance_oracle_off_the_arrow():
+    # famcat factorize runs the check on any pair, and its facts do not
+    # need the arrow x -> y
+    pairs = [(x, y) for x, y in itertools.product(C2, repeat=2) if not arrow_exists(x, y)]
+    assert len(pairs) == 213
+    for x, y in pairs:
+        assert check_factorization(x, y) == _factorization_per_instance(x, y)[0], (x, y)
 
 
 def test_factorization_fails_on_a_repeated_generator(monkeypatch):

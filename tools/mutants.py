@@ -93,19 +93,43 @@ MUTANTS = (
         ("tests/test_vobj.py::test_factorization_stops_past_max_factor_instances",),
     ),
     Mutant(
-        "factorization-groups-keyed-without-base",
+        "factorization-parts-keyed-without-b0",
         "src/famcat/vobj.py",
-        "bases = dict.fromkeys([(xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys])",
-        "bases = {ym: (xm | (b0 & ym), ym) for xm, b0 in gens for ym in ys}.values()",
+        "parts = {(b0 & ym) | b for ym, subs in spreads.items() for b0 in b0s for b in subs}",
+        "parts = {(ym, b): (b0 & ym) | b for ym, subs in spreads.items() for b0 in b0s"
+        " for b in subs}.values()",
         # on canonical pairs every witness is covered, so only a weakened
-        # middle tells the bases apart
+        # middle tells the parts apart
         ("tests/test_vobj.py::test_factorization_matches_the_per_instance_oracle_under_weak_middles",),
+    ),
+    Mutant(
+        "factorization-parts-without-the-target-meet",
+        "src/famcat/vobj.py",
+        "{(b0 & ym) | b for",
+        "{b0 | b for",
+        ("tests/test_vobj.py::test_factorization_matches_the_per_instance_oracle_under_weak_middles",),
+    ),
+    Mutant(
+        "factorization-parts-only-with-the-empty-b",
+        "src/famcat/vobj.py",
+        "for b0 in b0s for b in subs}",
+        "for b0 in b0s for b in subs[:1]}",
+        # every witness it drops is covered, so only the exact set of the
+        # sets asked about shows it
+        ("tests/test_vobj.py::test_factorization_decides_each_witness_once",),
     ),
     Mutant(
         "exp-without-its-arrow-test",
         "src/famcat/vobj.py",
         "    if _arrow(b._signed, c._signed):\n        return TERMINAL",
         "    if True:\n        return TERMINAL",
+        ("tests/test_vobj.py::test_exp_matches_the_brute_force_oracle",),
+    ),
+    Mutant(
+        "exp-skips-a-non-empty-member",
+        "src/famcat/vobj.py",
+        "for m in b._signed[1:]:",
+        "for m in b._signed[2:]:",
         ("tests/test_vobj.py::test_exp_matches_the_brute_force_oracle",),
     ),
     Mutant(
